@@ -37,7 +37,7 @@ from scipy import special
 from .errors import ConvergenceError
 from .forcing import Forcing
 from .geometry import ModelManifold, TabulatedWarping, drift
-from .operators import RadialGrid, SmoothRadialFn
+from .operators import RadialGrid
 from .spectral import RadialSolution, positive_radial_solution
 
 __all__ = [
@@ -83,9 +83,6 @@ class ExpBarrier:
         r = np.asarray(r, dtype=float)
         a, b = self.alpha, self.beta
         return -a * b * np.exp(-b * r**a) * ((a - 1.0) * r ** (a - 2.0) - a * b * r ** (2.0 * a - 2.0))
-
-    def as_smooth_fn(self) -> SmoothRadialFn:
-        return SmoothRadialFn(self.eval, self.deriv1, self.deriv2)
 
     @property
     def sup(self) -> float:
@@ -349,8 +346,9 @@ def glued_barrier(M: ModelManifold, lam, alpha, beta, r0, r1, r2, R_max, N) -> G
     return GluedBarrier(c, phi, v, r0, r1, r2, lam, use_v, values)
 
 
-def _exp_residual(M, v: ExpBarrier, lam, r):
-    return v.deriv2(r) + drift(M, r) * v.deriv1(r) + lam * v.eval(r)
+def _residual(M, w, lam, r):
+    """w'' + F w' + lam w from the closed-form eval/deriv1/deriv2 of w."""
+    return w.deriv2(r) + drift(M, r) * w.deriv1(r) + lam * w.eval(r)
 
 
 def verify_supersolution(M: ModelManifold, barrier, lam: float, grid: RadialGrid, *, tol: float = 1e-10) -> SupersolutionCheck:
@@ -364,22 +362,10 @@ def verify_supersolution(M: ModelManifold, barrier, lam: float, grid: RadialGrid
     r_all = grid.nodes[1:]
     kink_ok = True
 
-    if isinstance(barrier, ExpBarrier):
-        res = _exp_residual(M, barrier, lam, r_all)
-        rs = r_all
-    elif isinstance(barrier, PowerBarrier):
-        a, b_cap, a_cap, r0 = barrier.alpha, barrier.b, barrier.a, barrier.r0
-        inner = r_all[r_all <= r0]
-        outer = r_all[r_all > r0]
-        res_in = -b_cap * drift(M, inner) + lam * (a_cap - b_cap * inner)
-        res_out = (
-            a * (a + 1.0) * outer ** (-a - 2.0)
-            - a * outer ** (-a - 1.0) * drift(M, outer)
-            + lam * outer**-a
-        )
-        res = np.concatenate((res_in, res_out))
-        rs = np.concatenate((inner, outer))
-        if grid.nodes[0] <= r0 <= grid.nodes[-1]:
+    if isinstance(barrier, (ExpBarrier, PowerBarrier)):
+        res = _residual(M, barrier, lam, r_all)
+        if isinstance(barrier, PowerBarrier) and grid.nodes[0] <= barrier.r0 <= grid.nodes[-1]:
+            a, r0, b_cap = barrier.alpha, barrier.r0, barrier.b
             kink_ok = (-a * r0 ** (-a - 1.0)) <= -b_cap + 1e-12 * abs(b_cap)
     elif isinstance(barrier, GluedBarrier):
         if grid != barrier.grid:
@@ -397,9 +383,8 @@ def verify_supersolution(M: ModelManifold, barrier, lam: float, grid: RadialGrid
         dp = c * barrier.phi.derivative[1:]
         ddp = -(f_drift * dp + lam * p)
         res_phi = ddp + f_drift * dp + lam * p
-        res_v = _exp_residual(M, barrier.v, lam, r_all)
+        res_v = _residual(M, barrier.v, lam, r_all)
         res = np.where(use_v, res_v, res_phi)
-        rs = r_all
         # branch switches: min-kinks; require the outgoing slope <= incoming
         switches = np.flatnonzero(use_v[:-1] != use_v[1:])
         for j in switches:
@@ -423,7 +408,7 @@ def verify_supersolution(M: ModelManifold, barrier, lam: float, grid: RadialGrid
 
     i = int(np.argmax(res))
     return SupersolutionCheck(
-        max_residual=float(res[i]), worst_r=float(rs[i]), kink_ok=bool(kink_ok), tol=tol
+        max_residual=float(res[i]), worst_r=float(r_all[i]), kink_ok=bool(kink_ok), tol=tol
     )
 
 

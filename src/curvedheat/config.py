@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError
 from .evolution import EvolutionControls
@@ -25,7 +25,6 @@ __all__ = [
     "CheckSpec",
     "ExperimentConfig",
     "parse_config",
-    "parse_config_file",
     "PRESETS",
     "preset_text",
 ]
@@ -98,9 +97,11 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class CheckSpec:
-    k: float
+    """Curvature-check targets; k and gamma left None follow the model."""
+
+    k: float | None
     c0: float
-    gamma: float
+    gamma: float | None
     r_min: float
     r_max: float
     nodes: int
@@ -113,15 +114,13 @@ class ExperimentConfig:
     p: float
     lambda_policy: str
     lambda_value: float | None
-    epsilon: float
     barrier: BarrierSpec
     u0: U0Spec
     grid: GridSpec
     controls: EvolutionControls
     snapshots: int
     sweep: SweepSpec | None
-    check: CheckSpec | None
-    raw_text: str = field(default="", repr=False)
+    check: CheckSpec
 
 
 def _get(section, key, conv, default=None, required=False):
@@ -137,6 +136,20 @@ def _get(section, key, conv, default=None, required=False):
 
 def _floats(text):
     return tuple(float(tok) for tok in text.replace(",", " ").split())
+
+
+def _axis_values(sw, suffix=""):
+    """A sweep axis: ``values`` listed, or ``count`` points from ``start`` to ``stop``."""
+    if "values" + suffix in sw:
+        return _floats(sw["values" + suffix])
+    start = _get(sw, "start" + suffix, float, required=True)
+    stop = _get(sw, "stop" + suffix, float, required=True)
+    count = _get(sw, "count" + suffix, int, required=True)
+    if count < 1:
+        raise ConfigError(f"sweep count{suffix} must be >= 1, got {count}")
+    return tuple(
+        start + (stop - start) * i / (count - 1) if count > 1 else start for i in range(count)
+    )
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -185,7 +198,6 @@ def parse_config(text: str) -> ExperimentConfig:
     lambda_value = _get(pr, "lambda", float)
     if lambda_policy == "explicit" and lambda_value is None:
         raise ConfigError("lambda_policy = explicit needs a 'lambda' value")
-    epsilon = _get(pr, "epsilon", float, 0.5)
 
     ba = sec.get("barrier")
     bkind = _get(ba, "kind", str, "exp-linear")
@@ -257,31 +269,9 @@ def parse_config(text: str) -> ExperimentConfig:
     sweep = None
     if sw is not None:
         axis = _get(sw, "axis", str, required=True)
-        if "values" in sw:
-            values = _floats(sw["values"])
-        else:
-            start = _get(sw, "start", float, required=True)
-            stop = _get(sw, "stop", float, required=True)
-            count = _get(sw, "count", int, required=True)
-            if count < 1:
-                raise ConfigError(f"sweep count must be >= 1, got {count}")
-            values = tuple(
-                start + (stop - start) * i / (count - 1) if count > 1 else start
-                for i in range(count)
-            )
+        values = _axis_values(sw)
         axis2 = _get(sw, "axis2", str)
-        values2 = ()
-        if axis2 is not None:
-            if "values2" in sw:
-                values2 = _floats(sw["values2"])
-            else:
-                start2 = _get(sw, "start2", float, required=True)
-                stop2 = _get(sw, "stop2", float, required=True)
-                count2 = _get(sw, "count2", int, required=True)
-                values2 = tuple(
-                    start2 + (stop2 - start2) * i / (count2 - 1) if count2 > 1 else start2
-                    for i in range(count2)
-                )
+        values2 = () if axis2 is None else _axis_values(sw, "2")
         if axis not in ("p", "sigma", "amplitude"):
             raise ConfigError(f"sweep axis must be p | sigma | amplitude, got {axis!r}")
         for v in values + values2:
@@ -290,16 +280,14 @@ def parse_config(text: str) -> ExperimentConfig:
         sweep = SweepSpec(axis=axis, values=values, axis2=axis2, values2=values2)
 
     ck = sec.get("check")
-    check = None
-    if ck is not None:
-        check = CheckSpec(
-            k=_get(ck, "k", float, manifold.k),
-            c0=_get(ck, "c0", float, manifold.c0),
-            gamma=_get(ck, "gamma", float, manifold.gamma),
-            r_min=_get(ck, "r_min", float, 0.1),
-            r_max=_get(ck, "r_max", float, grid.R),
-            nodes=_get(ck, "nodes", int, 400),
-        )
+    check = CheckSpec(
+        k=_get(ck, "k", float),
+        c0=_get(ck, "c0", float, manifold.c0),
+        gamma=_get(ck, "gamma", float),
+        r_min=_get(ck, "r_min", float, 0.1),
+        r_max=_get(ck, "r_max", float, grid.R),
+        nodes=_get(ck, "nodes", int, 400),
+    )
 
     return ExperimentConfig(
         manifold=manifold,
@@ -307,7 +295,6 @@ def parse_config(text: str) -> ExperimentConfig:
         p=p,
         lambda_policy=lambda_policy,
         lambda_value=lambda_value,
-        epsilon=epsilon,
         barrier=barrier,
         u0=u0,
         grid=grid,
@@ -315,13 +302,7 @@ def parse_config(text: str) -> ExperimentConfig:
         snapshots=snapshots,
         sweep=sweep,
         check=check,
-        raw_text=text,
     )
-
-
-def parse_config_file(path) -> ExperimentConfig:
-    with open(path) as fh:
-        return parse_config(fh.read())
 
 
 PRESETS = {
@@ -341,7 +322,6 @@ sigma = 1.0
 [problem]
 p = 2.0
 lambda_policy = mckean
-epsilon = 0.5
 
 [barrier]
 kind = exp-linear

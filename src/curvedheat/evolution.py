@@ -22,7 +22,7 @@ from scipy.linalg import solve_banded
 
 from .forcing import Forcing
 from .geometry import ModelManifold
-from .operators import RadialField, RadialGrid, laplacian_tridiag, sup_norm
+from .operators import RadialField, RadialGrid, laplacian_tridiag, sup_norm, tridiag_band
 
 __all__ = [
     "VERDICT_GLOBAL",
@@ -105,8 +105,7 @@ class EnvelopeComparison:
 
 
 def _step_factory(M: ModelManifold, grid: RadialGrid, forcing: Forcing, p: float, reaction):
-    sub, diag, sup = laplacian_tridiag(M, grid)
-    n_unknown = grid.N + 1
+    band = tridiag_band(*laplacian_tridiag(M, grid))
 
     def react(u, t):
         if reaction is not None:
@@ -115,10 +114,8 @@ def _step_factory(M: ModelManifold, grid: RadialGrid, forcing: Forcing, p: float
 
     def step(u, t, dt):
         rhs = u + dt * react(u, t)
-        ab = np.zeros((3, n_unknown))
-        ab[0, 1:] = -dt * sup[:-1]
-        ab[1, :] = 1.0 - dt * diag
-        ab[2, :-1] = -dt * sub[1:]
+        ab = -dt * band  # I - dt*Delta_h
+        ab[1] += 1.0
         return solve_banded((1, 1), ab, rhs)
 
     return step

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from .barriers import (
     time_envelope,
     verify_supersolution,
 )
-from .config import ExperimentConfig, parse_config
+from .config import ExperimentConfig
 from .errors import ConfigError
 from .evolution import (
     VERDICT_BLOWUP,
@@ -219,14 +220,10 @@ def scaled_barrier_data(cfg: ExperimentConfig, forcing: Forcing, lam: float, p: 
 def run_geometry(cfg: ExperimentConfig, out_dir: Path):
     M = build_manifold(cfg)
     check = cfg.check
-    if check is None:
-        k = pinch_constant(cfg) or cfg.manifold.k
-        from .config import CheckSpec
-
-        check = CheckSpec(
-            k=k, c0=cfg.manifold.c0, gamma=divergence_gamma(cfg),
-            r_min=0.1, r_max=cfg.grid.R, nodes=400,
-        )
+    if check.k is None:
+        check = replace(check, k=pinch_constant(cfg) or cfg.manifold.k)
+    if check.gamma is None:
+        check = replace(check, gamma=divergence_gamma(cfg))
     r = np.linspace(check.r_min, check.r_max, check.nodes)
     report = check_curvature_bounds(M, check.k, check.c0, check.gamma, r)
     floor = drift_lower_constant(M, r, check.gamma)
@@ -357,11 +354,28 @@ def _build_u0_profile(cfg: ExperimentConfig, M: ModelManifold):
     return barrier_profile(barrier, ctilde), barrier, lam, envelope, meta
 
 
+def _solve_single_ball(cfg: ExperimentConfig, M: ModelManifold):
+    """Evolve the configured data on the configured ball.
+
+    Returns (outcome, barrier, lam, envelope, meta) as _build_u0_profile,
+    with the run's outcome in place of the data profile; the run's grid
+    is ``outcome.final.grid``.
+    """
+    profile, barrier, lam, envelope, meta = _build_u0_profile(cfg, M)
+    grid = barrier.grid if isinstance(barrier, GluedBarrier) else RadialGrid(cfg.grid.R, cfg.grid.N)
+    vals = np.asarray(profile(grid.nodes), dtype=float)
+    vals[-1] = 0.0
+    outcome = solve_on_ball(
+        M, grid.R, RadialField(grid, vals), cfg.forcing, cfg.p, cfg.controls,
+        n_snapshots=cfg.snapshots,
+    )
+    return outcome, barrier, lam, envelope, meta
+
+
 def run_simulate(cfg: ExperimentConfig, out_dir: Path):
     M = build_manifold(cfg)
-    profile, barrier, lam, envelope, meta = _build_u0_profile(cfg, M)
-
     if cfg.grid.R_list:
+        profile, barrier, lam, envelope, meta = _build_u0_profile(cfg, M)
         if cfg.grid.dr is None:
             raise ConfigError("exhaustion runs need a shared grid spacing: set grid.dr")
         report = exhaustion_solve(
@@ -402,13 +416,8 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path):
                 )
         return ok, lines
 
-    grid = barrier.grid if isinstance(barrier, GluedBarrier) else RadialGrid(cfg.grid.R, cfg.grid.N)
-    vals = np.asarray(profile(grid.nodes), dtype=float)
-    vals[-1] = 0.0
-    u0 = RadialField(grid, vals)
-    outcome = solve_on_ball(
-        M, grid.R, u0, cfg.forcing, cfg.p, cfg.controls, n_snapshots=cfg.snapshots
-    )
+    outcome, barrier, lam, envelope, meta = _solve_single_ball(cfg, M)
+    grid = outcome.final.grid
     save_history_csv(outcome, out_dir / "history.csv")
     save_field_csv(outcome.final, out_dir / "final_field.csv")
     rows = [
@@ -461,42 +470,25 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path):
     return ok, lines
 
 
-def _cell_config(base_text: str, spec_axis_values: dict) -> ExperimentConfig:
-    cfg = parse_config(base_text)
-    man = cfg.manifold
-    forcing = cfg.forcing
-    p = cfg.p
-    u0 = cfg.u0
-    for axis, value in spec_axis_values.items():
+def _cell_config(cfg: ExperimentConfig, axis_values: dict) -> ExperimentConfig:
+    """The sweep's base config with one cell's axis values put in."""
+    changes = {}
+    for axis, value in axis_values.items():
         if axis == "p":
-            p = value
+            changes["p"] = value
         elif axis == "sigma":
-            forcing = Forcing.exponential(value)
+            changes["forcing"] = Forcing.exponential(value)
         elif axis == "amplitude":
-            from dataclasses import replace
-
-            u0 = replace(u0, amplitude=value)
+            changes["u0"] = replace(cfg.u0, amplitude=value)
         else:
             raise ConfigError(f"unknown sweep axis {axis!r}")
-    cfg.forcing = forcing
-    cfg.p = p
-    cfg.u0 = u0
-    cfg.sweep = None
-    return cfg
+    return replace(cfg, **changes)
 
 
-def _sweep_cell(args):
-    base_text, axis_values = args
-    cfg = _cell_config(base_text, axis_values)
+def _sweep_cell(cfg: ExperimentConfig):
     M = build_manifold(cfg)
-    profile, barrier, lam, envelope, meta = _build_u0_profile(cfg, M)
-    grid = barrier.grid if isinstance(barrier, GluedBarrier) else RadialGrid(cfg.grid.R, cfg.grid.N)
-    vals = np.asarray(profile(grid.nodes), dtype=float)
-    vals[-1] = 0.0
-    u0 = RadialField(grid, vals)
-    outcome = solve_on_ball(
-        M, grid.R, u0, cfg.forcing, cfg.p, cfg.controls, n_snapshots=cfg.snapshots
-    )
+    outcome, barrier, lam, envelope, meta = _solve_single_ball(cfg, M)
+    grid = outcome.final.grid
     env_pass = None
     if envelope is not None and outcome.verdict != VERDICT_BLOWUP:
         env_pass = compare_with_envelope(outcome, barrier.eval(grid.nodes), envelope).passed
@@ -519,7 +511,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path, threads: int = 1):
         raise ConfigError("sweep command needs a [sweep] section")
     spec = cfg.sweep
     cells = spec.cells
-    jobs = [(cfg.raw_text, axis_values) for _, axis_values in cells]
+    jobs = [_cell_config(cfg, axis_values) for _, axis_values in cells]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_sweep_cell, jobs))

@@ -31,6 +31,8 @@ __all__ = [
     "SmoothRadialFn",
     "drift_stability_check",
     "laplacian_tridiag",
+    "tridiag_band",
+    "tridiag_mult",
     "apply_laplacian",
     "apply_laplacian_analytic",
     "sup_norm",
@@ -124,37 +126,53 @@ def drift_stability_check(M: ModelManifold, grid: RadialGrid) -> np.ndarray:
 def laplacian_tridiag(M: ModelManifold, grid: RadialGrid):
     """Tridiagonal representation of Delta_h on the unknowns u_0..u_N.
 
-    Returns (sub, diag, sup) with sub[0] and sup[N] unused/zero; the
-    boundary value u_{N+1} is eliminated (homogeneous Dirichlet).
+    Returns (sub, diag, sup); sub[0] is zero.  sup[N] couples the last
+    unknown to the boundary node u_{N+1}; ``tridiag_band`` and
+    ``tridiag_mult`` ignore it, which eliminates that node under
+    homogeneous Dirichlet data.
     """
     f = drift_stability_check(M, grid)
     dr = grid.dr
     n_unknown = grid.N + 1
     sub = np.zeros(n_unknown)
     diag = np.empty(n_unknown)
-    sup = np.zeros(n_unknown)
+    sup = np.empty(n_unknown)
     diag[0] = -2.0 * M.n / dr**2
     sup[0] = 2.0 * M.n / dr**2
     inv2 = 1.0 / dr**2
     sub[1:] = inv2 - f / (2.0 * dr)
     diag[1:] = -2.0 * inv2
     sup[1:] = inv2 + f / (2.0 * dr)
-    sup[-1] = 0.0
     return sub, diag, sup
+
+
+def tridiag_band(sub, diag, sup) -> np.ndarray:
+    """The (1, 1) banded layout of ``scipy.linalg.solve_banded``; sub[0], sup[-1] unread."""
+    ab = np.zeros((3, diag.size))
+    ab[0, 1:] = sup[:-1]
+    ab[1, :] = diag
+    ab[2, :-1] = sub[1:]
+    return ab
+
+
+def tridiag_mult(sub, diag, sup, x) -> np.ndarray:
+    """The tridiagonal matrix (sub, diag, sup) times x; sub[0], sup[-1] unread."""
+    y = diag * x
+    y[:-1] += sup[:-1] * x[1:]
+    y[1:] += sub[1:] * x[:-1]
+    return y
 
 
 def apply_laplacian(M: ModelManifold, u: RadialField) -> RadialField:
     """Discrete Delta u; boundary node of the result is set to zero."""
-    grid = u.grid
-    f = drift_stability_check(M, grid)
-    dr = grid.dr
+    sub, diag, sup = laplacian_tridiag(M, u.grid)
     v = u.values
     if not np.all(np.isfinite(v)):
         raise ValueError("field has non-finite values")
     out = np.zeros_like(v)
-    out[0] = 2.0 * M.n * (v[1] - v[0]) / dr**2
-    out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / dr**2 + f * (v[2:] - v[:-2]) / (2.0 * dr)
-    return RadialField(grid, out)
+    out[:-1] = tridiag_mult(sub, diag, sup, v[:-1])
+    out[-2] += sup[-1] * v[-1]
+    return RadialField(u.grid, out)
 
 
 def apply_laplacian_analytic(M: ModelManifold, fn: SmoothRadialFn, r):
@@ -169,10 +187,6 @@ def sup_norm(u: RadialField) -> float:
     return float(np.max(np.abs(u.values)))
 
 
-def _log_area_factor(M: ModelManifold, r_pos) -> np.ndarray:
-    return (M.n - 1) * M.psi.log_eval(r_pos)
-
-
 def volume_inner_product(M: ModelManifold, u: RadialField, w: RadialField) -> float:
     """Trapezoidal integral of u*w against the area density psi^{n-1}.
 
@@ -185,7 +199,7 @@ def volume_inner_product(M: ModelManifold, u: RadialField, w: RadialField) -> fl
         raise ValueError("fields live on different grids")
     grid = u.grid
     _check_compatible(M, grid)
-    lw = _log_area_factor(M, grid.nodes[1:])
+    lw = (M.n - 1) * M.psi.log_eval(grid.nodes[1:])
     ref = float(np.max(lw))
     weights = np.exp(lw - ref)
     weights[-1] *= 0.5  # trapezoid end; the r=0 end has zero area density

@@ -2,11 +2,11 @@
 
 ``dirichlet_lambda1`` runs inverse power iteration on the discrete
 radial operator with homogeneous Dirichlet data at R and the
-removable-singularity row at the pole.  The Rayleigh quotient is taken
-in the inner product weighted by the area density psi^{n-1} (evaluated
-in shifted log form so fast-growing warpings cannot overflow).  Ball
-eigenvalues decrease to the manifold's spectral bottom as R grows, so
-they bracket it from above while ``mckean_bound`` brackets from below.
+removable-singularity row at the pole.  The iterates are sup-normalised,
+so the eigenvalue estimate 1/||A^{-1} x||_inf needs no area weights and
+cannot overflow however fast the warping grows.  Ball eigenvalues
+decrease to the manifold's spectral bottom as R grows, so they bracket
+it from above while ``mckean_bound`` brackets from below.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from scipy.linalg import solve_banded
 
 from .errors import ConvergenceError
 from .geometry import ModelManifold, drift
-from .operators import RadialField, RadialGrid, laplacian_tridiag, _log_area_factor
+from .operators import RadialField, RadialGrid, laplacian_tridiag, tridiag_band, tridiag_mult
 
 __all__ = [
     "EigenEstimate",
@@ -75,21 +75,6 @@ def mckean_bound(n: int, k: float) -> float:
     return (n - 1) ** 2 * k**2 / 4.0
 
 
-def _banded(sub, diag, sup):
-    ab = np.zeros((3, diag.size))
-    ab[0, 1:] = sup[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = sub[1:]
-    return ab
-
-
-def _tridiag_mult(sub, diag, sup, x):
-    y = diag * x
-    y[:-1] += sup[:-1] * x[1:]
-    y[1:] += sub[1:] * x[:-1]
-    return y
-
-
 def dirichlet_lambda1(
     M: ModelManifold,
     R: float,
@@ -101,39 +86,31 @@ def dirichlet_lambda1(
 ) -> EigenEstimate:
     """Smallest eigenvalue of -Delta_h on B_R via inverse power iteration.
 
-    Deterministic start vector (a positive bump), convergence when
-    successive Rayleigh quotients differ by less than ``tol_rq`` and the
-    residual ||Delta_h phi + lam phi||_inf drops below
-    ``tol_residual * ||phi||_inf``.
+    Deterministic start vector (a positive bump).  With x sup-normalised,
+    each step estimates lam = 1/||A^{-1} x||_inf for A = -Delta_h;
+    convergence when successive estimates differ by less than ``tol_rq``
+    and the residual ||Delta_h phi + lam phi||_inf drops below
+    ``tol_residual * ||phi||_inf``, which certifies the eigenpair.
     """
     grid = RadialGrid(R, N)
     sub, diag, sup = laplacian_tridiag(M, grid)
     a_sub, a_diag, a_sup = -sub, -diag, -sup  # A = -Delta_h, positive definite
-    ab = _banded(a_sub, a_diag, a_sup)
+    ab = tridiag_band(a_sub, a_diag, a_sup)
 
-    r_unknown = grid.nodes[:-1]
-    lw = np.empty(r_unknown.size)
-    lw[0] = -np.inf  # area density vanishes at the pole
-    lw[1:] = _log_area_factor(M, r_unknown[1:])
-    weights = np.exp(lw - np.max(lw))
-
-    x = 1.0 - (r_unknown / R) ** 2
+    x = 1.0 - (grid.nodes[:-1] / R) ** 2
     x /= np.max(np.abs(x))
     lam = np.inf
     for it in range(1, maxiter + 1):
         y = solve_banded((1, 1), ab, x)
-        if y[int(np.argmax(np.abs(y)))] < 0:
-            y = -y
-        y /= np.max(np.abs(y))
-        ay = _tridiag_mult(a_sub, a_diag, a_sup, y)
-        lam_new = float(np.sum(weights * ay * y) / np.sum(weights * y * y))
-        residual = float(np.max(np.abs(ay - lam_new * y)))
-        if abs(lam_new - lam) <= tol_rq * max(1.0, abs(lam_new)) and residual <= tol_residual:
-            lam = lam_new
-            x = y
-            break
+        peak = float(y[int(np.argmax(np.abs(y)))])
+        lam_new = 1.0 / abs(peak)
+        y /= peak  # sup-normalise with a positive peak
+        residual = float(np.max(np.abs(tridiag_mult(a_sub, a_diag, a_sup, y) - lam_new * y)))
+        converged = abs(lam_new - lam) <= tol_rq * max(1.0, abs(lam_new)) and residual <= tol_residual
         lam = lam_new
         x = y
+        if converged:
+            break
     else:
         raise ConvergenceError(
             f"inverse power iteration did not converge in {maxiter} iterations "

@@ -145,6 +145,25 @@ def test_geometry_command(tmp_path):
     ET.parse(out / "drift.svg")  # well-formed XML
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        "[manifold]\nkind = hyperbolic\nn = 3\nk = 1.0\n",
+        "[manifold]\nkind = gamma\nn = 3\nc0 = 4.0\ngamma = 1.0\nr_max = 8\ndr = 0.001\n",
+    ],
+    ids=["hyperbolic", "gamma-c0-4"],
+)
+def test_geometry_empty_check_section_keeps_model_defaults(tmp_path, model):
+    text = model + "\n[grid]\nR = 8\nN = 200\n"
+    reports = []
+    for name, body in (("none", text), ("empty", text + "\n[check]\n")):
+        out = tmp_path / name
+        cfg = write_cfg(tmp_path, body, name=f"{name}.cfg")
+        assert main(["geometry", "--config", str(cfg), "--out", str(out), "--strict"]) == 0
+        reports.append((out / "curvature_report.csv").read_text())
+    assert reports[0] == reports[1]
+
+
 def test_geometry_strict_fails_on_flat_space(tmp_path):
     cfg = write_cfg(
         tmp_path,

@@ -118,3 +118,12 @@ def test_eigen_csv(tmp_path, euclid3):
     lines = path.read_text().splitlines()
     assert lines[0] == "R,lambda1,residual"
     assert len(lines) == 2
+
+
+def test_gamma3_large_ball_converges(gamma3):
+    # the area density psi^{n-1} spans far more than the float range on
+    # this ball; the eigenvalue estimate must not depend on it
+    est = dirichlet_lambda1(gamma3, 16.0, 1599)
+    assert np.all(est.eigenfunction.values[:-1] > 0)
+    lam8 = dirichlet_lambda1(gamma3, 8.0, 799).lambda1_ball
+    assert mckean_bound(3, 1.0) <= est.lambda1_ball <= lam8 + 1e-10

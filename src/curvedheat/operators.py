@@ -21,6 +21,7 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .errors import StabilityError
 from .geometry import ModelManifold, TabulatedWarping, drift
@@ -31,8 +32,8 @@ __all__ = [
     "SmoothRadialFn",
     "drift_stability_check",
     "laplacian_tridiag",
-    "tridiag_band",
     "tridiag_mult",
+    "solve_banded",
     "apply_laplacian",
     "apply_laplacian_analytic",
     "sup_norm",
@@ -127,8 +128,8 @@ def laplacian_tridiag(M: ModelManifold, grid: RadialGrid):
     """Tridiagonal representation of Delta_h on the unknowns u_0..u_N.
 
     Returns (sub, diag, sup); sub[0] is zero.  sup[N] couples the last
-    unknown to the boundary node u_{N+1}; ``tridiag_band`` and
-    ``tridiag_mult`` ignore it, which eliminates that node under
+    unknown to the boundary node u_{N+1}; ``tridiag_mult`` and
+    ``solve_banded`` ignore it, which eliminates that node under
     homogeneous Dirichlet data.
     """
     f = drift_stability_check(M, grid)
@@ -146,21 +147,30 @@ def laplacian_tridiag(M: ModelManifold, grid: RadialGrid):
     return sub, diag, sup
 
 
-def tridiag_band(sub, diag, sup) -> np.ndarray:
-    """The (1, 1) banded layout of ``scipy.linalg.solve_banded``; sub[0], sup[-1] unread."""
-    ab = np.zeros((3, diag.size))
-    ab[0, 1:] = sup[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = sub[1:]
-    return ab
-
-
 def tridiag_mult(sub, diag, sup, x) -> np.ndarray:
     """The tridiagonal matrix (sub, diag, sup) times x; sub[0], sup[-1] unread."""
     y = diag * x
     y[:-1] += sup[:-1] * x[1:]
     y[1:] += sub[1:] * x[:-1]
     return y
+
+
+_gtsv = get_lapack_funcs("gtsv", dtype=np.float64)
+
+
+def solve_banded(sub, diag, sup, b) -> np.ndarray:
+    """Solve (sub, diag, sup) x = b; sub[0], sup[-1] unread; inputs are left intact.
+
+    One LAPACK ``?gtsv`` call (Gaussian elimination with partial
+    pivoting), the routine ``scipy.linalg.solve_banded`` dispatches to
+    for a (1, 1) band, without its input validation: the arguments must
+    be float64 vectors of one length.  Non-finite entries in b give a
+    non-finite x rather than an error; a zero pivot raises LinAlgError.
+    """
+    _, _, _, x, info = _gtsv(sub[1:], diag, sup[:-1], b)
+    if info > 0:
+        raise LinAlgError(f"singular tridiagonal matrix: zero pivot in row {info}")
+    return x
 
 
 def apply_laplacian(M: ModelManifold, u: RadialField) -> RadialField:

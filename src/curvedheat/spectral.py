@@ -14,11 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import ConvergenceError
 from .geometry import ModelManifold, drift
-from .operators import RadialField, RadialGrid, laplacian_tridiag, tridiag_band, tridiag_mult
+from .operators import RadialField, RadialGrid, laplacian_tridiag, solve_banded, tridiag_mult
 
 __all__ = [
     "EigenEstimate",
@@ -95,13 +94,12 @@ def dirichlet_lambda1(
     grid = RadialGrid(R, N)
     sub, diag, sup = laplacian_tridiag(M, grid)
     a_sub, a_diag, a_sup = -sub, -diag, -sup  # A = -Delta_h, positive definite
-    ab = tridiag_band(a_sub, a_diag, a_sup)
 
     x = 1.0 - (grid.nodes[:-1] / R) ** 2
     x /= np.max(np.abs(x))
     lam = np.inf
     for it in range(1, maxiter + 1):
-        y = solve_banded((1, 1), ab, x)
+        y = solve_banded(a_sub, a_diag, a_sup, x)
         peak = float(y[int(np.argmax(np.abs(y)))])
         lam_new = 1.0 / abs(peak)
         y /= peak  # sup-normalise with a positive peak

@@ -1,12 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import quad
 
+import curvedheat.evolution
 from curvedheat import (
     VERDICT_BLOWUP,
     VERDICT_GLOBAL,
+    VERDICT_UNDECIDED,
     EvolutionControls,
     ExpBarrier,
     Forcing,
@@ -134,6 +138,73 @@ def test_blowup_detector_soundness(euclid3):
     assert out.history[-1, 2] < 1e-6
     # history is time-ordered with positive steps
     assert np.all(np.diff(out.history[:, 0]) > 0)
+
+
+def overflowing_fixed_step_run(euclid3, threshold):
+    # h u^p overflows on the fourth step: sup u0 = 50, p = 5, dt = 0.05
+    g = RadialGrid(2.0, 49)
+    u0 = make_u0(g, bump_profile(50.0, 0.5))
+    ctl = EvolutionControls(t_end=1.0, dt_init=0.05, rel_tol=0.0, blowup_threshold=threshold)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow is handled, not reported
+        return solve_on_ball(euclid3, 2.0, u0, Forcing.one(), 5.0, ctl)
+
+
+def test_fixed_step_overflow_after_threshold_is_blowup(euclid3):
+    out = overflowing_fixed_step_run(euclid3, None)
+    assert out.verdict == VERDICT_BLOWUP
+    assert out.t_star == pytest.approx(0.1)
+    assert np.all(np.isfinite(out.history))
+
+
+def test_fixed_step_overflow_below_threshold_is_undecided(euclid3):
+    out = overflowing_fixed_step_run(euclid3, 1e300)
+    assert out.verdict == VERDICT_UNDECIDED
+    assert out.t_star is None
+    assert "non-finite values" in out.note
+    assert out.note.endswith("in fixed-step mode")
+    assert np.all(np.isfinite(out.final.values))
+
+
+@pytest.mark.parametrize(
+    "manifold, amplitude, p, t_end, verdict",
+    [("hyp3", 0.5, 2.0, 5.0, VERDICT_GLOBAL), ("euclid3", 3.0, 1.5, 60.0, VERDICT_BLOWUP)],
+)
+def test_shared_reaction_matches_reference_solves(request, monkeypatch, manifold, amplitude, p, t_end, verdict):
+    M = request.getfixturevalue(manifold)
+    g = RadialGrid(10.0, 100)
+    u0 = make_u0(g, bump_profile(amplitude, 2.0))
+    forcing = Forcing.one()
+    ctl = EvolutionControls(t_end=t_end)
+    plain = solve_on_ball(M, 10.0, u0, forcing, p, ctl, n_snapshots=11)
+    assert plain.verdict == verdict
+
+    calls = {"solve": 0, "reaction": 0}
+
+    def reference_solve(sub, diag, sup, b):
+        calls["solve"] += 1
+        ab = np.zeros((3, diag.size))
+        ab[0, 1:] = sup[:-1]
+        ab[1] = diag
+        ab[2, :-1] = sub[1:]
+        return scipy.linalg.solve_banded((1, 1), ab, b)
+
+    def counted_reaction(u, t):
+        calls["reaction"] += 1
+        return float(forcing.h(t)) * np.maximum(u, 0.0) ** p
+
+    monkeypatch.setattr(curvedheat.evolution, "solve_banded", reference_solve)
+    ref = solve_on_ball(M, 10.0, u0, forcing, p, ctl, reaction=counted_reaction, n_snapshots=11)
+    assert ref.verdict == plain.verdict
+    assert np.array_equal(ref.history, plain.history)
+    assert len(ref.snapshots) == len(plain.snapshots)
+    for (t_ref, s_ref), (t_plain, s_plain) in zip(ref.snapshots, plain.snapshots):
+        assert t_ref == t_plain
+        assert np.array_equal(s_ref, s_plain)
+    assert np.array_equal(ref.final.values, plain.final.values)
+    # per step-doubling attempt: three solves, two reaction evaluations
+    assert calls["solve"] >= 3 * (len(plain.history) - 1)
+    assert 2 * calls["solve"] == 3 * calls["reaction"]
 
 
 def test_comparison_sandwich_small(hyp3):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from curvedheat import (
     RadialField,
@@ -9,12 +12,15 @@ from curvedheat import (
     apply_laplacian_analytic,
     dirichlet_lambda1,
     load_field_csv,
+    make_euclidean,
     make_gamma_model,
+    make_hyperbolic,
     save_field_csv,
     sup_norm,
     volume_inner_product,
 )
 from curvedheat.errors import StabilityError
+from curvedheat.operators import laplacian_tridiag, solve_banded
 
 
 def field_from(grid, fn):
@@ -151,3 +157,51 @@ def test_field_csv_roundtrip(tmp_path):
     loaded = load_field_csv(path)
     assert loaded.grid.N == g.N
     assert np.allclose(loaded.values, u.values)
+
+
+# --- tridiagonal solve ------------------------------------------------------
+
+
+def scipy_solve(sub, diag, sup, b):
+    ab = np.zeros((3, diag.size))
+    ab[0, 1:] = sup[:-1]
+    ab[1] = diag
+    ab[2, :-1] = sub[1:]
+    return scipy.linalg.solve_banded((1, 1), ab, b)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    kind=st.sampled_from(["euclidean", "hyperbolic", "gamma"]),
+    n=st.integers(2, 7),
+    N=st.integers(40, 400),
+    dt=st.floats(1e-6, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_solve_banded_equals_scipy(gamma3, kind, n, N, dt, seed):
+    # R = 4 and N >= 40 keep dr*F < 2 away from the pole for every drawn model
+    M = {"euclidean": make_euclidean(n), "hyperbolic": make_hyperbolic(n, 1.0), "gamma": gamma3}[kind]
+    grid = RadialGrid(4.0, N)
+    sub, diag, sup = laplacian_tridiag(M, grid)
+    b = np.random.default_rng(seed).standard_normal(N + 1)
+    for band in ((-dt * sub, 1.0 - dt * diag, -dt * sup), (-sub, -diag, -sup)):
+        kept = [a.copy() for a in band + (b,)]
+        x = solve_banded(*band, b)
+        assert np.array_equal(x, scipy_solve(*band, b))
+        assert all(np.array_equal(a, k) for a, k in zip(band + (b,), kept))
+
+
+def test_solve_banded_singular_raises():
+    ones = np.ones(2)
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_banded(ones, ones, ones, np.array([1.0, 2.0]))  # [[1, 1], [1, 1]]
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_banded(np.ones(5), np.zeros(5), np.zeros(5), np.ones(5))  # zero first row
+
+
+def test_solve_banded_nonfinite_rhs_gives_nonfinite_x(hyp3):
+    sub, diag, sup = laplacian_tridiag(hyp3, RadialGrid(10.0, 100))
+    b = np.ones(101)
+    b[50] = np.inf
+    x = solve_banded(-0.1 * sub, 1.0 - 0.1 * diag, -0.1 * sup, b)
+    assert not np.all(np.isfinite(x))

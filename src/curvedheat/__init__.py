@@ -6,7 +6,7 @@ builds and verifies stationary supersolution barriers, and runs the
 semilinear evolution with blow-up detection on exhaustion balls.
 """
 
-from .errors import ConfigError, ConvergenceError, StabilityError
+from .errors import ConfigError, ConvergenceError
 from .forcing import Forcing
 from .geometry import (
     CurvatureReport,

@@ -5,9 +5,5 @@ class ConvergenceError(RuntimeError):
     """An iterative solver exhausted its iteration budget."""
 
 
-class StabilityError(ValueError):
-    """A grid is too coarse for the drift it has to resolve."""
-
-
 class ConfigError(ValueError):
     """An experiment configuration violates an admissibility condition."""

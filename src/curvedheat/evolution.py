@@ -9,13 +9,16 @@ and is first order in time.
 Adaptive runs extrapolate that step over the harmonic sequence 1, 2, 3
 (Hairer & Wanner, Solving ODEs II, IV.9; Constantinescu & Sandu 2010):
 T_j1 takes j substeps of length dt/j, the three first substeps share one
-reaction evaluation, and the accepted value T32 = 3 T31 - 2 T21 is
-second order.  Its local error is estimated by |T32 - T22| / 2 with
-T22 = 2 T21 - T11, and dt follows the cube root of tolerance over that
-estimate.  The extrapolated combination is not monotone: on a stiff
-diffusion mode of dt*eigenvalue mu its amplification
-3 (1 + mu/3)^-3 - 2 (1 + mu/2)^-2 is negative for mu > 4.65, down to
--0.019, so adaptive runs stay nonnegative only up to the tolerance.
+reaction evaluation, and the accepted value is the top entry of the
+extrapolation table, T33 = T32 + d with T32 = 3 T31 - 2 T21,
+T22 = 2 T21 - T11 and d = (T32 - T22) / 2; it is third order.  |d|
+estimates the local error of T32, the second-order entry below it, and
+dt follows the cube root of tolerance over that estimate.  The
+extrapolated combination is not monotone: on a stiff diffusion mode of
+dt*eigenvalue mu the amplification of T33,
+4.5 (1 + mu/3)^-3 - 4 (1 + mu/2)^-2 + 0.5 (1 + mu)^-1, is negative only
+for mu in (4.51, 18.8), down to -0.0136, so adaptive runs stay
+nonnegative only up to the tolerance.
 
 Near blow-up the explicit reaction drives the estimator up, dt
 collapses, and that collapse doubles as the detector: a blow-up verdict
@@ -66,9 +69,10 @@ _MAX_STEPS = 2_000_000
 class EvolutionControls:
     """Step-control knobs.
 
-    rel_tol bounds the estimated local error of each accepted
-    extrapolated step (T32) relative to the sup norm; rel_tol = 0
-    disables adaptivity and runs IMEX Euler at the fixed step dt_init.
+    rel_tol bounds, relative to the sup norm, the estimated local error
+    of T32, the second-order entry below the accepted third-order T33;
+    rel_tol = 0 disables adaptivity and runs IMEX Euler at the fixed
+    step dt_init.
     """
 
     t_end: float
@@ -251,10 +255,12 @@ def solve_on_ball(
             v = solve_banded(*a, u + h * r)
             v = solve_banded(*a, v + h * react(v, t + h))
             t31 = solve_banded(*a, v + h * react(v, t + 2.0 * h))
-            u_new = 3.0 * t31 - 2.0 * t21  # T32
-            # est = |T33 - T32| = |T32 - T22| / 2 with T22 = 2 T21 - T11;
-            # it is nan or inf when any trial is, so it doubles as the finiteness test
-            est = 0.5 * float(np.max(np.abs(u_new - 2.0 * t21 + t11)))
+            t32 = 3.0 * t31 - 2.0 * t21
+            # T33 = T32 + d with d = (T32 - T22) / 2 and T22 = 2 T21 - T11;
+            # est = |d| is nan or inf when any trial is, so it doubles as the finiteness test
+            d = 0.5 * (t32 - 2.0 * t21 + t11)
+            u_new = t32 + d
+            est = float(np.max(np.abs(d)))
             s_new = float(np.max(np.abs(u_new)))
             scale = max(s_new, s, 1e-300)
             finite = math.isfinite(est)

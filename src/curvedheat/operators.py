@@ -1,17 +1,19 @@
 """Finite-difference radial Laplace-Beltrami operator on [0, R].
 
-The operator is Delta = d^2/dr^2 + F(r) d/dr acting on radial functions,
-with F the manifold drift.  Interior nodes use second-order centered
-differences; the pole uses the removable-singularity value
-Delta u(0) = n u''(0) ~ 2n (u_1 - u_0)/dr^2, valid for smooth radial
-functions (u'(0) = 0).
+The operator is Delta u = A^{-1} (A u')' acting on radial functions,
+with A = psi^{n-1} the area density.  Interior nodes use the
+conservative flux form (Samarskii, The Theory of Difference Schemes,
+ch. 3)
 
-The centered stencil is sign-correct (an M-matrix row) wherever
-dr * F(r_i) <= 2.  Near the pole F ~ (n-1)/r, so at the first few nodes
-that product is ~(n-1) regardless of dr; those nodes are excluded from
-the resolution check because their coefficient defect is bounded and
-vanishes in the limit, while at outer nodes (where drift grows with
-curvature divergence) the product really is a resolution constraint.
+    (Delta_h u)_i = (A_{i+1/2} (u_{i+1} - u_i) - A_{i-1/2} (u_i - u_{i-1}))
+                    / (V_i dr^2),
+
+with V_i = (A_{i-1/2} + 4 A_i + A_{i+1/2}) / (6 A_i) the Simpson volume
+of the cell [r_{i-1/2}, r_{i+1/2}] over A_i dr; the pole row is the flux
+form on the cell [0, dr/2], Delta u(0) ~ 2n (u_1 - u_0)/dr^2.  Both
+off-diagonals are positive and every row sums to zero for every dr and
+n, so -Delta_h is an M-matrix, and Delta_h is self-adjoint in the inner
+product weighted by V_i A_i (A_{1/2}/(2n) at the pole).
 """
 
 from __future__ import annotations
@@ -23,14 +25,12 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import LinAlgError, get_lapack_funcs
 
-from .errors import StabilityError
 from .geometry import ModelManifold, TabulatedWarping, drift
 
 __all__ = [
     "RadialGrid",
     "RadialField",
     "SmoothRadialFn",
-    "drift_stability_check",
     "laplacian_tridiag",
     "tridiag_mult",
     "solve_banded",
@@ -104,47 +104,32 @@ def _check_compatible(M: ModelManifold, grid: RadialGrid):
         )
 
 
-def drift_stability_check(M: ModelManifold, grid: RadialGrid) -> np.ndarray:
-    """Validate dr*F < 2 away from the pole; return F at interior nodes.
-
-    The first floor((n-1)/2) interior nodes are pole-dominated
-    (dr*F ~ (n-1)/i there for every dr) and are exempt; everywhere else
-    a violation means the grid cannot resolve the drift.
-    """
-    _check_compatible(M, grid)
-    f = drift(M, grid.interior)
-    skip = (M.n - 1) // 2
-    prod = grid.dr * f[skip:]
-    if prod.size and np.max(prod) >= 2.0:
-        i = int(np.argmax(prod)) + skip
-        raise StabilityError(
-            f"dr*F = {grid.dr * f[i]:.4g} >= 2 at r = {grid.interior[i]:.6g}; "
-            f"refine the grid (dr = {grid.dr:.4g})"
-        )
-    return f
-
-
 def laplacian_tridiag(M: ModelManifold, grid: RadialGrid):
     """Tridiagonal representation of Delta_h on the unknowns u_0..u_N.
 
-    Returns (sub, diag, sup); sub[0] is zero.  sup[N] couples the last
-    unknown to the boundary node u_{N+1}; ``tridiag_mult`` and
-    ``solve_banded`` ignore it, which eliminates that node under
-    homogeneous Dirichlet data.
+    Returns (sub, diag, sup) of the flux form in the module docstring:
+    sub[0] is zero, sub[1:] and sup are positive and
+    diag = -(sub + sup).  The face ratios A_{i+-1/2}/A_i are exponentials
+    of log-psi differences, so no entry overflows however fast psi grows.
+    sup[N] couples the last unknown to the boundary node u_{N+1};
+    ``tridiag_mult`` and ``solve_banded`` ignore it, which eliminates
+    that node under homogeneous Dirichlet data.
     """
-    f = drift_stability_check(M, grid)
+    _check_compatible(M, grid)
     dr = grid.dr
-    n_unknown = grid.N + 1
-    sub = np.zeros(n_unknown)
-    diag = np.empty(n_unknown)
-    sup = np.empty(n_unknown)
-    diag[0] = -2.0 * M.n / dr**2
+    log_face = (M.n - 1) * M.psi.log_eval(grid.nodes[:-1] + 0.5 * dr)
+    log_node = (M.n - 1) * M.psi.log_eval(grid.interior)
+    lo = log_face[:-1] - log_node  # log(A_{i-1/2}/A_i)
+    hi = log_face[1:] - log_node  # log(A_{i+1/2}/A_i)
+    sub = np.zeros(grid.N + 1)
+    sup = np.empty(grid.N + 1)
     sup[0] = 2.0 * M.n / dr**2
-    inv2 = 1.0 / dr**2
-    sub[1:] = inv2 - f / (2.0 * dr)
-    diag[1:] = -2.0 * inv2
-    sup[1:] = inv2 + f / (2.0 * dr)
-    return sub, diag, sup
+    # A_{i-+1/2}/(V_i A_i dr^2) with numerator and denominator divided by
+    # the face's own ratio: an overflowing exp gives an entry of 0, never nan
+    with np.errstate(over="ignore"):
+        sub[1:] = 6.0 / (dr**2 * (1.0 + 4.0 * np.exp(-lo) + np.exp(hi - lo)))
+        sup[1:] = 6.0 / (dr**2 * (np.exp(lo - hi) + 4.0 * np.exp(-hi) + 1.0))
+    return sub, -(sub + sup), sup
 
 
 def tridiag_mult(sub, diag, sup, x) -> np.ndarray:

@@ -1,12 +1,15 @@
 """Dirichlet spectral bottom on balls and the curvature lower bound.
 
-``dirichlet_lambda1`` runs inverse power iteration on the discrete
-radial operator with homogeneous Dirichlet data at R and the
-removable-singularity row at the pole.  The iterates are sup-normalised,
-so the eigenvalue estimate 1/||A^{-1} x||_inf needs no area weights and
-cannot overflow however fast the warping grows.  Ball eigenvalues
-decrease to the manifold's spectral bottom as R grows, so they bracket
-it from above while ``mckean_bound`` brackets from below.
+``dirichlet_lambda1`` solves the discrete radial eigenproblem with
+homogeneous Dirichlet data at R and the flux-form pole row.  Delta_h is
+self-adjoint in a diagonal volume weight, so -Delta_h is similar to the
+symmetric tridiagonal matrix with off-diagonals -sqrt(sub_{i+1} sup_i);
+a symmetric tridiagonal eigenvalue routine gives its smallest
+eigenvalue directly, and one shifted solve gives the eigenvector.
+Neither step touches the area density itself, so nothing overflows
+however fast the warping grows.  Ball eigenvalues decrease to the
+manifold's spectral bottom as R grows, so they bracket it from above
+while ``mckean_bound`` brackets from below.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
-from .errors import ConvergenceError
 from .geometry import ModelManifold, drift
 from .operators import RadialField, RadialGrid, laplacian_tridiag, solve_banded, tridiag_mult
 
@@ -74,57 +77,41 @@ def mckean_bound(n: int, k: float) -> float:
     return (n - 1) ** 2 * k**2 / 4.0
 
 
-def dirichlet_lambda1(
-    M: ModelManifold,
-    R: float,
-    N: int,
-    *,
-    tol_rq: float = 1e-12,
-    tol_residual: float = 1e-8,
-    maxiter: int = 200_000,
-) -> EigenEstimate:
-    """Smallest eigenvalue of -Delta_h on B_R via inverse power iteration.
+def dirichlet_lambda1(M: ModelManifold, R: float, N: int) -> EigenEstimate:
+    """Smallest eigenvalue of -Delta_h on B_R and its eigenfunction.
 
-    Deterministic start vector (a positive bump).  With x sup-normalised,
-    each step estimates lam = 1/||A^{-1} x||_inf for A = -Delta_h;
-    convergence when successive estimates differ by less than ``tol_rq``
-    and the residual ||Delta_h phi + lam phi||_inf drops below
-    ``tol_residual * ||phi||_inf``, which certifies the eigenpair.
+    lam is the smallest eigenvalue of the symmetrised band (LAPACK
+    bisection, ``eigh_tridiagonal``).  The eigenfunction is one step of
+    inverse iteration from a positive bump: the solve of
+    (A - s I) phi = x0 for A = -Delta_h, with the shift s placed
+    4 eps max(diag A) below lam, past the bisection's error bound, so that
+    A - s I stays a nonsingular M-matrix and phi comes out positive.
+    phi is sup-normalised with a positive peak; ``residual`` is
+    ||A phi - lam phi||_inf, which certifies the pair, and
+    ``iterations`` counts the one solve.
     """
     grid = RadialGrid(R, N)
     sub, diag, sup = laplacian_tridiag(M, grid)
-    a_sub, a_diag, a_sup = -sub, -diag, -sup  # A = -Delta_h, positive definite
-
-    x = 1.0 - (grid.nodes[:-1] / R) ** 2
-    x /= np.max(np.abs(x))
-    lam = np.inf
-    for it in range(1, maxiter + 1):
-        y = solve_banded(a_sub, a_diag, a_sup, x)
-        peak = float(y[int(np.argmax(np.abs(y)))])
-        lam_new = 1.0 / abs(peak)
-        y /= peak  # sup-normalise with a positive peak
-        residual = float(np.max(np.abs(tridiag_mult(a_sub, a_diag, a_sup, y) - lam_new * y)))
-        converged = abs(lam_new - lam) <= tol_rq * max(1.0, abs(lam_new)) and residual <= tol_residual
-        lam = lam_new
-        x = y
-        if converged:
-            break
-    else:
-        raise ConvergenceError(
-            f"inverse power iteration did not converge in {maxiter} iterations "
-            f"(last residual {residual:.3g})"
-        )
-    phi = np.concatenate((x, [0.0]))
+    a_sub, a_diag, a_sup = -sub, -diag, -sup  # A = -Delta_h, an M-matrix
+    lam = float(
+        eigh_tridiagonal(
+            a_diag, -np.sqrt(sub[1:] * sup[:-1]), eigvals_only=True, select="i", select_range=(0, 0)
+        )[0]
+    )
+    shift = lam - 4.0 * np.finfo(float).eps * float(np.max(a_diag))
+    y = solve_banded(a_sub, a_diag - shift, a_sup, 1.0 - (grid.nodes[:-1] / R) ** 2)
+    y /= y[int(np.argmax(np.abs(y)))]  # sup-normalise with a positive peak
+    residual = float(np.max(np.abs(tridiag_mult(a_sub, a_diag, a_sup, y) - lam * y)))
     return EigenEstimate(
         R=float(R),
         lambda1_ball=lam,
-        eigenfunction=RadialField(grid, phi),
-        iterations=it,
+        eigenfunction=RadialField(grid, np.concatenate((y, [0.0]))),
+        iterations=1,
         residual=residual,
     )
 
 
-def lambda1_estimate(M: ModelManifold, R_list, dr_target: float = 0.01, **kwargs) -> Lambda1Report:
+def lambda1_estimate(M: ModelManifold, R_list, dr_target: float = 0.01) -> Lambda1Report:
     """Ball eigenvalues over an increasing radius list.
 
     The limit is estimated by the last value with the last decrement as
@@ -136,7 +123,7 @@ def lambda1_estimate(M: ModelManifold, R_list, dr_target: float = 0.01, **kwargs
     estimates = []
     for R in radii:
         N = max(8, int(round(R / dr_target)) - 1)
-        estimates.append(dirichlet_lambda1(M, R, N, **kwargs))
+        estimates.append(dirichlet_lambda1(M, R, N))
     values = [est.lambda1_ball for est in estimates]
     monotone = all(b < a + 1e-10 for a, b in zip(values, values[1:]))
     error_bar = abs(values[-2] - values[-1]) if len(values) > 1 else float("nan")

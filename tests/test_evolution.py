@@ -114,7 +114,10 @@ def bump_run_minimum(M, R, N, amplitude, width, p, forcing):
 
 @settings(max_examples=100, deadline=None)
 @given(
-    model=st.sampled_from([("euclidean", 2), ("euclidean", 3), ("hyperbolic", 2)]),
+    model=st.one_of(
+        st.tuples(st.just("euclidean"), st.integers(2, 7)),
+        st.tuples(st.just("hyperbolic"), st.integers(2, 5)),
+    ),
     k=st.sampled_from([0.5, 1.0, 2.0]),
     R=st.floats(1.0, 20.0),
     N=st.integers(9, 200),
@@ -125,23 +128,12 @@ def bump_run_minimum(M, R, N, amplitude, width, p, forcing):
 )
 def test_adaptive_runs_stay_nonnegative(model, k, R, N, amplitude, width, p, forcing):
     # the extrapolated step is not monotone on stiff modes, so adaptive runs
-    # are nonnegative only up to rel_tol relative to the run's size.  H^3 is
-    # left out: its first interior row has a negative sub-diagonal on every
-    # grid (pinned below).  dr*k < 0.9 keeps H^2 inside the drift guard.
+    # are nonnegative only up to rel_tol relative to the run's size
     kind, n = model
-    if kind == "euclidean":
-        M = make_euclidean(n)
-    else:
-        M = make_hyperbolic(n, k)
-        R = min(R, 0.9 * (N + 1) / k)
+    M = make_euclidean(n) if kind == "euclidean" else make_hyperbolic(n, k)
     assert bump_run_minimum(M, R, N, amplitude, width, p, forcing) >= -EvolutionControls.rel_tol
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 2: the centered stencil is not an M-matrix near the pole "
-    "(euclidean n >= 4, hyperbolic n >= 3)",
-)
 @pytest.mark.parametrize(
     "M, R, N, amplitude, width, p",
     [
@@ -149,7 +141,8 @@ def test_adaptive_runs_stay_nonnegative(model, k, R, N, amplitude, width, p, for
         pytest.param(make_hyperbolic(3, 1.0), 8.0, 17, 0.4, 0.17, 1.9, id="hyperbolic-n3"),
     ],
 )
-def test_adaptive_run_nonnegative_near_pole_defect(M, R, N, amplitude, width, p):
+def test_adaptive_run_nonnegative_near_pole(M, R, N, amplitude, width, p):
+    # a pole spike narrower than dr on a coarse grid
     assert bump_run_minimum(M, R, N, amplitude, width, p, Forcing.one()) >= -EvolutionControls.rel_tol
 
 
@@ -174,8 +167,8 @@ def linear_oracle_run(M, R, N, lam, controls):
             10.0, 500, 0.5, EvolutionControls(t_end=1.0, dt_init=1e-4, dt_max=1e-4, rel_tol=0.0),
             1e-4, id="fixed-short",
         ),
-        pytest.param(20.0, 399, 0.0, EvolutionControls(t_end=40.0), 1e-2, id="adaptive-long-heat"),
-        pytest.param(20.0, 399, 0.5, EvolutionControls(t_end=40.0), 1e-2, id="adaptive-long-linear"),
+        pytest.param(20.0, 399, 0.0, EvolutionControls(t_end=40.0), 1e-3, id="adaptive-long-heat"),
+        pytest.param(20.0, 399, 0.5, EvolutionControls(t_end=40.0), 1e-3, id="adaptive-long-linear"),
     ],
 )
 def test_linear_reaction_exactness_oracle(hyp3, R, N, lam, controls, tol):
@@ -185,11 +178,11 @@ def test_linear_reaction_exactness_oracle(hyp3, R, N, lam, controls, tol):
 
 @pytest.mark.parametrize(
     "rel_tol, low, high",
-    [pytest.param(1.0, 3.5, math.inf, id="adaptive"), pytest.param(0.0, 1.9, 2.1, id="fixed")],
+    [pytest.param(1.0, 6.5, math.inf, id="adaptive"), pytest.param(0.0, 1.9, 2.1, id="fixed")],
 )
 def test_time_order_on_linear_oracle(hyp3, rel_tol, low, high):
     # every adaptive attempt is accepted at rel_tol = 1, so both modes take
-    # t_end / h steps: the extrapolated step is second order, IMEX Euler first
+    # t_end / h steps: the extrapolated step is third order, IMEX Euler first
     errors = []
     for h in (0.1, 0.05, 0.025):
         ctl = EvolutionControls(t_end=2.0, dt_init=h, dt_max=h, rel_tol=rel_tol)

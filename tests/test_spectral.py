@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from curvedheat import (
+    RadialGrid,
     dirichlet_lambda1,
     lambda1_estimate,
     make_euclidean,
+    make_hyperbolic,
     mckean_bound,
     positive_radial_solution,
     save_eigen_csv,
 )
+from curvedheat.operators import laplacian_tridiag
 
 
 def test_mckean_values():
@@ -31,6 +36,44 @@ def test_euclidean_ball_eigenvalue(euclid3):
     r = est.eigenfunction.grid.nodes[1:-1]
     exact = np.sin(np.pi * r) / (np.pi * r)
     assert np.max(np.abs(phi[1:-1] - exact)) < 1e-4
+
+
+def test_flat_disk_eigenvalue_on_fine_grid():
+    # j_{0,1}^2 on a grid where rounding alone puts a residual near
+    # eps * 4n/dr^2 = 1.1e-7
+    est = dirichlet_lambda1(make_euclidean(2), 1.0, 8000)
+    assert est.lambda1_ball == pytest.approx(5.783185962946784, rel=1e-7)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    model=st.one_of(
+        st.tuples(st.just("euclidean"), st.integers(2, 7), st.just(1.0)),
+        st.tuples(st.just("hyperbolic"), st.integers(2, 5), st.sampled_from([0.5, 1.0, 2.0])),
+        st.tuples(st.sampled_from(["gamma2", "gamma3"]), st.just(3), st.just(1.0)),
+    ),
+    R=st.floats(0.5, 16.0),
+    N=st.integers(1, 200),
+)
+def test_eigenpair_matches_dense_solver(gamma2, gamma3, model, R, N):
+    kind, n, k = model
+    M = {
+        "euclidean": lambda: make_euclidean(n),
+        "hyperbolic": lambda: make_hyperbolic(n, k),
+        "gamma2": lambda: gamma2,
+        "gamma3": lambda: gamma3,
+    }[kind]()
+    sub, diag, sup = laplacian_tridiag(M, RadialGrid(R, N))
+    dense = -(np.diag(diag) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1))
+    # a tridiagonal matrix with positive off-diagonal products is similar to
+    # the symmetric one with their square roots; the dense nonsymmetric solver
+    # is no reference on these graded matrices (5e-6 off on H^5, k=2, R=12)
+    off = -np.sqrt(np.diag(dense, 1) * np.diag(dense, -1))
+    sym = np.diag(np.diag(dense)) + np.diag(off, 1) + np.diag(off, -1)
+    est = dirichlet_lambda1(M, R, N)
+    assert est.lambda1_ball == pytest.approx(np.linalg.eigvalsh(sym)[0], rel=1e-10)
+    assert np.all(est.eigenfunction.values[:-1] > 0)
+    assert est.residual <= 1e-12 * np.max(np.sum(np.abs(dense), axis=1))
 
 
 def test_eigen_residual_tolerance(hyp3):

@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import ConvergenceError
 from .forcing import Forcing
@@ -422,9 +421,11 @@ def _damped_integral(forcing: Forcing, m: float, t):
     if forcing.kind == "one":
         return -np.expm1(-m * t) / m
     if forcing.kind == "power":
+        from scipy.special import gammaincc  # imported here: only power forcing needs it
+
         a = forcing.q + 1.0
-        scale = math.exp(m) * m**-a * special.gamma(a)
-        return scale * (special.gammaincc(a, m) - special.gammaincc(a, m * (1.0 + t)))
+        scale = math.exp(m) * m**-a * math.gamma(a)
+        return scale * (gammaincc(a, m) - gammaincc(a, m * (1.0 + t)))
     if forcing.kind == "exp":
         d = m - forcing.sigma
         if d == 0.0:
@@ -437,8 +438,10 @@ def _damped_total(forcing: Forcing, m: float) -> float:
     if forcing.kind == "one":
         return 1.0 / m
     if forcing.kind == "power":
+        from scipy.special import gammaincc
+
         a = forcing.q + 1.0
-        return math.exp(m) * m**-a * special.gamma(a) * special.gammaincc(a, m)
+        return math.exp(m) * m**-a * math.gamma(a) * gammaincc(a, m)
     if forcing.kind == "exp":
         d = m - forcing.sigma
         return 1.0 / d if d > 0.0 else math.inf

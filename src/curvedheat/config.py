@@ -134,6 +134,24 @@ def _get(section, key, conv, default=None, required=False):
         raise ConfigError(f"bad value for '{key}': {section[key]!r} ({exc})") from exc
 
 
+def _admissible(section, build, *args, **kwargs):
+    """build(*args, **kwargs), its ValueError reported as a ConfigError of ``section``."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from exc
+
+
+def _drift_floor(text):
+    """A configured drift floor constant c_lower > 0, or None for 'measured'."""
+    if text == "measured":
+        return None
+    c = float(text)
+    if not c > 0:
+        raise ValueError(f"drift floor constant must be positive, got {c}")
+    return c
+
+
 def _floats(text):
     return tuple(float(tok) for tok in text.replace(",", " ").split())
 
@@ -182,9 +200,9 @@ def parse_config(text: str) -> ExperimentConfig:
     if fkind == "one":
         forcing = Forcing.one()
     elif fkind == "power":
-        forcing = Forcing.power_law(_get(fo, "q", float, required=True))
+        forcing = _admissible("forcing", Forcing.power_law, _get(fo, "q", float, required=True))
     elif fkind == "exp":
-        forcing = Forcing.exponential(_get(fo, "sigma", float, required=True))
+        forcing = _admissible("forcing", Forcing.exponential, _get(fo, "sigma", float, required=True))
     else:
         raise ConfigError(f"forcing kind must be one | power | exp, got {fkind!r}")
 
@@ -203,14 +221,12 @@ def parse_config(text: str) -> ExperimentConfig:
     bkind = _get(ba, "kind", str, "exp-linear")
     if bkind not in BARRIER_KINDS:
         raise ConfigError(f"barrier kind must be one of {BARRIER_KINDS}, got {bkind!r}")
-    c_lower_raw = _get(ba, "c_lower", str)
-    c_lower = None if c_lower_raw in (None, "measured") else float(c_lower_raw)
     barrier = BarrierSpec(
         kind=bkind,
         alpha=_get(ba, "alpha", float),
         beta=_get(ba, "beta", float),
         beta_policy=_get(ba, "beta_policy", str, "mid"),
-        c_lower=c_lower,
+        c_lower=_get(ba, "c_lower", _drift_floor),
         lambda_fraction=_get(ba, "lambda_fraction", float, 1.0),
         r0=_get(ba, "r0", float),
         r1=_get(ba, "r1", float),
@@ -255,7 +271,9 @@ def parse_config(text: str) -> ExperimentConfig:
         )
 
     co = sec.get("controls")
-    controls = EvolutionControls(
+    controls = _admissible(
+        "controls",
+        EvolutionControls,
         t_end=_get(co, "t_end", float, 50.0),
         dt_init=_get(co, "dt_init", float, 1e-3),
         dt_min=_get(co, "dt_min", float, 1e-12),
@@ -277,6 +295,10 @@ def parse_config(text: str) -> ExperimentConfig:
         for v in values + values2:
             if not math.isfinite(v):
                 raise ConfigError(f"sweep axis values must be finite, got {v}")
+        for name, vals in ((axis, values), (axis2, values2)):
+            if name == "sigma":
+                for v in vals:
+                    _admissible("sweep", Forcing.exponential, v)
         sweep = SweepSpec(axis=axis, values=values, axis2=axis2, values2=values2)
 
     ck = sec.get("check")

@@ -82,12 +82,16 @@ def write_csv(path, header, rows):
 
 
 def build_manifold(cfg: ExperimentConfig) -> ModelManifold:
+    """The configured model; an inadmissible parameter is a ConfigError."""
     m = cfg.manifold
-    if m.kind == "euclidean":
-        return make_euclidean(m.n)
-    if m.kind == "hyperbolic":
-        return make_hyperbolic(m.n, m.k)
-    return make_gamma_model(m.n, m.c0, m.gamma, m.r_max, m.dr)
+    try:
+        if m.kind == "euclidean":
+            return make_euclidean(m.n)
+        if m.kind == "hyperbolic":
+            return make_hyperbolic(m.n, m.k)
+        return make_gamma_model(m.n, m.c0, m.gamma, m.r_max, m.dr)
+    except ValueError as exc:
+        raise ConfigError(f"[manifold] {exc}") from exc
 
 
 def pinch_constant(cfg: ExperimentConfig) -> float | None:

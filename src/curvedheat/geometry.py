@@ -20,7 +20,9 @@ Three families are provided:
     radial sectional curvature equals -C0 (1 + r^gamma) exactly and the
     curvature-divergence hypothesis holds with equality.  (For gamma = 0
     the coefficient degenerates to the constant-curvature case C0 = k^2;
-    see the note in ``_jacobi_coefficient``.)
+    see the note in ``_jacobi_coefficient``.)  Between the table nodes a
+    piecewise-cubic Hermite interpolant takes its node slopes from the
+    same Jacobi equation, so reading the table needs numpy alone.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 __all__ = [
     "WarpingFunction",
@@ -147,12 +148,44 @@ class HyperbolicWarping(WarpingFunction):
         return np.full_like(np.asarray(r, dtype=float), -(self.k**2))
 
 
+class _CubicHermite:
+    """Piecewise-cubic Hermite interpolant through (x_i, y_i) with slopes m_i.
+
+    Each piece is stored as its Taylor coefficients at the left node and
+    evaluated by Horner's rule; points beyond the ends use the end pieces.
+    """
+
+    def __init__(self, x, y, m):
+        dx = np.diff(x)
+        s = np.diff(y) / dx
+        self.x = x
+        self.c = np.stack((
+            y[:-1],
+            m[:-1],
+            (3.0 * s - 2.0 * m[:-1] - m[1:]) / dx,
+            (m[:-1] + m[1:] - 2.0 * s) / dx**2,
+        ))
+
+    def __call__(self, r):
+        i = np.clip(np.searchsorted(self.x, r, side="right") - 1, 0, self.x.size - 2)
+        t = r - self.x[i]
+        c0, c1, c2, c3 = self.c[:, i]
+        return c0 + t * (c1 + t * (c2 + t * c3))
+
+
 class TabulatedWarping(WarpingFunction):
     """Warping function stored as (r, log psi, psi'/psi, psi''/psi) nodes.
 
-    Interpolation acts on the pole-regular quantities r*psi'/psi and
-    log(psi/r), both smooth down to r = 0, so evaluation close to the
-    pole loses no accuracy.  Evaluation beyond the last node is refused.
+    Interpolation acts on the pole-regular quantities g = r psi'/psi and
+    h = log(psi/r), both smooth down to r = 0 with g(0) = 1, h(0) = 0,
+    so evaluation close to the pole loses no accuracy.  Each is a
+    piecewise-cubic Hermite interpolant whose node slopes come from the
+    Jacobi equation the table solves: h' = psi'/psi - 1/r and
+    g' = psi'/psi + r (psi''/psi - (psi'/psi)^2), both 0 at the pole.
+    A table built with its curvature amplitude ``c0`` evaluates psi''/psi
+    in closed form; one loaded without it interpolates the stored
+    psi''/psi with ``np.gradient`` slopes.  Evaluation outside [0, r_max]
+    is refused.
     """
 
     kind = "tabulated"
@@ -173,18 +206,27 @@ class TabulatedWarping(WarpingFunction):
         # class-A normalization: psi ~ r at the pole
         if abs(r[0] * self._ratio1[0] - 1.0) > 0.05:
             raise ValueError("table is not normalized to psi'(0) = 1")
+        s, q = self._ratio1, self._ratio2
         r_full = np.concatenate(([0.0], r))
-        self._g = CubicSpline(r_full, np.concatenate(([1.0], r * self._ratio1)))
-        self._h = CubicSpline(r_full, np.concatenate(([0.0], self.log_psi - np.log(r))))
+        self._g = _CubicHermite(
+            r_full,
+            np.concatenate(([1.0], r * s)),
+            np.concatenate(([0.0], s + r * (q - s * s))),
+        )
+        self._h = _CubicHermite(
+            r_full,
+            np.concatenate(([0.0], self.log_psi - np.log(r))),
+            np.concatenate(([0.0], s - 1.0 / r)),
+        )
         if c0 is None:
-            self._q = CubicSpline(r, self._ratio2)
+            self._q = _CubicHermite(r, q, np.gradient(q, r, edge_order=2))
         else:
             self._q = None
 
     def _check_range(self, r):
         r = np.asarray(r, dtype=float)
-        if np.any(r > self.r_max * (1.0 + 1e-12)):
-            raise ValueError(f"radius beyond tabulated range [0, {self.r_max}]")
+        if np.any(r < 0.0) or np.any(r > self.r_max * (1.0 + 1e-12)):
+            raise ValueError(f"radius outside the tabulated range [0, {self.r_max}]")
         return r
 
     def log_eval(self, r):

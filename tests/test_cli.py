@@ -1,4 +1,9 @@
+import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -320,3 +325,63 @@ def test_exhaustion_through_cli(tmp_path):
     assert lines[0] == "R,verdict,t_star,gap_to_previous"
     assert (out / "history_R5.csv").exists()
     assert (out / "history_R10.csv").exists()
+
+
+GEOMETRY_BASE = "[manifold]\nkind = hyperbolic\nn = 3\nk = 1.0\n\n[grid]\nR = 10\nN = 100\n\n"
+
+
+@pytest.mark.parametrize(
+    "text, hypothesis",
+    [
+        (GEOMETRY_BASE + "[forcing]\nkind = exp\nsigma = 0\n", "exponential rate must be positive"),
+        (GEOMETRY_BASE + "[forcing]\nkind = power\nq = -1\n", "power-law exponent must be > -1"),
+        (GEOMETRY_BASE + "[controls]\nt_end = 0\n", "t_end must be positive"),
+        (GEOMETRY_BASE + "[controls]\ndt_init = 1.0\ndt_max = 0.25\n", "need dt_min < dt_init <= dt_max"),
+        (GEOMETRY_BASE + "[barrier]\nc_lower = steep\n", "bad value for 'c_lower'"),
+        (GEOMETRY_BASE + "[barrier]\nc_lower = -1\n", "drift floor constant must be positive"),
+        (GEOMETRY_BASE + "[sweep]\naxis = sigma\nvalues = 0 1\n", "exponential rate must be positive"),
+        (
+            "[manifold]\nkind = gamma\nn = 3\ngamma = 2.0\nr_max = 40\ndr = 0.1\n\n[grid]\nR = 10\nN = 100\n",
+            "too coarse for the Jacobi equation",
+        ),
+    ],
+    ids=["sigma", "q", "t_end", "dt-order", "c_lower-text", "c_lower-sign", "sweep-sigma",
+         "gamma-dr"],
+)
+def test_inadmissible_config_values_are_config_errors(tmp_path, capsys, text, hypothesis):
+    cfg = write_cfg(tmp_path, text)
+    assert main(["geometry", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert hypothesis in err
+    assert "Traceback" not in err
+
+
+FRESH_IMPORT = """\
+import json, sys
+import curvedheat.cli
+from curvedheat import Forcing, time_envelope
+loaded = sorted(m for m in sys.modules if m.startswith("scipy."))
+env = time_envelope(Forcing.power_law(1.5), 0.8, 2.0, 1.0)
+print(json.dumps({"loaded": loaded, "integral": float(env.damped_integral(2.0)),
+                  "total": env.damped_total, "special": "scipy.special" in sys.modules}))
+"""
+
+
+def test_fresh_import_loads_no_optional_scipy_module():
+    # the CLI needs numpy and scipy.linalg; scipy.special loads only once
+    # power forcing is evaluated
+    from curvedheat import Forcing, time_envelope
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_IMPORT], env=env, capture_output=True, text=True, check=True
+    )
+    got = json.loads(proc.stdout.splitlines()[-1])
+    for name in ("scipy.interpolate", "scipy.special", "scipy.optimize", "scipy.integrate"):
+        assert not any(m == name or m.startswith(name + ".") for m in got["loaded"]), name
+    assert got["special"]
+    ref = time_envelope(Forcing.power_law(1.5), 0.8, 2.0, 1.0)
+    assert got["integral"] == float(ref.damped_integral(2.0))
+    assert got["total"] == ref.damped_total

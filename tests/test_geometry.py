@@ -179,3 +179,69 @@ def test_warping_csv_roundtrip(tmp_path, gamma2):
 def test_tabulated_range_is_enforced(gamma2):
     with pytest.raises(ValueError):
         gamma2.psi.ratio1(31.0)
+
+
+@pytest.mark.parametrize("method", ["eval", "log_eval", "ratio1", "ratio2", "sphere_ratio"])
+def test_tabulated_rejects_negative_radius(gamma2, method):
+    with pytest.raises(ValueError):
+        getattr(gamma2.psi, method)(-0.5)
+    with pytest.raises(ValueError):
+        getattr(gamma2.psi, method)(np.array([1.0, -1e-9]))
+
+
+def test_interpolant_reproduces_table_nodes(gamma2, gamma3):
+    for M in (gamma2, gamma3):
+        psi = M.psi
+        r = psi.r
+        # log_eval = log r + (log psi - log r): one rounding of each term
+        bound = np.spacing(np.abs(np.log(r))) + np.spacing(np.abs(psi.log_psi))
+        assert np.all(np.abs(psi.log_eval(r) - psi.log_psi) <= bound)
+        assert np.max(np.abs(psi.ratio1(r) / psi._ratio1 - 1.0)) <= 2.3e-16
+
+
+@pytest.fixture(scope="module")
+def gamma0_k17():
+    # gamma = 0 with c0 = k^2 is the constant-curvature model sinh(kr)/k
+    return 1.7, make_gamma_model(3, 1.7**2, 0.0, 8.0, 1e-3).psi
+
+
+def test_interpolant_midpoints_match_closed_form(gamma0_k17):
+    # measured: log_eval 1.3e-12 absolute, ratio1 1.6e-13 and
+    # sphere_ratio 4.4e-7 relative (worst at the first cell, where
+    # e^{-2h} - g^2 cancels to O(r^2)); the table nodes alone read
+    # 1.3e-12, 2.8e-13 and 2.4e-7, so the RK4 table, not the
+    # interpolant, sets these
+    k, psi = gamma0_k17
+    r = np.concatenate(([0.0], psi.r))
+    mid = 0.5 * (r[:-1] + r[1:])
+    assert np.max(np.abs(psi.log_eval(mid) - np.log(np.sinh(k * mid) / k))) < 5e-12
+    assert np.max(np.abs(psi.ratio1(mid) * np.tanh(k * mid) / k - 1.0)) < 1e-12
+    assert np.max(np.abs(psi.sphere_ratio(mid) / -(k**2) - 1.0)) < 1e-6
+
+
+def test_interpolant_is_regular_at_the_pole(gamma0_k17):
+    # on (0, dr), before the first node: g = r psi'/psi -> 1, h = log(psi/r) -> 0;
+    # measured against kr coth(kr) and log(sinh(kr)/(kr)): 2.9e-13 and 7.0e-14
+    k, psi = gamma0_k17
+    x = np.linspace(0.0, psi.r[0], 11)[1:]
+    g = x * psi.ratio1(x)
+    h = psi.log_eval(x) - np.log(x)
+    assert np.max(np.abs(g - k * x / np.tanh(k * x))) < 1e-12
+    assert np.max(np.abs(h - np.log(np.sinh(k * x) / (k * x)))) < 1e-12
+    tiny = np.array([1e-12, 1e-9])
+    assert np.allclose(tiny * psi.ratio1(tiny), 1.0, rtol=0, atol=1e-15)
+    assert np.allclose(psi.log_eval(tiny) - np.log(tiny), 0.0, rtol=0, atol=1e-15)
+    assert psi.eval(0.0) == 0.0
+
+
+def test_loaded_table_interpolates_jacobi_coefficient(tmp_path, gamma2, gamma3):
+    # a table read back from CSV has no c0, so psi''/psi is interpolated
+    # with np.gradient slopes; measured off-node error: rounding for
+    # gamma = 2 (the slopes are exact on a quadratic), 3.8e-10 for gamma = 3
+    for M, gamma, tol in ((gamma2, 2.0, 1e-14), (gamma3, 3.0, 1e-9)):
+        path = tmp_path / f"warp{gamma:g}.csv"
+        save_warping_csv(M.psi, path)
+        loaded = load_warping_csv(path)
+        r = loaded.r
+        for x in (0.5 * (r[:-1] + r[1:]), np.linspace(r[0], r[-1], 1001)[1:-1] + 1e-4 / 3):
+            assert np.max(np.abs(loaded.ratio2(x) / (1.0 + x**gamma) - 1.0)) < tol

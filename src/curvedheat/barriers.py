@@ -21,9 +21,10 @@ Three families are constructed here:
     on an annulus (``glued_barrier``).
 
 ``verify_supersolution`` evaluates the residual w'' + F w' + lam w with
-exact derivatives and the model's exact drift at every grid node, plus
-the one-sided derivative sign at kinks; a positive residual is a FAIL
-verdict, never an exception.
+exact derivatives and the model's exact drift at every grid node (the
+discrete residual (Delta_h + lam) C phi on the phi-branch of a glued
+barrier), plus the one-sided derivative sign at kinks; a positive
+residual is a FAIL verdict, never an exception.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 from .errors import ConvergenceError
 from .forcing import Forcing
 from .geometry import ModelManifold, TabulatedWarping, drift
-from .operators import RadialGrid
+from .operators import RadialField, RadialGrid, apply_laplacian
 from .spectral import RadialSolution, positive_radial_solution
 
 __all__ = [
@@ -135,9 +136,9 @@ class PowerBarrier:
 class GluedBarrier:
     """min of C*phi and an exponential barrier, with C*phi forced inside r0.
 
-    phi is the outward-integrated positive radial solution at the same
-    lam, so the phi-branch solves the stationary equation exactly; the
-    exponential branch carries the far-field decay.
+    phi is the positive discrete radial solution at the same lam, so the
+    phi-branch solves (Delta_h + lam) phi = 0 on the construction grid;
+    the exponential branch carries the far-field decay.
     """
 
     def __init__(self, c, phi: RadialSolution, v: ExpBarrier, r0, r1, r2, lam, use_v, values):
@@ -353,10 +354,13 @@ def _residual(M, w, lam, r):
 def verify_supersolution(M: ModelManifold, barrier, lam: float, grid: RadialGrid, *, tol: float = 1e-10) -> SupersolutionCheck:
     """Max of w'' + F w' + lam w over the grid (pole excluded), kinks checked.
 
-    Derivatives are exact (closed-form, or the defining ODE for the
-    phi-branch of a glued barrier); the drift is the model's exact one,
-    so there is no discretization slack in the residual.  At kinks the
-    weak-supersolution sign w'(r+) <= w'(r-) is checked one-sidedly.
+    Derivatives are exact and closed-form and the drift is the model's
+    exact one, so there is no discretization slack in the residual.  The
+    phi-branch of a glued barrier has no closed form; its residual is
+    (Delta_h + lam) C phi recomputed from the band on the rows 1..N (the
+    Dirichlet node carries no equation).  At kinks the weak-supersolution
+    sign w'(r+) <= w'(r-) is checked one-sidedly, with phi's slope from
+    central differences of its node values.
     """
     r_all = grid.nodes[1:]
     kink_ok = True
@@ -373,15 +377,12 @@ def verify_supersolution(M: ModelManifold, barrier, lam: float, grid: RadialGrid
             raise ValueError(
                 f"glued barrier was built for lam = {barrier.lam:.12g}, cannot verify at {lam:.12g}"
             )
-        f_drift = drift(M, r_all)
         use_v = barrier.use_v[1:]
-        # phi branch: second derivative from the defining ODE, so the
-        # residual is zero by construction; compute it anyway.
-        c = barrier.c
-        p = c * barrier.phi.field.values[1:]
-        dp = c * barrier.phi.derivative[1:]
-        ddp = -(f_drift * dp + lam * p)
-        res_phi = ddp + f_drift * dp + lam * p
+        cphi = RadialField(grid, barrier.c * barrier.phi.field.values)
+        res_phi = apply_laplacian(M, cphi).values[1:] + lam * cphi.values[1:]
+        res_phi[-1] = 0.0  # the Dirichlet node carries no equation
+        p = cphi.values[1:]
+        dp = np.gradient(cphi.values, grid.dr)[1:]
         res_v = _residual(M, barrier.v, lam, r_all)
         res = np.where(use_v, res_v, res_phi)
         # branch switches: min-kinks; require the outgoing slope <= incoming
@@ -416,7 +417,7 @@ def verify_supersolution(M: ModelManifold, barrier, lam: float, grid: RadialGrid
 
 
 def _damped_integral(forcing: Forcing, m: float, t):
-    """Integral of h(s) e^{-m s} from 0 to t, closed form per family."""
+    """Integral of h(s) e^{-m s} from 0 to t (inf allowed), closed form per family."""
     t = np.asarray(t, dtype=float)
     if forcing.kind == "one":
         return -np.expm1(-m * t) / m
@@ -435,17 +436,7 @@ def _damped_integral(forcing: Forcing, m: float, t):
 
 
 def _damped_total(forcing: Forcing, m: float) -> float:
-    if forcing.kind == "one":
-        return 1.0 / m
-    if forcing.kind == "power":
-        from scipy.special import gammaincc
-
-        a = forcing.q + 1.0
-        return math.exp(m) * m**-a * math.gamma(a) * gammaincc(a, m)
-    if forcing.kind == "exp":
-        d = m - forcing.sigma
-        return 1.0 / d if d > 0.0 else math.inf
-    raise ValueError(f"unknown forcing kind {forcing.kind!r}")
+    return float(_damped_integral(forcing, m, math.inf))
 
 
 @dataclass(frozen=True)
@@ -462,7 +453,6 @@ class TimeEnvelope:
     p: float
     barrier_sup: float
     ctilde: float
-    ctilde_max: float | None
 
     @property
     def finite_budget(self) -> bool:
@@ -471,10 +461,6 @@ class TimeEnvelope:
     @property
     def wtilde_sup(self) -> float:
         return self.ctilde * self.barrier_sup
-
-    def damped_forcing(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.forcing.h(t) * np.exp(-(self.p - 1.0) * self.lam * t)
 
     def damped_integral(self, t):
         return _damped_integral(self.forcing, (self.p - 1.0) * self.lam, t)
@@ -487,10 +473,6 @@ class TimeEnvelope:
         pm1 = self.p - 1.0
         x = 1.0 - pm1 * self.wtilde_sup**pm1 * self.damped_integral(t)
         return np.where(x > 0.0, np.maximum(x, 1e-300) ** (-1.0 / pm1), np.inf)
-
-    def envelope_sup(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.exp(-self.lam * t) * self.growth(t) * self.wtilde_sup
 
 
 def amplitude_limit(forcing: Forcing, lam: float, p: float, barrier_sup: float):
@@ -529,7 +511,7 @@ def time_envelope(forcing: Forcing, lam: float, p: float, barrier_sup: float, ct
         raise ValueError(f"amplitude must be positive, got {ctilde}")
     return TimeEnvelope(
         forcing=forcing, lam=float(lam), p=float(p), barrier_sup=float(barrier_sup),
-        ctilde=float(ctilde), ctilde_max=limit,
+        ctilde=float(ctilde),
     )
 
 

@@ -12,9 +12,11 @@ import configparser
 import math
 from dataclasses import dataclass
 
+from .barriers import ExpBarrier
 from .errors import ConfigError
-from .evolution import EvolutionControls
+from .evolution import EvolutionControls, bump_profile
 from .forcing import Forcing
+from .operators import RadialGrid
 
 __all__ = [
     "ManifoldSpec",
@@ -106,6 +108,12 @@ class CheckSpec:
     r_max: float
     nodes: int
 
+    def __post_init__(self):
+        if not (self.r_min > 0 and self.r_max > 0):
+            raise ValueError(f"r_min and r_max must be positive, got [{self.r_min}, {self.r_max}]")
+        if self.nodes < 1:
+            raise ValueError(f"nodes must be >= 1, got {self.nodes}")
+
 
 @dataclass
 class ExperimentConfig:
@@ -150,6 +158,13 @@ def _drift_floor(text):
     if not c > 0:
         raise ValueError(f"drift floor constant must be positive, got {c}")
     return c
+
+
+def _positive_lambda(text):
+    lam = float(text)
+    if not lam > 0:
+        raise ValueError(f"lambda must be positive, got {lam}")
+    return lam
 
 
 def _floats(text):
@@ -213,7 +228,7 @@ def parse_config(text: str) -> ExperimentConfig:
     lambda_policy = _get(pr, "lambda_policy", str, "mckean")
     if lambda_policy not in LAMBDA_POLICIES:
         raise ConfigError(f"lambda_policy must be one of {LAMBDA_POLICIES}, got {lambda_policy!r}")
-    lambda_value = _get(pr, "lambda", float)
+    lambda_value = _get(pr, "lambda", _positive_lambda)
     if lambda_policy == "explicit" and lambda_value is None:
         raise ConfigError("lambda_policy = explicit needs a 'lambda' value")
 
@@ -232,6 +247,8 @@ def parse_config(text: str) -> ExperimentConfig:
         r1=_get(ba, "r1", float),
         r2=_get(ba, "r2", float),
     )
+    if bkind in ("exp", "glued") and None not in (barrier.alpha, barrier.beta):
+        _admissible("barrier", ExpBarrier, barrier.alpha, barrier.beta)
     if barrier.beta_policy not in ("lo", "mid", "hi"):
         raise ConfigError(f"beta_policy must be lo | mid | hi, got {barrier.beta_policy!r}")
     if bkind == "power-tail" and manifold.kind == "gamma" and manifold.gamma <= 2:
@@ -257,6 +274,8 @@ def parse_config(text: str) -> ExperimentConfig:
         width=_get(uo, "width", float, 2.0),
         alpha=_get(uo, "alpha", float, 1.0),
     )
+    if ukind == "bump":
+        _admissible("u0", bump_profile, 1.0, u0.width)
 
     gr = sec.get("grid")
     grid = GridSpec(
@@ -265,6 +284,7 @@ def parse_config(text: str) -> ExperimentConfig:
         R_list=_get(gr, "R_list", _floats, ()),
         dr=_get(gr, "dr", float),
     )
+    _admissible("grid", RadialGrid, grid.R, grid.N)
     if manifold.kind == "gamma" and grid.R > manifold.r_max:
         raise ConfigError(
             f"grid radius R = {grid.R} exceeds the tabulated warping range r_max = {manifold.r_max}"
@@ -302,7 +322,9 @@ def parse_config(text: str) -> ExperimentConfig:
         sweep = SweepSpec(axis=axis, values=values, axis2=axis2, values2=values2)
 
     ck = sec.get("check")
-    check = CheckSpec(
+    check = _admissible(
+        "check",
+        CheckSpec,
         k=_get(ck, "k", float),
         c0=_get(ck, "c0", float, manifold.c0),
         gamma=_get(ck, "gamma", float),

@@ -439,6 +439,8 @@ def blowup_criterion(forcing: Forcing, p: float, lambda1: float, epsilon: float)
 
 def bump_profile(amplitude: float, width: float):
     """Gaussian bump of given height centered at the pole."""
+    if not width > 0:
+        raise ValueError(f"bump width must be positive, got {width}")
     return lambda r: amplitude * np.exp(-((np.asarray(r, dtype=float) / width) ** 2))
 
 

@@ -19,7 +19,6 @@ import numpy as np
 from . import svg
 from .barriers import (
     ExpBarrier,
-    GluedBarrier,
     amplitude_limit,
     dump_barrier_kv,
     exp_rate_window,
@@ -269,8 +268,11 @@ def run_geometry(cfg: ExperimentConfig, out_dir: Path):
 def run_eigen(cfg: ExperimentConfig, out_dir: Path):
     M = build_manifold(cfg)
     radii = cfg.grid.R_list or (cfg.grid.R,)
-    dr = cfg.grid.dr or cfg.grid.R / (cfg.grid.N + 1)
-    report = lambda1_estimate(M, radii, dr_target=dr)
+    dr = cfg.grid.R / (cfg.grid.N + 1) if cfg.grid.dr is None else cfg.grid.dr
+    try:
+        report = lambda1_estimate(M, radii, dr_target=dr)
+    except ValueError as exc:
+        raise ConfigError(f"[grid] {exc}") from exc
     save_eigen_csv(report.estimates, out_dir / "eigen.csv")
     k = pinch_constant(cfg)
     lower = mckean_bound(cfg.manifold.n, k) if k is not None else 0.0
@@ -301,11 +303,11 @@ def run_eigen(cfg: ExperimentConfig, out_dir: Path):
 def run_barrier(cfg: ExperimentConfig, out_dir: Path):
     M = build_manifold(cfg)
     barrier, lam, meta = build_barrier(cfg, M)
-    grid = barrier.grid if isinstance(barrier, GluedBarrier) else RadialGrid(cfg.grid.R, cfg.grid.N)
+    grid = RadialGrid(cfg.grid.R, cfg.grid.N)
     check = verify_supersolution(M, barrier, lam, grid)
     with open(out_dir / "barrier.kv", "w") as fh:
         fh.write(dump_barrier_kv(barrier, lam) + "\n")
-    vals = barrier.values if isinstance(barrier, GluedBarrier) else barrier.eval(grid.nodes)
+    vals = barrier.eval(grid.nodes)
     save_field_csv(RadialField(grid, vals), out_dir / "barrier_profile.csv")
     rows = [
         ("kind", cfg.barrier.kind),
@@ -366,7 +368,7 @@ def _solve_single_ball(cfg: ExperimentConfig, M: ModelManifold):
     is ``outcome.final.grid``.
     """
     profile, barrier, lam, envelope, meta = _build_u0_profile(cfg, M)
-    grid = barrier.grid if isinstance(barrier, GluedBarrier) else RadialGrid(cfg.grid.R, cfg.grid.N)
+    grid = RadialGrid(cfg.grid.R, cfg.grid.N)
     vals = np.asarray(profile(grid.nodes), dtype=float)
     vals[-1] = 0.0
     outcome = solve_on_ball(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .geometry import ModelManifold, drift
+from .geometry import ModelManifold
 from .operators import RadialField, RadialGrid, laplacian_tridiag, solve_banded, tridiag_mult
 
 __all__ = [
@@ -59,10 +59,9 @@ class Lambda1Report:
 
 @dataclass(frozen=True)
 class RadialSolution:
-    """Outward-integrated solution of f'' + F f' + lam f = 0, f(0)=1, f'(0)=0."""
+    """Node values of (Delta_h + lam) f = 0 on rows 0..N with f_0 = 1."""
 
     field: RadialField
-    derivative: np.ndarray
     lam: float
     positive: bool
     first_zero: float | None
@@ -114,15 +113,20 @@ def dirichlet_lambda1(M: ModelManifold, R: float, N: int) -> EigenEstimate:
 def lambda1_estimate(M: ModelManifold, R_list, dr_target: float = 0.01) -> Lambda1Report:
     """Ball eigenvalues over an increasing radius list.
 
-    The limit is estimated by the last value with the last decrement as
+    Each ball B_R gets N = round(R/dr_target) - 1 interior nodes.  The
+    limit is estimated by the last value with the last decrement as
     error bar; a non-decreasing pair flags discretization failure.
     """
     radii = [float(R) for R in R_list]
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("R_list must be strictly increasing")
+    if not dr_target > 0:
+        raise ValueError(f"dr = {dr_target} must be positive")
     estimates = []
     for R in radii:
-        N = max(8, int(round(R / dr_target)) - 1)
+        N = int(round(R / dr_target)) - 1
+        if N < 1:
+            raise ValueError(f"dr = {dr_target} leaves no interior node on the ball of radius {R:g}")
         estimates.append(dirichlet_lambda1(M, R, N))
     values = [est.lambda1_ball for est in estimates]
     monotone = all(b < a + 1e-10 for a, b in zip(values, values[1:]))
@@ -138,60 +142,34 @@ def lambda1_estimate(M: ModelManifold, R_list, dr_target: float = 0.01) -> Lambd
 
 
 def positive_radial_solution(M: ModelManifold, lam: float, R: float, N: int) -> RadialSolution:
-    """Integrate f'' + F f' + lam f = 0 outward from the pole.
+    """Solve (Delta_h + lam) f = 0 on the rows 0..N outward from f_0 = 1.
 
-    Fixed-step RK4 started from the series f = 1 - lam r^2/(2n) a few
-    nodes out (the drift behaves like (n-1)/r at the pole, which would
-    otherwise limit the step).  A sign change is reported as the first
-    zero crossing: it signals lam above the ball's spectral bottom.
+    Each row of the band fixes the next node value,
+    f_{i+1} = -((diag_i + lam) f_i + sub_i f_{i-1}) / sup_i, up to the
+    boundary node f_{N+1}.  sub and sup are positive, so f_k is the k-th
+    leading principal minor of -Delta_h - lam I over positive factors (a
+    Sturm sequence): f is positive on every node exactly when lam lies
+    below the smallest eigenvalue ``dirichlet_lambda1`` gives on B_R.  A
+    sign change is reported as the first zero crossing.
     """
     if lam <= 0:
         raise ValueError(f"lam must be positive, got {lam}")
     grid = RadialGrid(R, N)
-    dr = grid.dr
+    sub, diag, sup = laplacian_tridiag(M, grid)
+    vals = np.empty(N + 2)
+    vals[0], prev = 1.0, 0.0
+    for i in range(N + 1):
+        vals[i + 1] = -((diag[i] + lam) * vals[i] + sub[i] * prev) / sup[i]
+        prev = vals[i]
+
     nodes = grid.nodes
-    n = M.n
-
-    def series_f(r):
-        return 1.0 - lam * r**2 / (2.0 * n) + lam**2 * r**4 / (8.0 * n * (n + 2.0))
-
-    def series_df(r):
-        return -lam * r / n + lam**2 * r**3 / (2.0 * n * (n + 2.0))
-
-    i0 = max(1, (n - 1) // 2 + 1)  # keep dr*F below the RK4 stability bite
-    vals = np.empty(nodes.size)
-    dvals = np.empty(nodes.size)
-    vals[: i0 + 1] = series_f(nodes[: i0 + 1])
-    dvals[: i0 + 1] = series_df(nodes[: i0 + 1])
-
-    f_half = drift(M, nodes[i0:-1] + 0.5 * dr)
-    f_full = drift(M, nodes[i0 + 1 :])
-    f_node = drift(M, nodes[i0:-1])
-
-    p, v = float(vals[i0]), float(dvals[i0])
-    for j in range(i0, nodes.size - 1):
-        fa, fm, fb = f_node[j - i0], f_half[j - i0], f_full[j - i0]
-        k1p = v
-        k1v = -(fa * v + lam * p)
-        k2p = v + 0.5 * dr * k1v
-        k2v = -(fm * k2p + lam * (p + 0.5 * dr * k1p))
-        k3p = v + 0.5 * dr * k2v
-        k3v = -(fm * k3p + lam * (p + 0.5 * dr * k2p))
-        k4p = v + dr * k3v
-        k4v = -(fb * k4p + lam * (p + dr * k3p))
-        p += dr * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
-        v += dr * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0
-        vals[j + 1] = p
-        dvals[j + 1] = v
-
     first_zero = None
     sign_change = np.flatnonzero((vals[:-1] > 0.0) & (vals[1:] <= 0.0))
     if sign_change.size:
         j = int(sign_change[0])
-        first_zero = float(nodes[j] + dr * vals[j] / (vals[j] - vals[j + 1]))
+        first_zero = float(nodes[j] + grid.dr * vals[j] / (vals[j] - vals[j + 1]))
     return RadialSolution(
         field=RadialField(grid, vals),
-        derivative=dvals,
         lam=float(lam),
         positive=first_zero is None,
         first_zero=first_zero,

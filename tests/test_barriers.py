@@ -230,6 +230,15 @@ def test_glued_barrier_rejections(euclid3, hyp3, gamma2):
         glued_barrier(hyp3, 1.0, 1.0, 1.0, 5.0, 6.0, 7.0, 30.0, 3000)
 
 
+def test_glued_verify_catches_a_corrupted_phi(hyp3):
+    gb = glued_barrier(hyp3, 1.0, 1.0, 1.0, r0=6.0, r1=5.0, r2=8.0, R_max=30.0, N=3000)
+    assert verify_supersolution(hyp3, gb, 1.0, gb.grid).passed
+    gb.phi.field.values[gb.grid.nodes > 1.0] *= 1.0 + 1e-6
+    chk = verify_supersolution(hyp3, gb, 1.0, gb.grid)
+    assert not chk.passed
+    assert chk.worst_r == pytest.approx(1.0, abs=gb.grid.dr)
+
+
 def test_glued_verify_lambda_must_match(hyp3):
     gb = glued_barrier(hyp3, 1.0, 1.0, 1.0, 5.0, 4.0, 7.0, 20.0, 2000)
     with pytest.raises(ValueError):

@@ -344,9 +344,20 @@ GEOMETRY_BASE = "[manifold]\nkind = hyperbolic\nn = 3\nk = 1.0\n\n[grid]\nR = 10
             "[manifold]\nkind = gamma\nn = 3\ngamma = 2.0\nr_max = 40\ndr = 0.1\n\n[grid]\nR = 10\nN = 100\n",
             "too coarse for the Jacobi equation",
         ),
+        (GEOMETRY_BASE.replace("R = 10", "R = -5"), "outer radius must be positive"),
+        (GEOMETRY_BASE.replace("N = 100", "N = 0"), "interior node count must be a positive integer"),
+        (GEOMETRY_BASE + "[u0]\nkind = bump\nwidth = 0\n", "bump width must be positive"),
+        (
+            GEOMETRY_BASE + "[problem]\nlambda_policy = explicit\nlambda = -1\n",
+            "lambda must be positive",
+        ),
+        (GEOMETRY_BASE + "[barrier]\nkind = exp\nalpha = -1\nbeta = 1\n", "alpha and beta must be positive"),
+        (GEOMETRY_BASE + "[check]\nnodes = 0\n", "nodes must be >= 1"),
+        (GEOMETRY_BASE + "[check]\nr_min = 0\n", "r_min and r_max must be positive"),
     ],
     ids=["sigma", "q", "t_end", "dt-order", "c_lower-text", "c_lower-sign", "sweep-sigma",
-         "gamma-dr"],
+         "gamma-dr", "grid-R", "grid-N", "u0-width", "explicit-lambda", "exp-alpha",
+         "check-nodes", "check-r_min"],
 )
 def test_inadmissible_config_values_are_config_errors(tmp_path, capsys, text, hypothesis):
     cfg = write_cfg(tmp_path, text)
@@ -355,6 +366,16 @@ def test_inadmissible_config_values_are_config_errors(tmp_path, capsys, text, hy
     assert err.startswith("config error: ")
     assert hypothesis in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("dr", ["-0.1", "0", "5"])
+def test_eigen_spacing_without_interior_nodes_is_a_config_error(tmp_path, capsys, dr):
+    text = GEOMETRY_BASE.replace("N = 100", f"N = 100\nR_list = 4 8\ndr = {dr}")
+    cfg = write_cfg(tmp_path, text)
+    assert main(["eigen", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [grid] dr = ")
+    assert not (tmp_path / "x" / "eigen.csv").exists()
 
 
 FRESH_IMPORT = """\

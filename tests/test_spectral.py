@@ -133,6 +133,40 @@ def test_zero_crossing_cross_validates_eigenvalue(euclid3):
     assert not above.positive
 
 
+@pytest.mark.parametrize(
+    "model, R, N",
+    [("euclid3", 2.0, 399), ("euclid7", 2.0, 399), ("hyp3", 10.0, 999), ("hyp5k2", 5.0, 499),
+     ("gamma3", 8.0, 799)],
+)
+def test_positivity_is_the_sturm_count_of_the_band(request, model, R, N):
+    # phi > 0 on every node exactly when lam < lambda_1 of the same band
+    M = {"euclid7": lambda: make_euclidean(7), "hyp5k2": lambda: make_hyperbolic(5, 2.0)}.get(
+        model, lambda: request.getfixturevalue(model)
+    )()
+    lam1 = dirichlet_lambda1(M, R, N).lambda1_ball
+    assert positive_radial_solution(M, lam1 * (1.0 - 1e-8), R, N).positive
+    assert not positive_radial_solution(M, lam1 * (1.0 + 1e-8), R, N).positive
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.5])
+def test_positive_solution_second_order_on_h3(hyp3, lam):
+    # closed forms on H^3 with f(0) = 1: sinh(mu r)/(mu sinh r), mu^2 = 1 - lam,
+    # and sin(w r)/(w sinh r), w^2 = lam - 1
+    errors = []
+    for N in (499, 999, 1999):
+        sol = positive_radial_solution(hyp3, lam, 10.0, N)
+        r = sol.field.grid.nodes[1:]
+        if lam < 1.0:
+            mu = np.sqrt(1.0 - lam)
+            exact = np.sinh(mu * r) / (mu * np.sinh(r))
+        else:
+            w = np.sqrt(lam - 1.0)
+            exact = np.sin(w * r) / (w * np.sinh(r))
+        errors.append(np.max(np.abs(sol.field.values[1:] - exact)))
+    assert errors[0] / errors[1] >= 3.5
+    assert errors[1] / errors[2] >= 3.5
+
+
 def test_lambda_validation(hyp3):
     with pytest.raises(ValueError):
         positive_radial_solution(hyp3, 0.0, 5.0, 100)

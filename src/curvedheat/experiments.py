@@ -29,7 +29,7 @@ from .barriers import (
     time_envelope,
     verify_supersolution,
 )
-from .config import ExperimentConfig
+from .config import ExperimentConfig, _admissible
 from .errors import ConfigError
 from .evolution import (
     VERDICT_BLOWUP,
@@ -162,7 +162,7 @@ def build_barrier(cfg: ExperimentConfig, M: ModelManifold):
     if spec.kind == "exp-slow":
         lam, origin = resolve_lambda(cfg, M)
         c, c_origin = measured_c()
-        alpha, beta = slow_decay_params(n, c, gamma, lam)
+        alpha, beta = _admissible("barrier", slow_decay_params, n, c, gamma, lam)
         return ExpBarrier(alpha, beta), lam, {
             "lambda_origin": origin, "c_lower": c, "c_origin": c_origin,
         }
@@ -172,7 +172,7 @@ def build_barrier(cfg: ExperimentConfig, M: ModelManifold):
             raise ConfigError("barrier kind exp-fast needs an explicit alpha")
         lam, origin = resolve_lambda(cfg, M)
         c, c_origin = measured_c()
-        beta = fast_decay_rate(n, c, gamma, lam, spec.alpha)
+        beta = _admissible("barrier", fast_decay_rate, n, c, gamma, lam, spec.alpha)
         return ExpBarrier(spec.alpha, beta), lam, {
             "lambda_origin": origin, "c_lower": c, "c_origin": c_origin,
         }
@@ -182,7 +182,7 @@ def build_barrier(cfg: ExperimentConfig, M: ModelManifold):
             raise ConfigError("barrier kind power-tail needs an explicit alpha")
         k = pinch_constant(cfg)
         c, c_origin = measured_c()
-        barrier, lam_star = power_tail_barrier(n, k, c, gamma, spec.alpha)
+        barrier, lam_star = _admissible("barrier", power_tail_barrier, n, k, c, gamma, spec.alpha)
         lam = spec.lambda_fraction * lam_star
         return barrier, lam, {
             "lambda_origin": f"power-tail({spec.lambda_fraction:g} x lam* = {lam_star:.6g})",
@@ -195,8 +195,9 @@ def build_barrier(cfg: ExperimentConfig, M: ModelManifold):
         if None in (spec.r0, spec.r1, spec.r2):
             raise ConfigError("barrier kind glued needs r0, r1, r2")
         lam, origin = resolve_lambda(cfg, M)
-        barrier = glued_barrier(
-            M, lam, spec.alpha, spec.beta, spec.r0, spec.r1, spec.r2, cfg.grid.R, cfg.grid.N
+        barrier = _admissible(
+            "barrier", glued_barrier,
+            M, lam, spec.alpha, spec.beta, spec.r0, spec.r1, spec.r2, cfg.grid.R, cfg.grid.N,
         )
         return barrier, lam, {"lambda_origin": origin, "c": barrier.c}
 

@@ -368,6 +368,29 @@ def test_inadmissible_config_values_are_config_errors(tmp_path, capsys, text, hy
     assert "Traceback" not in err
 
 
+GLUED = "[barrier]\nkind = glued\nalpha = 1\nbeta = 1\nr0 = 4\n"
+
+
+@pytest.mark.parametrize(
+    "text, hypothesis",
+    [
+        (GEOMETRY_BASE + GLUED + "r1 = 5\nr2 = 6\n", "need 0 < r1 < r0 < r2 < R_max"),
+        (
+            GEOMETRY_BASE + GLUED + "r1 = 3\nr2 = 6\n[problem]\nlambda_policy = explicit\nlambda = 5\n",
+            "too large: positive radial solution crosses zero",
+        ),
+        (GEOMETRY_BASE + "[barrier]\nkind = exp-fast\nalpha = 5\n", "1 <= alpha <= min(1+gamma/2, 2)"),
+    ],
+    ids=["glued-radii", "glued-lambda", "exp-fast-alpha"],
+)
+def test_inadmissible_barrier_parameters_are_config_errors(tmp_path, capsys, text, hypothesis):
+    cfg = write_cfg(tmp_path, text)
+    assert main(["barrier", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [barrier] ")
+    assert hypothesis in err
+
+
 @pytest.mark.parametrize("dr", ["-0.1", "0", "5"])
 def test_eigen_spacing_without_interior_nodes_is_a_config_error(tmp_path, capsys, dr):
     text = GEOMETRY_BASE.replace("N = 100", f"N = 100\nR_list = 4 8\ndr = {dr}")

@@ -270,10 +270,7 @@ def run_eigen(cfg: ExperimentConfig, out_dir: Path):
     M = build_manifold(cfg)
     radii = cfg.grid.R_list or (cfg.grid.R,)
     dr = cfg.grid.R / (cfg.grid.N + 1) if cfg.grid.dr is None else cfg.grid.dr
-    try:
-        report = lambda1_estimate(M, radii, dr_target=dr)
-    except ValueError as exc:
-        raise ConfigError(f"[grid] {exc}") from exc
+    report = _admissible("grid", lambda1_estimate, M, radii, dr_target=dr)
     save_eigen_csv(report.estimates, out_dir / "eigen.csv")
     k = pinch_constant(cfg)
     lower = mckean_bound(cfg.manifold.n, k) if k is not None else 0.0

@@ -34,10 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
 from .forcing import Forcing
-from .geometry import ModelManifold, TabulatedWarping, drift
-from .operators import RadialField, RadialGrid, apply_laplacian
+from .geometry import ModelManifold, TabulatedWarping
+from .operators import RadialField, RadialGrid, apply_laplacian, apply_laplacian_analytic
 from .spectral import RadialSolution, positive_radial_solution
 
 __all__ = [
@@ -293,9 +292,7 @@ def power_tail_barrier(
     exterior = alpha * (alpha + 1.0) / mesh**2 - alpha * cn1 * mesh ** (gamma / 2.0 - 1.0) + lam_star
     ok = np.flatnonzero(exterior <= 0.0)
     if ok.size == 0:
-        raise ConvergenceError(
-            f"no admissible cap radius up to {r0_max}: exterior bracket never closes"
-        )
+        raise ValueError(f"no admissible cap radius up to {r0_max}: exterior bracket never closes")
     r0 = float(mesh[ok[0]])
     return PowerBarrier(alpha, r0), float(alpha * kn1 / ((alpha + 1.0) * r0))
 
@@ -348,7 +345,7 @@ def glued_barrier(M: ModelManifold, lam, alpha, beta, r0, r1, r2, R_max, N) -> G
 
 def _residual(M, w, lam, r):
     """w'' + F w' + lam w from the closed-form eval/deriv1/deriv2 of w."""
-    return w.deriv2(r) + drift(M, r) * w.deriv1(r) + lam * w.eval(r)
+    return apply_laplacian_analytic(M, w, r) + lam * w.eval(r)
 
 
 def verify_supersolution(M: ModelManifold, barrier, lam: float, grid: RadialGrid, *, tol: float = 1e-10) -> SupersolutionCheck:

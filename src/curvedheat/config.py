@@ -1,9 +1,13 @@
 """Experiment configuration: flat key-value text with section headers.
 
 The format is INI (configparser): diff-friendly, byte-reproducible, and
-each key maps to one knob of the pipeline.  ``parse_config`` turns text
-into an ``ExperimentConfig``; admissibility violations raise
-``ConfigError`` naming the violated hypothesis with its numbers.
+each key maps to one knob of the pipeline.  ``KEYS`` is the schema: the
+sections and keys a config may set, with each key's converter; anything
+outside it is refused.  Defaults live on the spec dataclasses and on
+``EvolutionControls``; ``parse_config`` states only those that no
+dataclass owns.  It turns text into an ``ExperimentConfig``;
+admissibility violations raise ``ConfigError`` naming the violated
+hypothesis with its numbers.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 
 from .barriers import ExpBarrier
 from .errors import ConfigError
-from .evolution import EvolutionControls, bump_profile
+from .evolution import EvolutionControls, bump_profile, power_tail_profile
 from .forcing import Forcing
 from .operators import RadialGrid
 
@@ -26,6 +30,7 @@ __all__ = [
     "SweepSpec",
     "CheckSpec",
     "ExperimentConfig",
+    "KEYS",
     "parse_config",
     "PRESETS",
     "preset_text",
@@ -50,7 +55,7 @@ class ManifoldSpec:
 
 @dataclass(frozen=True)
 class BarrierSpec:
-    kind: str
+    kind: str = "exp-linear"
     alpha: float | None = None
     beta: float | None = None
     beta_policy: str = "mid"  # lo | mid | hi, for exp-linear
@@ -63,9 +68,8 @@ class BarrierSpec:
 
 @dataclass(frozen=True)
 class U0Spec:
-    kind: str
+    kind: str = "scaled-barrier"
     factor: float = 0.5  # x amplitude limit, when one exists
-    fallback: float = 1.0  # absolute barrier multiple when no limit exists
     amplitude: float | None = None  # absolute override
     width: float = 2.0  # bump
     alpha: float = 1.0  # power tail
@@ -73,8 +77,8 @@ class U0Spec:
 
 @dataclass(frozen=True)
 class GridSpec:
-    R: float
-    N: int
+    R: float = 20.0
+    N: int = 400
     R_list: tuple = ()
     dr: float | None = None  # shared spacing for exhaustion / eigen sequences
 
@@ -97,16 +101,16 @@ class SweepSpec:
         ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class CheckSpec:
     """Curvature-check targets; k and gamma left None follow the model."""
 
-    k: float | None
+    k: float | None = None
     c0: float
-    gamma: float | None
-    r_min: float
+    gamma: float | None = None
+    r_min: float = 0.1
     r_max: float
-    nodes: int
+    nodes: int = 400
 
     def __post_init__(self):
         if not (self.r_min > 0 and self.r_max > 0):
@@ -129,17 +133,6 @@ class ExperimentConfig:
     snapshots: int
     sweep: SweepSpec | None
     check: CheckSpec
-
-
-def _get(section, key, conv, default=None, required=False):
-    if section is None or key not in section:
-        if required:
-            raise ConfigError(f"missing required key '{key}'")
-        return default
-    try:
-        return conv(section[key])
-    except ValueError as exc:
-        raise ConfigError(f"bad value for '{key}': {section[key]!r} ({exc})") from exc
 
 
 def _admissible(section, build, *args, **kwargs):
@@ -171,13 +164,67 @@ def _floats(text):
     return tuple(float(tok) for tok in text.replace(",", " ").split())
 
 
+# The schema: every section a config may have, every key it accepts and
+# the key's converter.  The keys of manifold, barrier, u0, grid and check
+# are the fields of their spec; controls are EvolutionControls' fields
+# (blowup_threshold excepted) plus snapshots.
+KEYS = {
+    "manifold": {
+        "kind": str, "n": int, "k": float, "c0": float, "gamma": float, "r_max": float,
+        "dr": float,
+    },
+    "forcing": {"kind": str, "q": float, "sigma": float},
+    "problem": {"p": float, "lambda_policy": str, "lambda": _positive_lambda},
+    "barrier": {
+        "kind": str, "alpha": float, "beta": float, "beta_policy": str, "c_lower": _drift_floor,
+        "lambda_fraction": float, "r0": float, "r1": float, "r2": float,
+    },
+    "u0": {"kind": str, "factor": float, "amplitude": float, "width": float, "alpha": float},
+    "grid": {"R": float, "N": int, "R_list": _floats, "dr": float},
+    "controls": {
+        "t_end": float, "dt_init": float, "dt_min": float, "dt_max": float, "rel_tol": float,
+        "snapshots": int,
+    },
+    "sweep": {
+        "axis": str, "values": _floats, "start": float, "stop": float, "count": int,
+        "axis2": str, "values2": _floats, "start2": float, "stop2": float, "count2": int,
+    },
+    "check": {
+        "k": float, "c0": float, "gamma": float, "r_min": float, "r_max": float, "nodes": int,
+    },
+}
+
+
+def _section(sections, name):
+    """The keys ``name`` sets, converted; a key outside ``KEYS[name]`` is a ConfigError."""
+    schema = KEYS[name]
+    # configparser lowercases option names; R, N and R_list keep their case here
+    spelled = {key.lower(): key for key in schema}
+    values = {}
+    for option, text in sections.get(name, {}).items():
+        if option not in spelled:
+            raise ConfigError(f"[{name}] unknown key '{option}'; accepted: {', '.join(schema)}")
+        key = spelled[option]
+        try:
+            values[key] = schema[key](text)
+        except ValueError as exc:
+            raise ConfigError(f"[{name}] bad value for '{key}': {text!r} ({exc})") from exc
+    return values
+
+
+def _required(values, name, key):
+    if key not in values:
+        raise ConfigError(f"[{name}] missing required key '{key}'")
+    return values[key]
+
+
 def _axis_values(sw, suffix=""):
     """A sweep axis: ``values`` listed, or ``count`` points from ``start`` to ``stop``."""
     if "values" + suffix in sw:
-        return _floats(sw["values" + suffix])
-    start = _get(sw, "start" + suffix, float, required=True)
-    stop = _get(sw, "stop" + suffix, float, required=True)
-    count = _get(sw, "count" + suffix, int, required=True)
+        return sw["values" + suffix]
+    start, stop, count = (
+        _required(sw, "sweep", key + suffix) for key in ("start", "stop", "count")
+    )
     if count < 1:
         raise ConfigError(f"sweep count{suffix} must be >= 1, got {count}")
     return tuple(
@@ -186,67 +233,54 @@ def _axis_values(sw, suffix=""):
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    # no header can name the empty string, so [DEFAULT] is an ordinary
+    # section and refused below instead of seeding every other section
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",), default_section="")
     try:
         cp.read_string(text)
+        sections = {name: dict(cp[name]) for name in cp.sections()}
     except configparser.Error as exc:
         raise ConfigError(f"config does not parse: {exc}") from exc
+    for name in sections:
+        if name not in KEYS:
+            raise ConfigError(f"unknown section [{name}]; accepted: {', '.join(KEYS)}")
+    sec = {name: _section(sections, name) for name in KEYS}
 
-    sec = {name: cp[name] for name in cp.sections()}
-
-    man = sec.get("manifold")
-    kind = _get(man, "kind", str, required=True)
+    man = sec["manifold"]
+    kind = _required(man, "manifold", "kind")
     if kind not in MANIFOLD_KINDS:
         raise ConfigError(f"manifold kind must be one of {MANIFOLD_KINDS}, got {kind!r}")
-    manifold = ManifoldSpec(
-        kind=kind,
-        n=_get(man, "n", int, required=True),
-        k=_get(man, "k", float, 1.0),
-        c0=_get(man, "c0", float, 1.0),
-        gamma=_get(man, "gamma", float, 2.0),
-        r_max=_get(man, "r_max", float, 25.0),
-        dr=_get(man, "dr", float, 1e-3),
-    )
+    _required(man, "manifold", "n")
+    manifold = ManifoldSpec(**man)
     if manifold.n < 2:
         raise ConfigError(f"dimension must be >= 2, got {manifold.n}")
 
-    fo = sec.get("forcing")
-    fkind = _get(fo, "kind", str, "one")
+    fo = sec["forcing"]
+    fkind = fo.get("kind", "one")
     if fkind == "one":
         forcing = Forcing.one()
     elif fkind == "power":
-        forcing = _admissible("forcing", Forcing.power_law, _get(fo, "q", float, required=True))
+        forcing = _admissible("forcing", Forcing.power_law, _required(fo, "forcing", "q"))
     elif fkind == "exp":
-        forcing = _admissible("forcing", Forcing.exponential, _get(fo, "sigma", float, required=True))
+        forcing = _admissible("forcing", Forcing.exponential, _required(fo, "forcing", "sigma"))
     else:
         raise ConfigError(f"forcing kind must be one | power | exp, got {fkind!r}")
 
-    pr = sec.get("problem")
-    p = _get(pr, "p", float, 2.0)
+    pr = sec["problem"]
+    p = pr.get("p", 2.0)
     if p <= 1:
         raise ConfigError(f"reaction exponent must satisfy p > 1, got {p}")
-    lambda_policy = _get(pr, "lambda_policy", str, "mckean")
+    lambda_policy = pr.get("lambda_policy", "mckean")
     if lambda_policy not in LAMBDA_POLICIES:
         raise ConfigError(f"lambda_policy must be one of {LAMBDA_POLICIES}, got {lambda_policy!r}")
-    lambda_value = _get(pr, "lambda", _positive_lambda)
+    lambda_value = pr.get("lambda")
     if lambda_policy == "explicit" and lambda_value is None:
         raise ConfigError("lambda_policy = explicit needs a 'lambda' value")
 
-    ba = sec.get("barrier")
-    bkind = _get(ba, "kind", str, "exp-linear")
+    barrier = BarrierSpec(**sec["barrier"])
+    bkind = barrier.kind
     if bkind not in BARRIER_KINDS:
         raise ConfigError(f"barrier kind must be one of {BARRIER_KINDS}, got {bkind!r}")
-    barrier = BarrierSpec(
-        kind=bkind,
-        alpha=_get(ba, "alpha", float),
-        beta=_get(ba, "beta", float),
-        beta_policy=_get(ba, "beta_policy", str, "mid"),
-        c_lower=_get(ba, "c_lower", _drift_floor),
-        lambda_fraction=_get(ba, "lambda_fraction", float, 1.0),
-        r0=_get(ba, "r0", float),
-        r1=_get(ba, "r1", float),
-        r2=_get(ba, "r2", float),
-    )
     if bkind in ("exp", "glued") and None not in (barrier.alpha, barrier.beta):
         _admissible("barrier", ExpBarrier, barrier.alpha, barrier.beta)
     if barrier.beta_policy not in ("lo", "mid", "hi"):
@@ -262,53 +296,31 @@ def parse_config(text: str) -> ExperimentConfig:
             f"got manifold kind {manifold.kind!r}"
         )
 
-    uo = sec.get("u0")
-    ukind = _get(uo, "kind", str, "scaled-barrier")
-    if ukind not in U0_KINDS:
-        raise ConfigError(f"u0 kind must be one of {U0_KINDS}, got {ukind!r}")
-    u0 = U0Spec(
-        kind=ukind,
-        factor=_get(uo, "factor", float, 0.5),
-        fallback=_get(uo, "fallback", float, 1.0),
-        amplitude=_get(uo, "amplitude", float),
-        width=_get(uo, "width", float, 2.0),
-        alpha=_get(uo, "alpha", float, 1.0),
-    )
-    if ukind == "bump":
+    u0 = U0Spec(**sec["u0"])
+    if u0.kind not in U0_KINDS:
+        raise ConfigError(f"u0 kind must be one of {U0_KINDS}, got {u0.kind!r}")
+    if u0.kind == "bump":
         _admissible("u0", bump_profile, 1.0, u0.width)
+    elif u0.kind == "power-tail":
+        _admissible("u0", power_tail_profile, 1.0, u0.alpha)
 
-    gr = sec.get("grid")
-    grid = GridSpec(
-        R=_get(gr, "R", float, 20.0),
-        N=_get(gr, "N", int, 400),
-        R_list=_get(gr, "R_list", _floats, ()),
-        dr=_get(gr, "dr", float),
-    )
+    grid = GridSpec(**sec["grid"])
     _admissible("grid", RadialGrid, grid.R, grid.N)
     if manifold.kind == "gamma" and grid.R > manifold.r_max:
         raise ConfigError(
             f"grid radius R = {grid.R} exceeds the tabulated warping range r_max = {manifold.r_max}"
         )
 
-    co = sec.get("controls")
-    controls = _admissible(
-        "controls",
-        EvolutionControls,
-        t_end=_get(co, "t_end", float, 50.0),
-        dt_init=_get(co, "dt_init", float, 1e-3),
-        dt_min=_get(co, "dt_min", float, 1e-12),
-        dt_max=_get(co, "dt_max", float, 0.25),
-        rel_tol=_get(co, "rel_tol", float, 1e-5),
-        blowup_threshold=_get(co, "blowup_threshold", float),
-    )
-    snapshots = _get(co, "snapshots", int, 33)
+    co = {"t_end": 50.0, **sec["controls"]}
+    snapshots = co.pop("snapshots", 33)
+    controls = _admissible("controls", EvolutionControls, **co)
 
-    sw = sec.get("sweep")
     sweep = None
-    if sw is not None:
-        axis = _get(sw, "axis", str, required=True)
+    if "sweep" in sections:
+        sw = sec["sweep"]
+        axis = _required(sw, "sweep", "axis")
         values = _axis_values(sw)
-        axis2 = _get(sw, "axis2", str)
+        axis2 = sw.get("axis2")
         values2 = () if axis2 is None else _axis_values(sw, "2")
         if axis not in ("p", "sigma", "amplitude"):
             raise ConfigError(f"sweep axis must be p | sigma | amplitude, got {axis!r}")
@@ -321,17 +333,8 @@ def parse_config(text: str) -> ExperimentConfig:
                     _admissible("sweep", Forcing.exponential, v)
         sweep = SweepSpec(axis=axis, values=values, axis2=axis2, values2=values2)
 
-    ck = sec.get("check")
-    check = _admissible(
-        "check",
-        CheckSpec,
-        k=_get(ck, "k", float),
-        c0=_get(ck, "c0", float, manifold.c0),
-        gamma=_get(ck, "gamma", float),
-        r_min=_get(ck, "r_min", float, 0.1),
-        r_max=_get(ck, "r_max", float, grid.R),
-        nodes=_get(ck, "nodes", int, 400),
-    )
+    ck = {"c0": manifold.c0, "r_max": grid.R, **sec["check"]}
+    check = _admissible("check", CheckSpec, **ck)
 
     return ExperimentConfig(
         manifold=manifold,
@@ -374,7 +377,6 @@ beta_policy = mid
 [u0]
 kind = scaled-barrier
 factor = 0.5
-fallback = 1.0
 
 [grid]
 R = 20

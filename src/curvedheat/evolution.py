@@ -446,6 +446,8 @@ def bump_profile(amplitude: float, width: float):
 
 def power_tail_profile(amplitude: float, alpha: float):
     """amplitude * min(1, r^{-alpha}); bounded, slowly decaying."""
+    if not alpha > 0:
+        raise ValueError(f"power-tail decay exponent must be positive, got {alpha}")
 
     def profile(r):
         r = np.asarray(r, dtype=float)

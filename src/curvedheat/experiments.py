@@ -155,9 +155,7 @@ def build_barrier(cfg: ExperimentConfig, M: ModelManifold):
             )
         lo, hi = exp_rate_window(n, k, lam)
         beta = {"lo": lo, "mid": 0.5 * (lo + hi), "hi": hi}[spec.beta_policy]
-        return ExpBarrier(1.0, beta), lam, {
-            "lambda_origin": origin, "beta_window": (lo, hi), "beta_policy": spec.beta_policy,
-        }
+        return ExpBarrier(1.0, beta), lam, {"lambda_origin": origin}
 
     if spec.kind == "exp-slow":
         lam, origin = resolve_lambda(cfg, M)
@@ -212,7 +210,7 @@ def scaled_barrier_data(cfg: ExperimentConfig, forcing: Forcing, lam: float, p: 
     elif limit is not None:
         ctilde = cfg.u0.factor * limit
     else:
-        ctilde = cfg.u0.fallback
+        ctilde = 1.0  # no limit: an O(1) multiple, so blow-up comes at resolvable times
     certified = limit is not None and ctilde < limit
     return ctilde, limit, certified
 
@@ -343,10 +341,10 @@ def _build_u0_profile(cfg: ExperimentConfig, M: ModelManifold):
         return (lambda r: np.zeros_like(np.asarray(r, dtype=float))), None, None, None, {}
     if u0.kind == "bump":
         amp = u0.amplitude if u0.amplitude is not None else 1.0
-        return bump_profile(amp, u0.width), None, None, None, {"amplitude": amp}
+        return bump_profile(amp, u0.width), None, None, None, {}
     if u0.kind == "power-tail":
         amp = u0.amplitude if u0.amplitude is not None else 1.0
-        return power_tail_profile(amp, u0.alpha), None, None, None, {"amplitude": amp}
+        return power_tail_profile(amp, u0.alpha), None, None, None, {}
     # scaled barrier
     barrier, lam, meta = build_barrier(cfg, M)
     ctilde, limit, certified = scaled_barrier_data(cfg, cfg.forcing, lam, cfg.p, barrier)

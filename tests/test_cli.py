@@ -1,15 +1,28 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from curvedheat.cli import main
-from curvedheat.config import PRESETS, parse_config, preset_text
+from curvedheat.config import (
+    KEYS,
+    PRESETS,
+    BarrierSpec,
+    CheckSpec,
+    GridSpec,
+    ManifoldSpec,
+    U0Spec,
+    parse_config,
+    preset_text,
+)
 from curvedheat.errors import ConfigError
+from curvedheat.evolution import EvolutionControls
 
 HYPERBOLIC_SIM = """\
 [manifold]
@@ -110,6 +123,25 @@ def test_parse_rejects_bad_values():
         parse_config(
             "[manifold]\nkind = gamma\nn = 3\nr_max = 10\n\n[grid]\nR = 15\nN = 100\n"
         )
+
+
+def test_keys_are_the_spec_fields():
+    spec_of = {"manifold": ManifoldSpec, "barrier": BarrierSpec, "u0": U0Spec, "grid": GridSpec,
+               "check": CheckSpec}
+    for section, spec in spec_of.items():
+        assert list(KEYS[section]) == [f.name for f in fields(spec)], section
+    controls = [f.name for f in fields(EvolutionControls) if f.name != "blowup_threshold"]
+    assert list(KEYS["controls"]) == controls + ["snapshots"]
+    assert sum(len(keys) for keys in KEYS.values()) == 53
+
+
+def test_readme_config_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    cfg = parse_config(blocks[0])
+    assert (cfg.manifold.kind, cfg.barrier.kind, cfg.u0.kind) == ("hyperbolic", "exp-linear", "scaled-barrier")
+    assert (cfg.grid.R, cfg.grid.N, cfg.controls.t_end, cfg.controls.rel_tol) == (20.0, 399, 50.0, 1e-5)
 
 
 def test_presets_parse():
@@ -354,10 +386,19 @@ GEOMETRY_BASE = "[manifold]\nkind = hyperbolic\nn = 3\nk = 1.0\n\n[grid]\nR = 10
         (GEOMETRY_BASE + "[barrier]\nkind = exp\nalpha = -1\nbeta = 1\n", "alpha and beta must be positive"),
         (GEOMETRY_BASE + "[check]\nnodes = 0\n", "nodes must be >= 1"),
         (GEOMETRY_BASE + "[check]\nr_min = 0\n", "r_min and r_max must be positive"),
+        (GEOMETRY_BASE + "[u0]\nkind = power-tail\nalpha = -1\n", "decay exponent must be positive"),
+        (GEOMETRY_BASE + "[control]\nrel_tol = 0\n", "unknown section [control]"),
+        ("[DEFAULT]\nk = 2.0\n\n" + GEOMETRY_BASE, "unknown section [DEFAULT]"),
+        (GEOMETRY_BASE + "[controls]\nrel_tl = 0\n", "[controls] unknown key 'rel_tl'"),
+        (GEOMETRY_BASE + "[controls]\nblowup_threshold = 1e300\n", "unknown key 'blowup_threshold'"),
+        (GEOMETRY_BASE + "[u0]\nfallback = 2\n", "[u0] unknown key 'fallback'"),
+        (GEOMETRY_BASE + "[controls]\nrel_tol = 5%\n", "config does not parse"),
     ],
     ids=["sigma", "q", "t_end", "dt-order", "c_lower-text", "c_lower-sign", "sweep-sigma",
          "gamma-dr", "grid-R", "grid-N", "u0-width", "explicit-lambda", "exp-alpha",
-         "check-nodes", "check-r_min"],
+         "check-nodes", "check-r_min", "u0-power-tail-alpha", "unknown-section",
+         "default-section", "unknown-key", "retired-blowup_threshold", "retired-fallback",
+         "interpolation"],
 )
 def test_inadmissible_config_values_are_config_errors(tmp_path, capsys, text, hypothesis):
     cfg = write_cfg(tmp_path, text)
@@ -380,8 +421,13 @@ GLUED = "[barrier]\nkind = glued\nalpha = 1\nbeta = 1\nr0 = 4\n"
             "too large: positive radial solution crosses zero",
         ),
         (GEOMETRY_BASE + "[barrier]\nkind = exp-fast\nalpha = 5\n", "1 <= alpha <= min(1+gamma/2, 2)"),
+        (
+            "[manifold]\nkind = gamma\nn = 3\ngamma = 2.5\nr_max = 20\ndr = 0.01\n\n"
+            "[grid]\nR = 10\nN = 100\n\n[barrier]\nkind = power-tail\nalpha = 1\nc_lower = 1e-9\n",
+            "exterior bracket never closes",
+        ),
     ],
-    ids=["glued-radii", "glued-lambda", "exp-fast-alpha"],
+    ids=["glued-radii", "glued-lambda", "exp-fast-alpha", "power-tail-cap"],
 )
 def test_inadmissible_barrier_parameters_are_config_errors(tmp_path, capsys, text, hypothesis):
     cfg = write_cfg(tmp_path, text)

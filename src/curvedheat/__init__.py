@@ -16,7 +16,6 @@ from .geometry import (
     check_curvature_bounds,
     drift,
     drift_lower_constant,
-    load_warping_csv,
     make_euclidean,
     make_gamma_model,
     make_hyperbolic,
@@ -30,10 +29,8 @@ from .operators import (
     SmoothRadialFn,
     apply_laplacian,
     apply_laplacian_analytic,
-    load_field_csv,
     save_field_csv,
     sup_norm,
-    volume_inner_product,
 )
 from .spectral import (
     EigenEstimate,
@@ -56,8 +53,6 @@ from .barriers import (
     exp_rate_window,
     fast_decay_rate,
     glued_barrier,
-    load_barrier_kv,
-    parse_barrier_kv,
     power_tail_barrier,
     slow_decay_params,
     time_envelope,

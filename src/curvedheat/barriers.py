@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forcing import Forcing
-from .geometry import ModelManifold, TabulatedWarping
+from .geometry import ModelManifold
 from .operators import RadialField, RadialGrid, apply_laplacian, apply_laplacian_analytic
 from .spectral import RadialSolution, positive_radial_solution
 
@@ -54,8 +54,12 @@ __all__ = [
     "time_envelope",
     "amplitude_limit",
     "dump_barrier_kv",
-    "parse_barrier_kv",
 ]
+
+_ALPHA_GRID_POINTS = 512  # slow_decay_params: candidate exponents alpha
+_ROOT_MARGIN = 0.1  # slow_decay_params: relative margin on the root condition
+_R0_STEP = 0.25  # power_tail_barrier: spacing of the cap radii searched
+_R0_MAX = 400.0  # power_tail_barrier: largest cap radius searched
 
 
 @dataclass(frozen=True)
@@ -208,15 +212,15 @@ def exp_rate_window(n: int, k: float, lam: float):
     return beta_lo, beta_hi
 
 
-def slow_decay_params(n, c_lower, gamma, lam, *, grid_points: int = 512, margin: float = 0.1):
+def slow_decay_params(n, c_lower, gamma, lam):
     """Pick (alpha, beta) with alpha < 1 for w = e^{-beta r^alpha}.
 
     Needs divergent radial curvature (gamma > 0) and a drift floor
     constant c_lower.  The smallest feasible alpha on a fixed grid of
     (max(1-gamma/2, 0), 1) is selected -- slowest admissible spatial
     decay, hence the largest dominated initial-data class -- with a
-    relative ``margin`` on the root-existence condition, then beta is
-    the smaller root of the associated quadratic.
+    relative margin on the root-existence condition, then beta is the
+    smaller root of the associated quadratic.
     """
     if gamma <= 0:
         raise ValueError(f"slow-decay barrier needs gamma > 0, got {gamma}")
@@ -229,10 +233,10 @@ def slow_decay_params(n, c_lower, gamma, lam, *, grid_points: int = 512, margin:
         )
     cn1 = c_lower * (n - 1)
     lo = max(1.0 - gamma / 2.0, 0.0)
-    alphas = lo + (1.0 - lo) * np.arange(1, grid_points + 1) / (grid_points + 1.0)
+    alphas = lo + (1.0 - lo) * np.arange(1, _ALPHA_GRID_POINTS + 1) / (_ALPHA_GRID_POINTS + 1.0)
     for alpha in alphas:
         t = 1.0 - alpha - cn1
-        if t < 0.0 and t * t >= 4.0 * lam * (1.0 + margin):
+        if t < 0.0 and t * t >= 4.0 * lam * (1.0 + _ROOT_MARGIN):
             s = math.sqrt(t * t - 4.0 * lam)
             beta_hi = (-t + s) / (2.0 * alpha)
             beta_lo = lam / (alpha * alpha * beta_hi)
@@ -268,9 +272,7 @@ def fast_decay_rate(n, c_lower, gamma, lam, alpha) -> float:
     return lam / (alpha * alpha * beta_hi)
 
 
-def power_tail_barrier(
-    n, k, c_lower, gamma, alpha, *, r0_step: float = 0.25, r0_max: float = 400.0
-):
+def power_tail_barrier(n, k, c_lower, gamma, alpha):
     """PowerBarrier plus the certified lam* for gamma > 2.
 
     The interior linear-cap condition pins lam* = alpha k (n-1) /
@@ -287,12 +289,12 @@ def power_tail_barrier(
         raise ValueError("alpha, k and the drift floor constant must be positive")
     cn1 = c_lower * (n - 1)
     kn1 = k * (n - 1)
-    mesh = r0_step * np.arange(1, int(round(r0_max / r0_step)) + 1)
+    mesh = _R0_STEP * np.arange(1, int(round(_R0_MAX / _R0_STEP)) + 1)
     lam_star = alpha * kn1 / ((alpha + 1.0) * mesh)
     exterior = alpha * (alpha + 1.0) / mesh**2 - alpha * cn1 * mesh ** (gamma / 2.0 - 1.0) + lam_star
     ok = np.flatnonzero(exterior <= 0.0)
     if ok.size == 0:
-        raise ValueError(f"no admissible cap radius up to {r0_max}: exterior bracket never closes")
+        raise ValueError(f"no admissible cap radius up to {_R0_MAX}: exterior bracket never closes")
     r0 = float(mesh[ok[0]])
     return PowerBarrier(alpha, r0), float(alpha * kn1 / ((alpha + 1.0) * r0))
 
@@ -306,8 +308,7 @@ def glued_barrier(M: ModelManifold, lam, alpha, beta, r0, r1, r2, R_max, N) -> G
     """
     if not (0.0 < r1 < r0 < r2 < R_max):
         raise ValueError(f"need 0 < r1 < r0 < r2 < R_max, got ({r1}, {r0}, {r2}, {R_max})")
-    psi = M.psi
-    gamma = psi.gamma if isinstance(psi, TabulatedWarping) and psi.gamma is not None else 0.0
+    gamma = M.psi.gamma
     if gamma > 0:
         a_lo = max(1.0 - gamma / 2.0, 0.0)
         a_hi = 1.0 + gamma / 2.0
@@ -531,34 +532,3 @@ def dump_barrier_kv(barrier, lam: float) -> str:
             f"r2={barrier.r2:.17g} lambda={lam:.17g}"
         )
     raise TypeError(f"unknown barrier type {type(barrier).__name__}")
-
-
-def parse_barrier_kv(text: str) -> dict:
-    """Parse a flat ``key=value`` barrier line into typed entries."""
-    out: dict = {}
-    for token in text.split():
-        key, _, value = token.partition("=")
-        if not _:
-            raise ValueError(f"malformed barrier entry {token!r}")
-        out[key] = value if key == "kind" else float(value)
-    if "kind" not in out:
-        raise ValueError("barrier line has no kind")
-    return out
-
-
-def load_barrier_kv(path):
-    """Reconstruct a closed-form barrier and its lam from a kv file.
-
-    Glued barriers carry grid data beyond the kv line; reload those from
-    their profile CSV instead.
-    """
-    with open(path) as fh:
-        d = parse_barrier_kv(fh.read().strip())
-    lam = d.get("lambda")
-    if d["kind"] == "exp":
-        return ExpBarrier(d["alpha"], d["beta"]), lam
-    if d["kind"] == "power-tail":
-        return PowerBarrier(d["alpha"], d["r0"]), lam
-    raise ValueError(
-        f"barrier kind {d['kind']!r} is not closed-form; reload its profile CSV"
-    )

@@ -143,25 +143,33 @@ def _admissible(section, build, *args, **kwargs):
         raise ConfigError(f"[{section}] {exc}") from exc
 
 
+def _finite(text):
+    """A float, refusing nan and inf: no admissibility check has to handle them."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"value must be finite, got {x}")
+    return x
+
+
 def _drift_floor(text):
     """A configured drift floor constant c_lower > 0, or None for 'measured'."""
     if text == "measured":
         return None
-    c = float(text)
+    c = _finite(text)
     if not c > 0:
         raise ValueError(f"drift floor constant must be positive, got {c}")
     return c
 
 
 def _positive_lambda(text):
-    lam = float(text)
+    lam = _finite(text)
     if not lam > 0:
         raise ValueError(f"lambda must be positive, got {lam}")
     return lam
 
 
 def _floats(text):
-    return tuple(float(tok) for tok in text.replace(",", " ").split())
+    return tuple(_finite(tok) for tok in text.replace(",", " ").split())
 
 
 # The schema: every section a config may have, every key it accepts and
@@ -170,29 +178,35 @@ def _floats(text):
 # (blowup_threshold excepted) plus snapshots.
 KEYS = {
     "manifold": {
-        "kind": str, "n": int, "k": float, "c0": float, "gamma": float, "r_max": float,
-        "dr": float,
+        "kind": str, "n": int, "k": _finite, "c0": _finite, "gamma": _finite,
+        "r_max": _finite, "dr": _finite,
     },
-    "forcing": {"kind": str, "q": float, "sigma": float},
-    "problem": {"p": float, "lambda_policy": str, "lambda": _positive_lambda},
+    "forcing": {"kind": str, "q": _finite, "sigma": _finite},
+    "problem": {"p": _finite, "lambda_policy": str, "lambda": _positive_lambda},
     "barrier": {
-        "kind": str, "alpha": float, "beta": float, "beta_policy": str, "c_lower": _drift_floor,
-        "lambda_fraction": float, "r0": float, "r1": float, "r2": float,
+        "kind": str, "alpha": _finite, "beta": _finite, "beta_policy": str,
+        "c_lower": _drift_floor, "lambda_fraction": _finite, "r0": _finite, "r1": _finite,
+        "r2": _finite,
     },
-    "u0": {"kind": str, "factor": float, "amplitude": float, "width": float, "alpha": float},
-    "grid": {"R": float, "N": int, "R_list": _floats, "dr": float},
+    "u0": {
+        "kind": str, "factor": _finite, "amplitude": _finite, "width": _finite,
+        "alpha": _finite,
+    },
+    "grid": {"R": _finite, "N": int, "R_list": _floats, "dr": _finite},
     "controls": {
-        "t_end": float, "dt_init": float, "dt_min": float, "dt_max": float, "rel_tol": float,
-        "snapshots": int,
+        "t_end": _finite, "dt_init": _finite, "dt_min": _finite, "dt_max": _finite,
+        "rel_tol": _finite, "snapshots": int,
     },
     "sweep": {
-        "axis": str, "values": _floats, "start": float, "stop": float, "count": int,
-        "axis2": str, "values2": _floats, "start2": float, "stop2": float, "count2": int,
+        "axis": str, "values": _floats, "start": _finite, "stop": _finite, "count": int,
+        "axis2": str, "values2": _floats, "start2": _finite, "stop2": _finite, "count2": int,
     },
     "check": {
-        "k": float, "c0": float, "gamma": float, "r_min": float, "r_max": float, "nodes": int,
+        "k": _finite, "c0": _finite, "gamma": _finite, "r_min": _finite, "r_max": _finite,
+        "nodes": int,
     },
 }
+
 
 
 def _section(sections, name):

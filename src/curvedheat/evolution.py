@@ -83,13 +83,13 @@ class EvolutionControls:
     blowup_threshold: float | None = None  # default: 1e8 * ||u0||_inf
 
     def __post_init__(self):
-        if self.t_end <= 0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
+        if not 0 < self.t_end < math.inf:
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         if not (self.dt_min < self.dt_init <= self.dt_max):
             raise ValueError(
                 f"need dt_min < dt_init <= dt_max, got ({self.dt_min}, {self.dt_init}, {self.dt_max})"
             )
-        if self.rel_tol < 0:
+        if not self.rel_tol >= 0:
             raise ValueError(f"rel_tol must be >= 0, got {self.rel_tol}")
         if self.blowup_threshold is not None and not math.isfinite(self.blowup_threshold):
             raise ValueError("blowup_threshold must be finite when given")
@@ -194,7 +194,7 @@ def solve_on_ball(
     grid = u0.grid
     if abs(grid.R - R) > 1e-9 * max(1.0, R):
         raise ValueError(f"u0 lives on a grid with R = {grid.R}, not {R}")
-    if p <= 1:
+    if not p > 1:
         raise ValueError(f"reaction exponent must satisfy p > 1, got {p}")
     vals = u0.values
     if not np.all(np.isfinite(vals)):
@@ -396,7 +396,7 @@ def compare_with_envelope(outcome: RunOutcome, w_values, envelope, tol: float | 
     envelope's own amplitude scales them.  The default tolerance budgets
     the spatial and temporal discretization error as 1e-3 * ||u0||_inf.
     """
-    w = w_values.values if isinstance(w_values, RadialField) else np.asarray(w_values, dtype=float)
+    w = np.asarray(w_values, dtype=float)
     u0 = outcome.snapshots[0][1]
     if w.shape != u0.shape:
         raise ValueError("barrier values and run fields live on different grids")

@@ -48,31 +48,24 @@ __all__ = [
     "check_curvature_bounds",
     "drift_lower_constant",
     "save_warping_csv",
-    "load_warping_csv",
 ]
 
 WARPING_CSV_HEADER = "r,log_psi,psi1_over_psi,psi2_over_psi"
 
 
 class WarpingFunction:
-    """Interface for psi: plain values plus overflow-safe ratio forms.
+    """Interface for psi, through overflow-safe forms only.
 
-    ``eval``/``deriv1``/``deriv2`` return psi, psi', psi'' and may
-    overflow for fast-growing warpings at large r; ``log_eval``,
-    ``ratio1`` (psi'/psi) and ``ratio2`` (psi''/psi) never do.
+    ``log_eval`` (log psi), ``ratio1`` (psi'/psi), ``ratio2`` (psi''/psi)
+    and ``sphere_ratio`` ((1 - psi'^2)/psi^2, the sectional curvature of
+    tangent spheres) stay finite however fast psi grows.  ``r_max`` is
+    the end of the domain and ``gamma`` the curvature-divergence
+    exponent (0 unless the radial curvature diverges).
     """
 
     kind = "abstract"
     r_max = math.inf
-
-    def eval(self, r):
-        return np.exp(self.log_eval(r))
-
-    def deriv1(self, r):
-        return self.ratio1(r) * self.eval(r)
-
-    def deriv2(self, r):
-        return self.ratio2(r) * self.eval(r)
+    gamma = 0.0
 
     def log_eval(self, r):
         raise NotImplementedError
@@ -84,22 +77,11 @@ class WarpingFunction:
         raise NotImplementedError
 
     def sphere_ratio(self, r):
-        """(1 - psi'^2)/psi^2, the sectional curvature of tangent spheres."""
-        psi1 = self.deriv1(r)
-        return (1.0 - psi1 * psi1) / self.eval(r) ** 2
+        raise NotImplementedError
 
 
 class EuclideanWarping(WarpingFunction):
     kind = "euclidean"
-
-    def eval(self, r):
-        return np.asarray(r, dtype=float)
-
-    def deriv1(self, r):
-        return np.ones_like(np.asarray(r, dtype=float))
-
-    def deriv2(self, r):
-        return np.zeros_like(np.asarray(r, dtype=float))
 
     def log_eval(self, r):
         return np.log(r)
@@ -120,18 +102,9 @@ class HyperbolicWarping(WarpingFunction):
     kind = "hyperbolic"
 
     def __init__(self, k: float):
-        if k <= 0:
+        if not k > 0:
             raise ValueError(f"curvature scale k must be positive, got {k}")
         self.k = float(k)
-
-    def eval(self, r):
-        return np.sinh(self.k * np.asarray(r, dtype=float)) / self.k
-
-    def deriv1(self, r):
-        return np.cosh(self.k * np.asarray(r, dtype=float))
-
-    def deriv2(self, r):
-        return self.k * np.sinh(self.k * np.asarray(r, dtype=float))
 
     def log_eval(self, r):
         # log(sinh(kr)/k) written to survive kr >> 1
@@ -174,7 +147,7 @@ class _CubicHermite:
 
 
 class TabulatedWarping(WarpingFunction):
-    """Warping function stored as (r, log psi, psi'/psi, psi''/psi) nodes.
+    """Jacobi-equation warping function stored as (r, log psi, psi'/psi) nodes.
 
     Interpolation acts on the pole-regular quantities g = r psi'/psi and
     h = log(psi/r), both smooth down to r = 0 with g(0) = 1, h(0) = 0,
@@ -182,15 +155,14 @@ class TabulatedWarping(WarpingFunction):
     piecewise-cubic Hermite interpolant whose node slopes come from the
     Jacobi equation the table solves: h' = psi'/psi - 1/r and
     g' = psi'/psi + r (psi''/psi - (psi'/psi)^2), both 0 at the pole.
-    A table built with its curvature amplitude ``c0`` evaluates psi''/psi
-    in closed form; one loaded without it interpolates the stored
-    psi''/psi with ``np.gradient`` slopes.  Evaluation outside [0, r_max]
-    is refused.
+    psi''/psi is that equation's coefficient, c0 (1 + r^gamma) (c0 at
+    gamma = 0), in closed form.
+    Evaluation outside [0, r_max] is refused.
     """
 
     kind = "tabulated"
 
-    def __init__(self, r, log_psi, ratio1, ratio2, c0=None, gamma=None):
+    def __init__(self, r, log_psi, ratio1, c0, gamma):
         r = np.asarray(r, dtype=float)
         if r.ndim != 1 or r.size < 4:
             raise ValueError("need at least 4 table nodes")
@@ -199,14 +171,14 @@ class TabulatedWarping(WarpingFunction):
         self.r = r
         self.log_psi = np.asarray(log_psi, dtype=float)
         self._ratio1 = np.asarray(ratio1, dtype=float)
-        self._ratio2 = np.asarray(ratio2, dtype=float)
         self.c0 = c0
         self.gamma = gamma
         self.r_max = float(r[-1])
         # class-A normalization: psi ~ r at the pole
         if abs(r[0] * self._ratio1[0] - 1.0) > 0.05:
             raise ValueError("table is not normalized to psi'(0) = 1")
-        s, q = self._ratio1, self._ratio2
+        s = self._ratio1
+        q = _jacobi_coefficient(r, c0, gamma)
         r_full = np.concatenate(([0.0], r))
         self._g = _CubicHermite(
             r_full,
@@ -218,10 +190,6 @@ class TabulatedWarping(WarpingFunction):
             np.concatenate(([0.0], self.log_psi - np.log(r))),
             np.concatenate(([0.0], s - 1.0 / r)),
         )
-        if c0 is None:
-            self._q = _CubicHermite(r, q, np.gradient(q, r, edge_order=2))
-        else:
-            self._q = None
 
     def _check_range(self, r):
         r = np.asarray(r, dtype=float)
@@ -233,19 +201,12 @@ class TabulatedWarping(WarpingFunction):
         r = self._check_range(r)
         return np.log(r) + self._h(r)
 
-    def eval(self, r):
-        r = self._check_range(r)
-        return r * np.exp(self._h(r))
-
     def ratio1(self, r):
         r = self._check_range(r)
         return self._g(r) / r
 
     def ratio2(self, r):
-        r = self._check_range(r)
-        if self._q is None:
-            return _jacobi_coefficient(r, self.c0, self.gamma)
-        return self._q(np.maximum(r, self.r[0]))
+        return _jacobi_coefficient(self._check_range(r), self.c0, self.gamma)
 
     def sphere_ratio(self, r):
         r = self._check_range(r)
@@ -378,8 +339,7 @@ def make_gamma_model(n: int, c0: float, gamma: float, r_max: float, dr: float) -
             p = 1.0
         record(i, r, p, v, scale)
 
-    ratio2 = _jacobi_coefficient(radii, c0, gamma)
-    return ModelManifold(n, TabulatedWarping(radii, log_psi, ratio1, ratio2, c0=c0, gamma=gamma))
+    return ModelManifold(n, TabulatedWarping(radii, log_psi, ratio1, c0, gamma))
 
 
 def _positive_radii(r):
@@ -447,8 +407,3 @@ def save_warping_csv(psi: TabulatedWarping, path):
         q = psi.ratio2(psi.r)
         for r, lp, s, qq in zip(psi.r, psi.log_psi, psi._ratio1, q):
             fh.write(f"{r:.17g},{lp:.17g},{s:.17g},{qq:.17g}\n")
-
-
-def load_warping_csv(path) -> TabulatedWarping:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    return TabulatedWarping(data[:, 0], data[:, 1], data[:, 2], data[:, 3])

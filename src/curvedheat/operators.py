@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import LinAlgError, get_lapack_funcs
 
-from .geometry import ModelManifold, TabulatedWarping, drift
+from .geometry import ModelManifold, drift
 
 __all__ = [
     "RadialGrid",
@@ -37,9 +37,7 @@ __all__ = [
     "apply_laplacian",
     "apply_laplacian_analytic",
     "sup_norm",
-    "volume_inner_product",
     "save_field_csv",
-    "load_field_csv",
 ]
 
 
@@ -97,10 +95,9 @@ class SmoothRadialFn:
 
 
 def _check_compatible(M: ModelManifold, grid: RadialGrid):
-    psi = M.psi
-    if isinstance(psi, TabulatedWarping) and grid.R > psi.r_max * (1.0 + 1e-12):
+    if grid.R > M.psi.r_max * (1.0 + 1e-12):
         raise ValueError(
-            f"grid reaches R = {grid.R} beyond the tabulated warping range {psi.r_max}"
+            f"grid reaches R = {grid.R} beyond the tabulated warping range {M.psi.r_max}"
         )
 
 
@@ -182,40 +179,8 @@ def sup_norm(u: RadialField) -> float:
     return float(np.max(np.abs(u.values)))
 
 
-def volume_inner_product(M: ModelManifold, u: RadialField, w: RadialField) -> float:
-    """Trapezoidal integral of u*w against the area density psi^{n-1}.
-
-    The constant sphere-area factor is omitted (it cancels in every
-    Rayleigh quotient and comparison used here).  The weight is
-    accumulated in log form; if the true integral exceeds the float
-    range the result is inf.
-    """
-    if u.grid != w.grid:
-        raise ValueError("fields live on different grids")
-    grid = u.grid
-    _check_compatible(M, grid)
-    lw = (M.n - 1) * M.psi.log_eval(grid.nodes[1:])
-    ref = float(np.max(lw))
-    weights = np.exp(lw - ref)
-    weights[-1] *= 0.5  # trapezoid end; the r=0 end has zero area density
-    s = float(np.sum(u.values[1:] * w.values[1:] * weights)) * grid.dr
-    if s == 0.0:
-        return 0.0
-    return s * float(np.exp(ref))
-
-
 def save_field_csv(u: RadialField, path):
     with open(path, "w") as fh:
         fh.write("r,u\n")
         for r, val in zip(u.grid.nodes, u.values):
             fh.write(f"{r:.17g},{val:.17g}\n")
-
-
-def load_field_csv(path) -> RadialField:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    r = data[:, 0]
-    dr = r[1] - r[0]
-    if not np.allclose(np.diff(r), dr, rtol=1e-9, atol=1e-12):
-        raise ValueError("field CSV is not on a uniform grid")
-    grid = RadialGrid(R=float(r[-1]), N=len(r) - 2)
-    return RadialField(grid, data[:, 1])

@@ -298,14 +298,16 @@ def test_two_axis_sweep(tmp_path):
 
 
 def test_barrier_kv_reload(tmp_path):
-    from curvedheat import ExpBarrier, load_barrier_kv
+    from curvedheat import ExpBarrier
 
     cfg = write_cfg(tmp_path, HYPERBOLIC_SIM)
     out = tmp_path / "bar"
     assert main(["barrier", "--config", str(cfg), "--out", str(out)]) == 0
-    barrier, lam = load_barrier_kv(out / "barrier.kv")
-    assert isinstance(barrier, ExpBarrier)
-    assert lam == 1.0  # mckean policy on the unit-curvature model
+    (line,) = (out / "barrier.kv").read_text().splitlines()
+    d = dict(token.split("=", 1) for token in line.split())
+    assert d["kind"] == "exp"
+    ExpBarrier(float(d["alpha"]), float(d["beta"]))  # a valid closed-form barrier
+    assert float(d["lambda"]) == 1.0  # mckean policy on the unit-curvature model
 
 
 def test_power_tail_preset_certified_run(tmp_path):
@@ -393,12 +395,17 @@ GEOMETRY_BASE = "[manifold]\nkind = hyperbolic\nn = 3\nk = 1.0\n\n[grid]\nR = 10
         (GEOMETRY_BASE + "[controls]\nblowup_threshold = 1e300\n", "unknown key 'blowup_threshold'"),
         (GEOMETRY_BASE + "[u0]\nfallback = 2\n", "[u0] unknown key 'fallback'"),
         (GEOMETRY_BASE + "[controls]\nrel_tol = 5%\n", "config does not parse"),
+        (GEOMETRY_BASE + "[controls]\nt_end = nan\n", "[controls] bad value for 't_end'"),
+        (GEOMETRY_BASE + "[problem]\np = nan\n", "[problem] bad value for 'p'"),
+        (GEOMETRY_BASE + "[controls]\nrel_tol = nan\n", "[controls] bad value for 'rel_tol'"),
+        (GEOMETRY_BASE.replace("k = 1.0", "k = nan"), "[manifold] bad value for 'k'"),
+        (GEOMETRY_BASE + "[problem]\np = inf\n", "[problem] bad value for 'p'"),
     ],
     ids=["sigma", "q", "t_end", "dt-order", "c_lower-text", "c_lower-sign", "sweep-sigma",
          "gamma-dr", "grid-R", "grid-N", "u0-width", "explicit-lambda", "exp-alpha",
          "check-nodes", "check-r_min", "u0-power-tail-alpha", "unknown-section",
          "default-section", "unknown-key", "retired-blowup_threshold", "retired-fallback",
-         "interpolation"],
+         "interpolation", "t_end-nan", "p-nan", "rel_tol-nan", "k-nan", "p-inf"],
 )
 def test_inadmissible_config_values_are_config_errors(tmp_path, capsys, text, hypothesis):
     cfg = write_cfg(tmp_path, text)

@@ -89,6 +89,20 @@ def test_input_validation(euclid3):
         EvolutionControls(t_end=1.0, dt_init=1.0, dt_max=0.5)
 
 
+def test_nan_knobs_are_refused(euclid3):
+    # a NaN horizon is never reached and an infinite one counts as reached
+    # at t = 0; every guard is written so that NaN fails it
+    for t_end in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="t_end must be positive and finite"):
+            EvolutionControls(t_end=t_end)
+    with pytest.raises(ValueError, match="rel_tol must be >= 0"):
+        EvolutionControls(t_end=1.0, rel_tol=math.nan)
+    g = RadialGrid(10.0, 100)
+    u0 = make_u0(g, bump_profile(1.0, 2.0))
+    with pytest.raises(ValueError, match="p > 1"):
+        solve_on_ball(euclid3, 10.0, u0, Forcing.one(), math.nan, EvolutionControls(t_end=1.0))
+
+
 def test_nonnegativity_preserved(hyp3):
     g = RadialGrid(10.0, 200)
     u0 = make_u0(g, bump_profile(1.0, 2.0))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from curvedheat import (
     check_curvature_bounds,
     drift,
     drift_lower_constant,
-    load_warping_csv,
     make_euclidean,
     make_gamma_model,
     make_hyperbolic,
@@ -16,9 +17,10 @@ from curvedheat import (
 
 
 def test_euclidean_definitions(euclid3):
-    assert euclid3.psi.eval(2.0) == 2.0
-    assert euclid3.psi.deriv1(2.0) == 1.0
-    assert euclid3.psi.deriv2(2.0) == 0.0
+    # psi = r, psi' = 1, psi'' = 0
+    assert euclid3.psi.log_eval(2.0) == math.log(2.0)
+    assert euclid3.psi.ratio1(2.0) == 0.5
+    assert euclid3.psi.ratio2(2.0) == 0.0
     r = np.linspace(0.1, 10, 50)
     assert np.all(sphere_curvature(euclid3, r) == 0.0)
     assert np.all(radial_curvature(euclid3, r) == 0.0)
@@ -32,6 +34,8 @@ def test_dimension_and_scale_validation():
         make_hyperbolic(3, 0.0)
     with pytest.raises(ValueError):
         make_hyperbolic(3, -1.0)
+    with pytest.raises(ValueError):
+        make_hyperbolic(3, math.nan)
     with pytest.raises(ValueError):
         make_gamma_model(3, -1.0, 2.0, 10.0, 1e-3)
 
@@ -60,7 +64,7 @@ def test_hyperbolic_drift_floor_everywhere(hyp3):
 def test_class_a_normalization():
     M = make_hyperbolic(2, 2.0)
     r = np.array([1e-6, 1e-5, 1e-4])
-    assert np.allclose(M.psi.eval(r) / r, 1.0, atol=1e-8)
+    assert np.allclose(np.exp(M.psi.log_eval(r)) / r, 1.0, atol=1e-8)
 
 
 def test_drift_rejects_nonpositive_radius(hyp3):
@@ -74,12 +78,12 @@ def test_gamma_model_matches_hyperbolic_at_gamma_zero():
     # constant-curvature limit: c0 = k^2 must reproduce sinh(kr)/k
     M = make_gamma_model(3, 1.0, 0.0, 10.0, 1e-3)
     r = M.psi.r
-    assert np.max(np.abs(M.psi.eval(r) / np.sinh(r) - 1.0)) < 1e-8
+    assert np.max(np.abs(np.exp(M.psi.log_eval(r)) / np.sinh(r) - 1.0)) < 1e-8
     assert np.max(np.abs(M.psi.ratio1(r) - 1.0 / np.tanh(r))) < 1e-8
     k = 1.7
     M2 = make_gamma_model(4, k**2, 0.0, 8.0, 1e-3)
     r = M2.psi.r
-    assert np.max(np.abs(M2.psi.eval(r) / (np.sinh(k * r) / k) - 1.0)) < 1e-8
+    assert np.max(np.abs(np.exp(M2.psi.log_eval(r)) / (np.sinh(k * r) / k) - 1.0)) < 1e-8
 
 
 def test_gamma_model_curvature_is_exact(gamma2):
@@ -117,14 +121,19 @@ def test_gamma_model_coarse_step_rejected():
 
 
 def test_tabulated_finite_difference_consistency(gamma2):
-    # centered differences of psi must reproduce deriv1/deriv2 to O(h^2)
+    # centered differences of psi = exp(log_eval) must reproduce
+    # psi' = ratio1 psi and psi'' = ratio2 psi to O(h^2)
     psi = gamma2.psi
     r = np.linspace(0.5, 8.0, 40)
     h = 1e-4
-    d1 = (psi.eval(r + h) - psi.eval(r - h)) / (2 * h)
-    d2 = (psi.eval(r + h) - 2 * psi.eval(r) + psi.eval(r - h)) / h**2
-    assert np.max(np.abs(d1 / psi.deriv1(r) - 1.0)) < 1e-6
-    assert np.max(np.abs(d2 / psi.deriv2(r) - 1.0)) < 1e-5
+
+    def val(x):
+        return np.exp(psi.log_eval(x))
+
+    d1 = (val(r + h) - val(r - h)) / (2 * h)
+    d2 = (val(r + h) - 2 * val(r) + val(r - h)) / h**2
+    assert np.max(np.abs(d1 / (psi.ratio1(r) * val(r)) - 1.0)) < 1e-6
+    assert np.max(np.abs(d2 / (psi.ratio2(r) * val(r)) - 1.0)) < 1e-5
 
 
 def test_drift_is_log_derivative_of_area_factor(hyp3, gamma2):
@@ -170,10 +179,13 @@ def test_warping_csv_roundtrip(tmp_path, gamma2):
     save_warping_csv(gamma2.psi, path)
     header = path.read_text().splitlines()[0]
     assert header == "r,log_psi,psi1_over_psi,psi2_over_psi"
-    loaded = load_warping_csv(path)
-    r = np.linspace(0.5, 20, 50)
-    assert np.allclose(loaded.ratio1(r), gamma2.psi.ratio1(r), rtol=1e-10)
-    assert np.allclose(loaded.log_eval(r), gamma2.psi.log_eval(r), rtol=1e-10)
+    # %.17g round-trips every double, so the columns are the table itself
+    r, log_psi, ratio1, ratio2 = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
+    psi = gamma2.psi
+    assert np.array_equal(r, psi.r)
+    assert np.array_equal(log_psi, psi.log_psi)
+    assert np.array_equal(ratio1, psi._ratio1)
+    assert np.array_equal(ratio2, psi.ratio2(psi.r))
 
 
 def test_tabulated_range_is_enforced(gamma2):
@@ -181,7 +193,7 @@ def test_tabulated_range_is_enforced(gamma2):
         gamma2.psi.ratio1(31.0)
 
 
-@pytest.mark.parametrize("method", ["eval", "log_eval", "ratio1", "ratio2", "sphere_ratio"])
+@pytest.mark.parametrize("method", ["log_eval", "ratio1", "ratio2", "sphere_ratio"])
 def test_tabulated_rejects_negative_radius(gamma2, method):
     with pytest.raises(ValueError):
         getattr(gamma2.psi, method)(-0.5)
@@ -231,17 +243,6 @@ def test_interpolant_is_regular_at_the_pole(gamma0_k17):
     tiny = np.array([1e-12, 1e-9])
     assert np.allclose(tiny * psi.ratio1(tiny), 1.0, rtol=0, atol=1e-15)
     assert np.allclose(psi.log_eval(tiny) - np.log(tiny), 0.0, rtol=0, atol=1e-15)
-    assert psi.eval(0.0) == 0.0
+    with np.errstate(divide="ignore"):
+        assert psi.log_eval(0.0) == -np.inf  # psi(0) = 0
 
-
-def test_loaded_table_interpolates_jacobi_coefficient(tmp_path, gamma2, gamma3):
-    # a table read back from CSV has no c0, so psi''/psi is interpolated
-    # with np.gradient slopes; measured off-node error: rounding for
-    # gamma = 2 (the slopes are exact on a quadratic), 3.8e-10 for gamma = 3
-    for M, gamma, tol in ((gamma2, 2.0, 1e-14), (gamma3, 3.0, 1e-9)):
-        path = tmp_path / f"warp{gamma:g}.csv"
-        save_warping_csv(M.psi, path)
-        loaded = load_warping_csv(path)
-        r = loaded.r
-        for x in (0.5 * (r[:-1] + r[1:]), np.linspace(r[0], r[-1], 1001)[1:-1] + 1e-4 / 3):
-            assert np.max(np.abs(loaded.ratio2(x) / (1.0 + x**gamma) - 1.0)) < tol

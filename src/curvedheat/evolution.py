@@ -20,6 +20,17 @@ dt*eigenvalue mu the amplification of T33,
 for mu in (4.51, 18.8), down to -0.0136, so adaptive runs stay
 nonnegative only up to the tolerance.
 
+Each adaptive attempt solves with three matrices, I - (dt/j)*Delta_h for
+j = 1, 2, 3.  Their LU factors are computed once per step size and
+reused while dt stays put; dt moves after a rejection, after a
+threshold crossing, at the clamp of the last step to the horizon, and
+when the controller rescales it.  As in RADAU5's strategy (Hairer &
+Wanner, Solving ODEs II, IV.8), an accepted step whose controller
+proposes growth by a factor between 1 and 1.2 keeps dt as it is, so
+that its factors serve the next step too; every step still passes the
+tolerance test.  A fixed-step run factors once, and once more if its
+last step is clamped.
+
 Near blow-up the explicit reaction drives the estimator up, dt
 collapses, and that collapse doubles as the detector: a blow-up verdict
 requires both the sup norm exceeding the threshold and the accepted dt
@@ -38,7 +49,7 @@ import numpy as np
 
 from .forcing import Forcing
 from .geometry import ModelManifold
-from .operators import RadialField, RadialGrid, laplacian_tridiag, solve_banded, sup_norm
+from .operators import RadialField, RadialGrid, factor_banded, laplacian_tridiag, solve_banded, sup_norm
 
 __all__ = [
     "VERDICT_GLOBAL",
@@ -63,6 +74,9 @@ VERDICT_BLOWUP = "blow-up"
 VERDICT_UNDECIDED = "undecided"
 
 _MAX_STEPS = 2_000_000
+# an accepted step whose controller proposes growth by a factor in
+# [1, _DT_HOLD] keeps dt, and with it the LU factors of its IMEX matrices
+_DT_HOLD = 1.2
 
 
 @dataclass(frozen=True)
@@ -72,7 +86,10 @@ class EvolutionControls:
     rel_tol bounds, relative to the sup norm, the estimated local error
     of T32, the second-order entry below the accepted third-order T33;
     rel_tol = 0 disables adaptivity and runs IMEX Euler at the fixed
-    step dt_init.
+    step dt_init.  An adaptive dt moves only when the controller asks
+    for a factor below 1 or above 1.2 (the dead band of Hairer & Wanner,
+    Solving ODEs II, IV.8, which lets the LU factors of the IMEX
+    matrices serve consecutive steps).
     """
 
     t_end: float
@@ -126,19 +143,26 @@ class EnvelopeComparison:
     passed: bool
 
 
-def _imex_parts(M: ModelManifold, grid: RadialGrid, forcing: Forcing, p: float, reaction):
-    """Return react(u, t), the reaction term, and imex(dt), the (sub, diag, sup) of I - dt*Delta_h."""
+def _imex_parts(M: ModelManifold, grid: RadialGrid, forcing: Forcing, p: float, reaction, substeps):
+    """Return react(u, t), the reaction term, and imex(dt), the LU factors of I - (dt/j)*Delta_h per j in substeps.
+
+    imex keeps the factors of the last dt it was given and factors again
+    only when dt changes.
+    """
     sub, diag, sup = laplacian_tridiag(M, grid)
+    kept_dt, kept = None, None
 
     def react(u, t):
         if reaction is not None:
             return reaction(u, t)
-        # overflow to inf is an outcome the step controller handles
-        with np.errstate(over="ignore"):
-            return float(forcing.h(t)) * np.maximum(u, 0.0) ** p
+        return float(forcing.h(t)) * np.maximum(u, 0.0) ** p
 
     def imex(dt):
-        return -dt * sub, 1.0 - dt * diag, -dt * sup
+        nonlocal kept_dt, kept
+        if dt != kept_dt:
+            kept = [factor_banded(-h * sub, 1.0 - h * diag, -h * sup) for h in (dt / j for j in substeps)]
+            kept_dt = dt
+        return kept
 
     return react, imex
 
@@ -180,7 +204,9 @@ def solve_on_ball(
         Replaces h(t) u^p (test hook, e.g. the linear term lam*u).  It
         must be a pure function of (u, t): an adaptive attempt calls it
         four times, at t (shared by the three first substeps), t + dt/2,
-        t + dt/3 and t + 2 dt/3; a fixed step calls it once.
+        t + dt/3 and t + 2 dt/3; a fixed step calls it once.  It runs
+        under ``np.errstate(over="ignore")``: overflow to inf is a
+        rejected trial, never a warning.
     n_snapshots : int
         Field snapshots at equispaced times via linear interpolation in
         t, so runs with different step sequences stay comparable.
@@ -204,7 +230,6 @@ def solve_on_ball(
     if vals[-1] != 0.0:
         raise ValueError("u0 must vanish at the Dirichlet boundary node")
 
-    react, imex = _imex_parts(M, grid, forcing, p, reaction)
     sup0 = sup_norm(u0)
     if controls.blowup_threshold is not None:
         threshold = controls.blowup_threshold
@@ -220,6 +245,7 @@ def solve_on_ball(
     t = 0.0
     dt = controls.dt_init
     adaptive = controls.rel_tol > 0.0
+    react, imex = _imex_parts(M, grid, forcing, p, reaction, (1, 2, 3) if adaptive else (1,))
     history = [(0.0, sup0, 0.0)]
     t_cross = None
     verdict = None
@@ -234,78 +260,82 @@ def solve_on_ball(
             snapshots.append((float(ts), np.concatenate((ui, [0.0]))))
             next_sample += 1
 
-    for _ in range(_MAX_STEPS):
-        remaining = controls.t_end - t
-        if remaining <= max(controls.dt_min, 1e-12 * controls.t_end):
-            # horizon reached to within the step-size floor
-            verdict = VERDICT_GLOBAL
-            break
-        dt = min(dt, controls.dt_max, remaining)
-        if adaptive:
-            # harmonic-sequence extrapolation of the IMEX Euler substep:
-            # T_j1 takes j substeps of dt/j, and the first substeps share r
-            r = react(u, t)
-            t11 = solve_banded(*imex(dt), u + dt * r)
-            h = 0.5 * dt
-            a = imex(h)
-            v = solve_banded(*a, u + h * r)
-            t21 = solve_banded(*a, v + h * react(v, t + h))
-            h = dt / 3.0
-            a = imex(h)
-            v = solve_banded(*a, u + h * r)
-            v = solve_banded(*a, v + h * react(v, t + h))
-            t31 = solve_banded(*a, v + h * react(v, t + 2.0 * h))
-            t32 = 3.0 * t31 - 2.0 * t21
-            # T33 = T32 + d with d = (T32 - T22) / 2 and T22 = 2 T21 - T11;
-            # est = |d| is nan or inf when any trial is, so it doubles as the finiteness test
-            d = 0.5 * (t32 - 2.0 * t21 + t11)
-            u_new = t32 + d
-            est = float(np.max(np.abs(d)))
-            s_new = float(np.max(np.abs(u_new)))
-            scale = max(s_new, s, 1e-300)
-            finite = math.isfinite(est)
-            accept = finite and est <= controls.rel_tol * scale
-        else:
-            u_new = solve_banded(*imex(dt), u + dt * react(u, t))
-            s_new = float(np.max(np.abs(u_new)))
-            finite = accept = math.isfinite(s_new)
-
-        if accept:
-            t_old, u_old = t, u
-            t = t + dt
-            u, s = u_new, s_new
-            history.append((t, s, dt))
-            take_snapshots(t_old, u_old, t, u)
-            if s >= threshold and t_cross is None:
-                t_cross = t
-            if t_cross is not None:
-                # threshold crossed: force the step size down so the
-                # dt-collapse half of the blow-up verdict is reached
-                dt = 0.5 * dt
-            elif adaptive:
-                dt = dt * _step_factor(est, controls.rel_tol * scale)
-        elif not finite:
-            dt = 0.25 * dt
-        else:
-            dt = dt * _step_factor(est, controls.rel_tol * scale)
-        if dt < controls.dt_min:
-            if t_cross is not None:
-                verdict = VERDICT_BLOWUP
+    # overflow to inf is an outcome the step controller handles
+    with np.errstate(over="ignore"):
+        for _ in range(_MAX_STEPS):
+            remaining = controls.t_end - t
+            if remaining <= max(controls.dt_min, 1e-12 * controls.t_end):
+                # horizon reached to within the step-size floor
+                verdict = VERDICT_GLOBAL
+                break
+            dt = min(dt, controls.dt_max, remaining)
+            if adaptive:
+                # harmonic-sequence extrapolation of the IMEX Euler substep:
+                # T_j1 takes j substeps of dt/j, and the first substeps share r
+                lu1, lu2, lu3 = imex(dt)
+                r = react(u, t)
+                t11 = solve_banded(lu1, u + dt * r)
+                h = 0.5 * dt
+                v = solve_banded(lu2, u + h * r)
+                t21 = solve_banded(lu2, v + h * react(v, t + h))
+                h = dt / 3.0
+                v = solve_banded(lu3, u + h * r)
+                v = solve_banded(lu3, v + h * react(v, t + h))
+                t31 = solve_banded(lu3, v + h * react(v, t + 2.0 * h))
+                t32 = 3.0 * t31 - 2.0 * t21
+                # T33 = T32 + d with d = (T32 - T22) / 2 and T22 = 2 T21 - T11;
+                # est = |d| is nan or inf when any trial is, so it doubles as the finiteness test
+                d = 0.5 * (t32 - 2.0 * t21 + t11)
+                u_new = t32 + d
+                est = float(np.max(np.abs(d)))
+                s_new = float(np.max(np.abs(u_new)))
+                scale = max(s_new, s, 1e-300)
+                finite = math.isfinite(est)
+                accept = finite and est <= controls.rel_tol * scale
             else:
-                verdict = VERDICT_UNDECIDED
-                note = (
-                    f"step size collapsed below dt_min = {controls.dt_min:g} at t = {t:.6g} "
-                    "without the sup norm reaching the blow-up threshold"
-                )
-            break
-        if not finite and not adaptive:
-            verdict = VERDICT_BLOWUP if t_cross is not None else VERDICT_UNDECIDED
-            if verdict == VERDICT_UNDECIDED:
-                note = f"non-finite values at t = {t:.6g} in fixed-step mode"
-            break
-    else:
-        verdict = VERDICT_UNDECIDED
-        note = f"step budget ({_MAX_STEPS}) exhausted at t = {t:.6g}"
+                (lu1,) = imex(dt)
+                u_new = solve_banded(lu1, u + dt * react(u, t))
+                s_new = float(np.max(np.abs(u_new)))
+                finite = accept = math.isfinite(s_new)
+
+            if accept:
+                t_old, u_old = t, u
+                t = t + dt
+                u, s = u_new, s_new
+                history.append((t, s, dt))
+                take_snapshots(t_old, u_old, t, u)
+                if s >= threshold and t_cross is None:
+                    t_cross = t
+                if t_cross is not None:
+                    # threshold crossed: force the step size down so the
+                    # dt-collapse half of the blow-up verdict is reached
+                    dt = 0.5 * dt
+                elif adaptive:
+                    grow = _step_factor(est, controls.rel_tol * scale)
+                    if not 1.0 <= grow <= _DT_HOLD:
+                        dt = dt * grow
+            elif not finite:
+                dt = 0.25 * dt
+            else:
+                dt = dt * _step_factor(est, controls.rel_tol * scale)
+            if dt < controls.dt_min:
+                if t_cross is not None:
+                    verdict = VERDICT_BLOWUP
+                else:
+                    verdict = VERDICT_UNDECIDED
+                    note = (
+                        f"step size collapsed below dt_min = {controls.dt_min:g} at t = {t:.6g} "
+                        "without the sup norm reaching the blow-up threshold"
+                    )
+                break
+            if not finite and not adaptive:
+                verdict = VERDICT_BLOWUP if t_cross is not None else VERDICT_UNDECIDED
+                if verdict == VERDICT_UNDECIDED:
+                    note = f"non-finite values at t = {t:.6g} in fixed-step mode"
+                break
+        else:
+            verdict = VERDICT_UNDECIDED
+            note = f"step budget ({_MAX_STEPS}) exhausted at t = {t:.6g}"
 
     final = RadialField(grid, np.concatenate((u, [0.0])))
     return RunOutcome(

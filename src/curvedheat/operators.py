@@ -33,6 +33,7 @@ __all__ = [
     "SmoothRadialFn",
     "laplacian_tridiag",
     "tridiag_mult",
+    "factor_banded",
     "solve_banded",
     "apply_laplacian",
     "apply_laplacian_analytic",
@@ -109,7 +110,7 @@ def laplacian_tridiag(M: ModelManifold, grid: RadialGrid):
     diag = -(sub + sup).  The face ratios A_{i+-1/2}/A_i are exponentials
     of log-psi differences, so no entry overflows however fast psi grows.
     sup[N] couples the last unknown to the boundary node u_{N+1};
-    ``tridiag_mult`` and ``solve_banded`` ignore it, which eliminates
+    ``tridiag_mult`` and ``factor_banded`` ignore it, which eliminates
     that node under homogeneous Dirichlet data.
     """
     _check_compatible(M, grid)
@@ -137,22 +138,42 @@ def tridiag_mult(sub, diag, sup, x) -> np.ndarray:
     return y
 
 
-_gtsv = get_lapack_funcs("gtsv", dtype=np.float64)
+_gttrf, _gttrs = get_lapack_funcs(("gttrf", "gttrs"), dtype=np.float64)
 
 
-def solve_banded(sub, diag, sup, b) -> np.ndarray:
-    """Solve (sub, diag, sup) x = b; sub[0], sup[-1] unread; inputs are left intact.
+def factor_banded(sub, diag, sup):
+    """LU factors of the tridiagonal (sub, diag, sup); sub[0], sup[-1] unread; inputs are left intact.
 
-    One LAPACK ``?gtsv`` call (Gaussian elimination with partial
-    pivoting), the routine ``scipy.linalg.solve_banded`` dispatches to
-    for a (1, 1) band, without its input validation: the arguments must
-    be float64 vectors of one length.  Non-finite entries in b give a
-    non-finite x rather than an error; a zero pivot raises LinAlgError.
+    One LAPACK ``?gttrf`` call (Gaussian elimination with partial
+    pivoting), without input validation: the arguments must be float64
+    vectors of one length n >= 2.  A zero pivot raises LinAlgError.  The
+    factors serve any number of ``solve_banded`` calls; factoring once
+    and solving does the arithmetic of ``?gtsv``, the routine
+    ``scipy.linalg.solve_banded`` dispatches to for a (1, 1) band, so
+    the solutions agree with it bit for bit.
     """
-    _, _, _, x, info = _gtsv(sub[1:], diag, sup[:-1], b)
+    dl, d, du = sub[1:], diag, sup[:-1]
+    if d.size == 2:
+        # scipy's ?gttrf and ?gttrs wrappers refuse n = 2: border the
+        # system with a decoupled identity row, which leaves the
+        # elimination of the leading 2x2 block unchanged
+        dl, d, du = np.append(dl, 0.0), np.append(d, 1.0), np.append(du, 0.0)
+    *lu, info = _gttrf(dl, d, du)
     if info > 0:
         raise LinAlgError(f"singular tridiagonal matrix: zero pivot in row {info}")
-    return x
+    return tuple(lu)
+
+
+def solve_banded(lu, b) -> np.ndarray:
+    """Solve A x = b for the factors ``lu = factor_banded(A)``; b is left intact.
+
+    One LAPACK ``?gttrs`` call.  b must be a float64 vector of A's
+    length.  Non-finite entries in b give a non-finite x rather than an
+    error.
+    """
+    if b.size == 2:
+        return _gttrs(*lu, np.append(b, 0.0))[0][:2]
+    return _gttrs(*lu, b)[0]
 
 
 def apply_laplacian(M: ModelManifold, u: RadialField) -> RadialField:

@@ -20,7 +20,14 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .geometry import ModelManifold
-from .operators import RadialField, RadialGrid, laplacian_tridiag, solve_banded, tridiag_mult
+from .operators import (
+    RadialField,
+    RadialGrid,
+    factor_banded,
+    laplacian_tridiag,
+    solve_banded,
+    tridiag_mult,
+)
 
 __all__ = [
     "EigenEstimate",
@@ -98,7 +105,7 @@ def dirichlet_lambda1(M: ModelManifold, R: float, N: int) -> EigenEstimate:
         )[0]
     )
     shift = lam - 4.0 * np.finfo(float).eps * float(np.max(a_diag))
-    y = solve_banded(a_sub, a_diag - shift, a_sup, 1.0 - (grid.nodes[:-1] / R) ** 2)
+    y = solve_banded(factor_banded(a_sub, a_diag - shift, a_sup), 1.0 - (grid.nodes[:-1] / R) ** 2)
     y /= y[int(np.argmax(np.abs(y)))]  # sup-normalise with a positive peak
     residual = float(np.max(np.abs(tridiag_mult(a_sub, a_diag, a_sup, y) - lam * y)))
     return EigenEstimate(

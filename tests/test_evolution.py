@@ -276,8 +276,12 @@ def test_shared_reaction_matches_reference_solves(request, monkeypatch, manifold
 
     calls = {"solve": 0, "reaction": 0}
 
-    def reference_solve(sub, diag, sup, b):
+    def reference_factor(sub, diag, sup):
+        return sub, diag, sup
+
+    def reference_solve(band, b):
         calls["solve"] += 1
+        sub, diag, sup = band
         ab = np.zeros((3, diag.size))
         ab[0, 1:] = sup[:-1]
         ab[1] = diag
@@ -288,6 +292,7 @@ def test_shared_reaction_matches_reference_solves(request, monkeypatch, manifold
         calls["reaction"] += 1
         return float(forcing.h(t)) * np.maximum(u, 0.0) ** p
 
+    monkeypatch.setattr(curvedheat.evolution, "factor_banded", reference_factor)
     monkeypatch.setattr(curvedheat.evolution, "solve_banded", reference_solve)
     ref = solve_on_ball(M, 10.0, u0, forcing, p, ctl, reaction=counted_reaction, n_snapshots=11)
     assert ref.verdict == plain.verdict
@@ -300,6 +305,58 @@ def test_shared_reaction_matches_reference_solves(request, monkeypatch, manifold
     # per attempt: six solves, four reaction evaluations
     assert calls["solve"] >= 6 * (len(plain.history) - 1)
     assert 2 * calls["solve"] == 3 * calls["reaction"]
+
+
+def count_factors_and_solves(monkeypatch):
+    """Count the LU factorizations and the solves solve_on_ball makes."""
+    calls = {"factor": 0, "solve": 0}
+    factor, solve = curvedheat.evolution.factor_banded, curvedheat.evolution.solve_banded
+
+    def counted_factor(*band):
+        calls["factor"] += 1
+        return factor(*band)
+
+    def counted_solve(lu, b):
+        calls["solve"] += 1
+        return solve(lu, b)
+
+    monkeypatch.setattr(curvedheat.evolution, "factor_banded", counted_factor)
+    monkeypatch.setattr(curvedheat.evolution, "solve_banded", counted_solve)
+    return calls
+
+
+def test_fixed_step_run_factors_once_and_matches_per_solve_factoring(hyp3, monkeypatch):
+    g = RadialGrid(10.0, 100)
+    u0 = make_u0(g, bump_profile(0.5, 2.0))
+    # 33 steps of 0.03 and a last step clamped to the remaining 0.01
+    ctl = EvolutionControls(t_end=1.0, dt_init=0.03, dt_max=0.03, rel_tol=0.0)
+    factor, solve = curvedheat.evolution.factor_banded, curvedheat.evolution.solve_banded
+    with monkeypatch.context() as patch:
+        calls = count_factors_and_solves(patch)
+        plain = solve_on_ball(hyp3, 10.0, u0, Forcing.one(), 2.0, ctl, n_snapshots=11)
+    assert plain.verdict == VERDICT_GLOBAL
+    assert calls["solve"] == len(plain.history) - 1 == 34
+    assert calls["factor"] == 2
+
+    def factor_each_solve(band, b):
+        return solve(factor(*band), b)
+
+    monkeypatch.setattr(curvedheat.evolution, "factor_banded", lambda *band: band)
+    monkeypatch.setattr(curvedheat.evolution, "solve_banded", factor_each_solve)
+    ref = solve_on_ball(hyp3, 10.0, u0, Forcing.one(), 2.0, ctl, n_snapshots=11)
+    assert np.array_equal(ref.history, plain.history)
+    assert np.array_equal(ref.final.values, plain.final.values)
+
+
+def test_adaptive_run_reuses_factors_across_steps(hyp3, monkeypatch):
+    g = RadialGrid(10.0, 100)
+    u0 = make_u0(g, bump_profile(0.5, 2.0))
+    calls = count_factors_and_solves(monkeypatch)
+    out = solve_on_ball(hyp3, 10.0, u0, Forcing.one(), 2.0, EvolutionControls(t_end=20.0), n_snapshots=11)
+    assert out.verdict == VERDICT_GLOBAL
+    attempts, factor_sets = calls["solve"] / 6, calls["factor"] / 3
+    assert attempts >= len(out.history) - 1
+    assert factor_sets < attempts / 10
 
 
 def test_comparison_sandwich_small(hyp3):

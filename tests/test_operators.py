@@ -19,7 +19,7 @@ from curvedheat import (
     solve_on_ball,
     sup_norm,
 )
-from curvedheat.operators import laplacian_tridiag, solve_banded
+from curvedheat.operators import factor_banded, laplacian_tridiag, solve_banded
 
 
 def field_from(grid, fn):
@@ -198,22 +198,39 @@ def test_solve_banded_equals_scipy(gamma3, kind, n, N, dt, seed):
     b = np.random.default_rng(seed).standard_normal(N + 1)
     for band in ((-dt * sub, 1.0 - dt * diag, -dt * sup), (-sub, -diag, -sup)):
         kept = [a.copy() for a in band + (b,)]
-        x = solve_banded(*band, b)
+        x = solve_banded(factor_banded(*band), b)
         assert np.array_equal(x, scipy_solve(*band, b))
+        assert all(np.array_equal(a, k) for a, k in zip(band + (b,), kept))
+
+
+@pytest.mark.parametrize("N", [1, 2])
+@pytest.mark.parametrize("kind", ["euclidean", "hyperbolic"])
+def test_solve_banded_two_and_three_unknowns(kind, N):
+    # N = 1 is the smallest grid: two unknowns, which scipy's ?gttrf wrapper refuses as they stand
+    M = {"euclidean": make_euclidean(3), "hyperbolic": make_hyperbolic(3, 1.0)}[kind]
+    sub, diag, sup = laplacian_tridiag(M, RadialGrid(1.5, N))
+    b = np.random.default_rng(N).standard_normal(N + 1)
+    for band in ((-0.3 * sub, 1.0 - 0.3 * diag, -0.3 * sup), (-sub, -diag, -sup)):
+        kept = [a.copy() for a in band + (b,)]
+        lu = factor_banded(*band)
+        x = solve_banded(lu, b)
+        assert x.shape == b.shape
+        assert np.array_equal(x, scipy_solve(*band, b))
+        assert np.array_equal(solve_banded(lu, b), x)
         assert all(np.array_equal(a, k) for a, k in zip(band + (b,), kept))
 
 
 def test_solve_banded_singular_raises():
     ones = np.ones(2)
     with pytest.raises(np.linalg.LinAlgError):
-        solve_banded(ones, ones, ones, np.array([1.0, 2.0]))  # [[1, 1], [1, 1]]
+        solve_banded(factor_banded(ones, ones, ones), np.array([1.0, 2.0]))  # [[1, 1], [1, 1]]
     with pytest.raises(np.linalg.LinAlgError):
-        solve_banded(np.ones(5), np.zeros(5), np.zeros(5), np.ones(5))  # zero first row
+        solve_banded(factor_banded(np.ones(5), np.zeros(5), np.zeros(5)), np.ones(5))  # zero first row
 
 
 def test_solve_banded_nonfinite_rhs_gives_nonfinite_x(hyp3):
     sub, diag, sup = laplacian_tridiag(hyp3, RadialGrid(10.0, 100))
     b = np.ones(101)
     b[50] = np.inf
-    x = solve_banded(-0.1 * sub, 1.0 - 0.1 * diag, -0.1 * sup, b)
+    x = solve_banded(factor_banded(-0.1 * sub, 1.0 - 0.1 * diag, -0.1 * sup), b)
     assert not np.all(np.isfinite(x))

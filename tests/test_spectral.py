@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from curvedheat import (
@@ -55,6 +55,10 @@ def test_flat_disk_eigenvalue_on_fine_grid():
     R=st.floats(0.5, 16.0),
     N=st.integers(1, 200),
 )
+# the smallest grids, two and three unknowns, run every time
+@example(model=("euclidean", 3, 1.0), R=1.0, N=1)
+@example(model=("hyperbolic", 3, 1.0), R=4.0, N=1)
+@example(model=("gamma3", 3, 1.0), R=2.0, N=2)
 def test_eigenpair_matches_dense_solver(gamma2, gamma3, model, R, N):
     kind, n, k = model
     M = {

@@ -27,7 +27,10 @@ def _add_common(sub):
         "--strict", action="store_true",
         help="exit nonzero unless all verification verdicts pass",
     )
-    sub.add_argument("--threads", type=int, default=1, help="work-pool size for sweeps")
+    sub.add_argument(
+        "--threads", type=int, default=1,
+        help="work-pool size for sweeps, at most one worker per cell",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

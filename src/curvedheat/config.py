@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .barriers import ExpBarrier
 from .errors import ConfigError
@@ -31,6 +31,7 @@ __all__ = [
     "CheckSpec",
     "ExperimentConfig",
     "KEYS",
+    "cell_config",
     "parse_config",
     "PRESETS",
     "preset_text",
@@ -73,6 +74,15 @@ class U0Spec:
     amplitude: float | None = None  # absolute override
     width: float = 2.0  # bump
     alpha: float = 1.0  # power tail
+
+    def __post_init__(self):
+        if self.amplitude is not None and self.amplitude < 0:
+            raise ValueError(f"u0 must be nonnegative, got amplitude = {self.amplitude}")
+        if self.kind == "scaled-barrier":
+            for key in ("factor", "amplitude"):
+                value = getattr(self, key)
+                if value is not None and not value > 0:
+                    raise ValueError(f"scaled-barrier {key} must be positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -141,6 +151,12 @@ def _admissible(section, build, *args, **kwargs):
         return build(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {exc}") from exc
+
+
+def _reaction_exponent(p):
+    if not p > 1:
+        raise ValueError(f"reaction exponent must satisfy p > 1, got {p}")
+    return p
 
 
 def _finite(text):
@@ -232,6 +248,27 @@ def _required(values, name, key):
     return values[key]
 
 
+# Each sweep axis: the config change one of its values makes, checked
+# as parse_config checks the base value.
+AXES = {
+    "p": lambda cfg, value: {"p": _reaction_exponent(value)},
+    "sigma": lambda cfg, value: {"forcing": Forcing.exponential(value)},
+    "amplitude": lambda cfg, value: {"u0": replace(cfg.u0, amplitude=value)},
+}
+
+
+def cell_config(cfg: ExperimentConfig, axis_values: dict) -> ExperimentConfig:
+    """The sweep's base config with one cell's axis values put in.
+
+    An inadmissible value is a ConfigError of [sweep]; ``parse_config``
+    builds every cell once, so a parsed config has none.
+    """
+    changes = {}
+    for axis, value in axis_values.items():
+        changes.update(_admissible("sweep", AXES[axis], cfg, value))
+    return replace(cfg, **changes)
+
+
 def _axis_values(sw, suffix=""):
     """A sweep axis: ``values`` listed, or ``count`` points from ``start`` to ``stop``."""
     if "values" + suffix in sw:
@@ -281,9 +318,7 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"forcing kind must be one | power | exp, got {fkind!r}")
 
     pr = sec["problem"]
-    p = pr.get("p", 2.0)
-    if p <= 1:
-        raise ConfigError(f"reaction exponent must satisfy p > 1, got {p}")
+    p = _admissible("problem", _reaction_exponent, pr.get("p", 2.0))
     lambda_policy = pr.get("lambda_policy", "mckean")
     if lambda_policy not in LAMBDA_POLICIES:
         raise ConfigError(f"lambda_policy must be one of {LAMBDA_POLICIES}, got {lambda_policy!r}")
@@ -310,7 +345,7 @@ def parse_config(text: str) -> ExperimentConfig:
             f"got manifold kind {manifold.kind!r}"
         )
 
-    u0 = U0Spec(**sec["u0"])
+    u0 = _admissible("u0", U0Spec, **sec["u0"])
     if u0.kind not in U0_KINDS:
         raise ConfigError(f"u0 kind must be one of {U0_KINDS}, got {u0.kind!r}")
     if u0.kind == "bump":
@@ -336,21 +371,18 @@ def parse_config(text: str) -> ExperimentConfig:
         values = _axis_values(sw)
         axis2 = sw.get("axis2")
         values2 = () if axis2 is None else _axis_values(sw, "2")
-        if axis not in ("p", "sigma", "amplitude"):
-            raise ConfigError(f"sweep axis must be p | sigma | amplitude, got {axis!r}")
+        for key, name in (("axis", axis), ("axis2", axis2)):
+            if name is not None and name not in AXES:
+                raise ConfigError(f"[sweep] {key} must be {' | '.join(AXES)}, got {name!r}")
         for v in values + values2:
             if not math.isfinite(v):
                 raise ConfigError(f"sweep axis values must be finite, got {v}")
-        for name, vals in ((axis, values), (axis2, values2)):
-            if name == "sigma":
-                for v in vals:
-                    _admissible("sweep", Forcing.exponential, v)
         sweep = SweepSpec(axis=axis, values=values, axis2=axis2, values2=values2)
 
     ck = {"c0": manifold.c0, "r_max": grid.R, **sec["check"]}
     check = _admissible("check", CheckSpec, **ck)
 
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         manifold=manifold,
         forcing=forcing,
         p=p,
@@ -364,6 +396,10 @@ def parse_config(text: str) -> ExperimentConfig:
         sweep=sweep,
         check=check,
     )
+    if sweep is not None:
+        for _, axis_values in sweep.cells:
+            cell_config(cfg, axis_values)  # refuses an inadmissible cell before any cell runs
+    return cfg
 
 
 PRESETS = {

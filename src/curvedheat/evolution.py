@@ -120,6 +120,7 @@ class RunOutcome:
     snapshots: list  # (t, full node values) at fixed sample times
     final: RadialField
     threshold: float
+    min_value: float  # min of u over u0 and every accepted step
     note: str = ""
 
 
@@ -242,6 +243,7 @@ def solve_on_ball(
 
     u = vals[:-1].copy()
     s = sup0  # sup norm of u
+    low = float(np.min(vals))  # running minimum of u
     t = 0.0
     dt = controls.dt_init
     adaptive = controls.rel_tol > 0.0
@@ -302,6 +304,7 @@ def solve_on_ball(
                 t_old, u_old = t, u
                 t = t + dt
                 u, s = u_new, s_new
+                low = min(low, float(np.min(u)))
                 history.append((t, s, dt))
                 take_snapshots(t_old, u_old, t, u)
                 if s >= threshold and t_cross is None:
@@ -345,6 +348,7 @@ def solve_on_ball(
         snapshots=snapshots,
         final=final,
         threshold=threshold,
+        min_value=low,
         note=note,
     )
 
@@ -420,11 +424,13 @@ def exhaustion_solve(
 
 
 def compare_with_envelope(outcome: RunOutcome, w_values, envelope, tol: float | None = None) -> EnvelopeComparison:
-    """Check u <= e^{-lam t} growth(t) * ctilde * w pointwise at snapshots.
+    """Check u <= e^{-lam t} growth(t) * ctilde * w pointwise at snapshots, and u >= 0.
 
     ``w_values`` are the unscaled barrier values on the run's grid; the
-    envelope's own amplitude scales them.  The default tolerance budgets
-    the spatial and temporal discretization error as 1e-3 * ||u0||_inf.
+    envelope's own amplitude scales them.  The lower side reads the
+    run's minimum over every accepted step, so it does not depend on
+    the snapshot count.  The default tolerance budgets the spatial and
+    temporal discretization error as 1e-3 * ||u0||_inf.
     """
     w = np.asarray(w_values, dtype=float)
     u0 = outcome.snapshots[0][1]
@@ -434,11 +440,10 @@ def compare_with_envelope(outcome: RunOutcome, w_values, envelope, tol: float | 
         tol = 1e-3 * float(np.max(np.abs(u0)))
     wt = envelope.ctilde * w
     worst = -math.inf
-    low = math.inf
     for t, u in outcome.snapshots:
         bound = math.exp(-envelope.lam * t) * float(envelope.growth(t)) * wt
         worst = max(worst, float(np.max(u - bound)))
-        low = min(low, float(np.min(u)))
+    low = outcome.min_value
     return EnvelopeComparison(
         max_violation=worst, min_value=low, tol=tol, passed=(worst <= tol and low >= -tol)
     )

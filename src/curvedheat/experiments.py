@@ -10,7 +10,6 @@ orders, fixed float formatting, no wall-clock content.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -29,7 +28,7 @@ from .barriers import (
     time_envelope,
     verify_supersolution,
 )
-from .config import ExperimentConfig, _admissible
+from .config import ExperimentConfig, _admissible, cell_config
 from .errors import ConfigError
 from .evolution import (
     VERDICT_BLOWUP,
@@ -52,7 +51,7 @@ from .geometry import (
     make_hyperbolic,
     save_warping_csv,
 )
-from .operators import RadialField, RadialGrid, save_field_csv
+from .operators import RadialField, RadialGrid, load_lapack, save_field_csv
 from .spectral import dirichlet_lambda1, lambda1_estimate, mckean_bound, save_eigen_csv
 
 VERDICT_COLORS = {
@@ -472,21 +471,6 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path):
     return ok, lines
 
 
-def _cell_config(cfg: ExperimentConfig, axis_values: dict) -> ExperimentConfig:
-    """The sweep's base config with one cell's axis values put in."""
-    changes = {}
-    for axis, value in axis_values.items():
-        if axis == "p":
-            changes["p"] = value
-        elif axis == "sigma":
-            changes["forcing"] = Forcing.exponential(value)
-        elif axis == "amplitude":
-            changes["u0"] = replace(cfg.u0, amplitude=value)
-        else:
-            raise ConfigError(f"unknown sweep axis {axis!r}")
-    return replace(cfg, **changes)
-
-
 def _sweep_cell(cfg: ExperimentConfig):
     M = build_manifold(cfg)
     outcome, barrier, lam, envelope, meta = _solve_single_ball(cfg, M)
@@ -513,9 +497,15 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path, threads: int = 1):
         raise ConfigError("sweep command needs a [sweep] section")
     spec = cfg.sweep
     cells = spec.cells
-    jobs = [_cell_config(cfg, axis_values) for _, axis_values in cells]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    jobs = [cell_config(cfg, axis_values) for _, axis_values in cells]
+    # under the fork start method the pool forks all its workers at the
+    # first submit, so it gets no more of them than there are cells
+    workers = min(threads, len(jobs))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # imported here: only pooled sweeps need it
+
+        load_lapack()  # the forked workers inherit the binding
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_cell, jobs))
     else:
         results = [_sweep_cell(job) for job in jobs]

@@ -23,7 +23,7 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import LinAlgError, get_lapack_funcs
+from numpy.linalg import LinAlgError
 
 from .geometry import ModelManifold, drift
 
@@ -33,6 +33,7 @@ __all__ = [
     "SmoothRadialFn",
     "laplacian_tridiag",
     "tridiag_mult",
+    "load_lapack",
     "factor_banded",
     "solve_banded",
     "apply_laplacian",
@@ -138,7 +139,24 @@ def tridiag_mult(sub, diag, sup, x) -> np.ndarray:
     return y
 
 
-_gttrf, _gttrs = get_lapack_funcs(("gttrf", "gttrs"), dtype=np.float64)
+# LAPACK's ?gttrf and ?gttrs, bound by ``load_lapack``
+_gttrf = _gttrs = None
+
+
+def load_lapack():
+    """Bind LAPACK's ?gttrf and ?gttrs; later calls do nothing.
+
+    Importing scipy.linalg costs more than importing numpy, so commands
+    that never solve (curvature checks, barrier checks) skip it:
+    ``factor_banded`` calls this on first use.  A process about to fork
+    workers calls it first, so that they inherit the binding instead of
+    each importing scipy.linalg again.
+    """
+    global _gttrf, _gttrs
+    if _gttrf is None:
+        from scipy.linalg import get_lapack_funcs
+
+        _gttrf, _gttrs = get_lapack_funcs(("gttrf", "gttrs"), dtype=np.float64)
 
 
 def factor_banded(sub, diag, sup):
@@ -152,6 +170,7 @@ def factor_banded(sub, diag, sup):
     ``scipy.linalg.solve_banded`` dispatches to for a (1, 1) band, so
     the solutions agree with it bit for bit.
     """
+    load_lapack()
     dl, d, du = sub[1:], diag, sup[:-1]
     if d.size == 2:
         # scipy's ?gttrf and ?gttrs wrappers refuse n = 2: border the
@@ -167,9 +186,9 @@ def factor_banded(sub, diag, sup):
 def solve_banded(lu, b) -> np.ndarray:
     """Solve A x = b for the factors ``lu = factor_banded(A)``; b is left intact.
 
-    One LAPACK ``?gttrs`` call.  b must be a float64 vector of A's
-    length.  Non-finite entries in b give a non-finite x rather than an
-    error.
+    One LAPACK ``?gttrs`` call, bound when ``factor_banded`` made lu.
+    b must be a float64 vector of A's length.  Non-finite entries in b
+    give a non-finite x rather than an error.
     """
     if b.size == 2:
         return _gttrs(*lu, np.append(b, 0.0))[0][:2]

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .geometry import ModelManifold
 from .operators import (
@@ -96,6 +95,8 @@ def dirichlet_lambda1(M: ModelManifold, R: float, N: int) -> EigenEstimate:
     ||A phi - lam phi||_inf, which certifies the pair, and
     ``iterations`` counts the one solve.
     """
+    from scipy.linalg import eigh_tridiagonal  # imported here: only eigen solves need it
+
     grid = RadialGrid(R, N)
     sub, diag, sup = laplacian_tridiag(M, grid)
     a_sub, a_diag, a_sup = -sub, -diag, -sup  # A = -Delta_h, an M-matrix

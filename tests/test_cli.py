@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import re
@@ -280,6 +281,35 @@ def test_sweep_threads_match_serial(tmp_path):
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 
 
+def test_sweep_pool_has_at_most_one_worker_per_cell(tmp_path, monkeypatch):
+    # the fork start method forks all max_workers at the first submit
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return list(map(fn, jobs))
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool, raising=False)
+    # a module-level binding in experiments would bypass the patch above and
+    # start a real pool; patch that name too so no test ever does
+    monkeypatch.setattr("curvedheat.experiments.ProcessPoolExecutor", RecordingPool, raising=False)
+    cfg = write_cfg(tmp_path, TINY_SWEEP)
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "a"), "--threads", "5000"]) == 0
+    one_cell = write_cfg(tmp_path, TINY_SWEEP.replace("values = 1.5 2.5", "values = 2.5"), "one.cfg")
+    assert main(["sweep", "--config", str(one_cell), "--out", str(tmp_path / "b"), "--threads", "8"]) == 0
+    assert sizes == [2]  # two cells, two workers; one cell runs without a pool
+    assert (tmp_path / "a" / "sweep.csv").read_text().count("\n") == 3
+
+
 def test_two_axis_sweep(tmp_path):
     text = TINY_SWEEP.replace(
         "[forcing]\nkind = one",
@@ -400,12 +430,38 @@ GEOMETRY_BASE = "[manifold]\nkind = hyperbolic\nn = 3\nk = 1.0\n\n[grid]\nR = 10
         (GEOMETRY_BASE + "[controls]\nrel_tol = nan\n", "[controls] bad value for 'rel_tol'"),
         (GEOMETRY_BASE.replace("k = 1.0", "k = nan"), "[manifold] bad value for 'k'"),
         (GEOMETRY_BASE + "[problem]\np = inf\n", "[problem] bad value for 'p'"),
+        (GEOMETRY_BASE + "[problem]\np = 1\n", "[problem] reaction exponent must satisfy p > 1"),
+        (GEOMETRY_BASE + "[u0]\nkind = bump\namplitude = -1\n", "[u0] u0 must be nonnegative"),
+        (GEOMETRY_BASE + "[u0]\nfactor = -0.25\n", "[u0] scaled-barrier factor must be positive"),
+        (GEOMETRY_BASE + "[u0]\namplitude = 0\n", "[u0] scaled-barrier amplitude must be positive"),
+        (
+            GEOMETRY_BASE + "[sweep]\naxis = p\nvalues = 2 0.5\n",
+            "[sweep] reaction exponent must satisfy p > 1, got 0.5",
+        ),
+        (
+            GEOMETRY_BASE + "[u0]\nkind = bump\n\n[sweep]\naxis = amplitude\nvalues = 1 -1\n",
+            "[sweep] u0 must be nonnegative",
+        ),
+        (
+            GEOMETRY_BASE + "[sweep]\naxis = p\nvalues = 2\naxis2 = amplitude\nvalues2 = 1 -0.125\n",
+            "[sweep] u0 must be nonnegative",
+        ),
+        (
+            GEOMETRY_BASE + "[sweep]\naxis = amplitude\nstart = 0\nstop = 1\ncount = 3\n",
+            "[sweep] scaled-barrier amplitude must be positive, got 0.0",
+        ),
+        (
+            GEOMETRY_BASE + "[sweep]\naxis = p\nvalues = 2\naxis2 = foo\nvalues2 = 1\n",
+            "[sweep] axis2 must be p | sigma | amplitude, got 'foo'",
+        ),
     ],
     ids=["sigma", "q", "t_end", "dt-order", "c_lower-text", "c_lower-sign", "sweep-sigma",
          "gamma-dr", "grid-R", "grid-N", "u0-width", "explicit-lambda", "exp-alpha",
          "check-nodes", "check-r_min", "u0-power-tail-alpha", "unknown-section",
          "default-section", "unknown-key", "retired-blowup_threshold", "retired-fallback",
-         "interpolation", "t_end-nan", "p-nan", "rel_tol-nan", "k-nan", "p-inf"],
+         "interpolation", "t_end-nan", "p-nan", "rel_tol-nan", "k-nan", "p-inf", "p-one",
+         "u0-bump-amplitude", "u0-factor", "u0-scaled-amplitude", "sweep-p", "sweep-amplitude",
+         "sweep-amplitude2", "sweep-scaled-amplitude", "sweep-axis2"],
 )
 def test_inadmissible_config_values_are_config_errors(tmp_path, capsys, text, hypothesis):
     cfg = write_cfg(tmp_path, text)
@@ -414,6 +470,19 @@ def test_inadmissible_config_values_are_config_errors(tmp_path, capsys, text, hy
     assert err.startswith("config error: ")
     assert hypothesis in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    ["axis = p\nvalues = 0.5 2", "axis = p\nvalues = 2\naxis2 = foo\nvalues2 = 1", "axis = amplitude\nvalues = -1"],
+    ids=["p", "axis2", "amplitude"],
+)
+def test_inadmissible_sweep_cells_are_refused_before_any_output(tmp_path, capsys, sweep):
+    text = TINY_SWEEP.replace("axis = p\nvalues = 1.5 2.5", sweep)
+    out = tmp_path / "x"
+    assert main(["sweep", "--config", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: [sweep] ")
+    assert not out.exists()
 
 
 GLUED = "[barrier]\nkind = glued\nalpha = 1\nbeta = 1\nr0 = 4\n"
@@ -466,8 +535,8 @@ print(json.dumps({"loaded": loaded, "integral": float(env.damped_integral(2.0)),
 
 
 def test_fresh_import_loads_no_optional_scipy_module():
-    # the CLI needs numpy and scipy.linalg; scipy.special loads only once
-    # power forcing is evaluated
+    # the CLI needs numpy alone; scipy.special loads only once power
+    # forcing is evaluated
     from curvedheat import Forcing, time_envelope
 
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -482,3 +551,38 @@ def test_fresh_import_loads_no_optional_scipy_module():
     ref = time_envelope(Forcing.power_law(1.5), 0.8, 2.0, 1.0)
     assert got["integral"] == float(ref.damped_integral(2.0))
     assert got["total"] == ref.damped_total
+
+
+FRESH_COMMANDS = """\
+import json, sys
+from curvedheat.cli import main
+LAZY = ("scipy.linalg", "concurrent.futures.process")
+loaded = [[m for m in LAZY if m in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+    loaded.append([m for m in LAZY if m in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def fresh_commands(tmp_path, *commands):
+    """Modules of FRESH_COMMANDS' LAZY loaded after the import and after each command."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    argvs = [
+        [command, *source, "--out", str(tmp_path / f"{i}-{command}")]
+        for i, (command, *source) in enumerate(commands)
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_COMMANDS, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_lapack_and_pool_load_only_when_a_command_uses_them(tmp_path):
+    gamma3 = ("--preset", "power-tail-gamma3")
+    checks = fresh_commands(tmp_path, ("geometry", *gamma3), ("barrier", *gamma3), ("eigen", *gamma3))
+    assert checks == [[], [], [], ["scipy.linalg"]]
+    sim = ("--config", str(write_cfg(tmp_path, HYPERBOLIC_SIM)))
+    assert fresh_commands(tmp_path, ("simulate", *sim)) == [[], ["scipy.linalg"]]

@@ -385,6 +385,32 @@ def test_comparison_equality_at_t0(hyp3):
     assert np.max(np.abs(snap0 - bound)) == 0.0
 
 
+def test_running_minimum_does_not_depend_on_snapshots(hyp3):
+    # a reaction that flips the sign of u on two consecutive fixed steps:
+    # u is negative at the accepted step t = 0.31 alone
+    def flip(u, t):
+        return -150.0 * u if 0.295 <= t < 0.315 else np.zeros_like(u)
+
+    v = ExpBarrier(1.0, 1.0)
+    env = time_envelope(Forcing.one(), 1.0, 2.0, v.sup)
+    g = RadialGrid(10.0, 100)
+    ctl = EvolutionControls(t_end=1.0, dt_init=0.01, dt_max=0.01, rel_tol=0.0)
+    coarse, fine = (
+        solve_on_ball(
+            hyp3, 10.0, make_u0(g, barrier_profile(v, env.ctilde)), Forcing.one(), 2.0, ctl,
+            reaction=flip, n_snapshots=n,
+        )
+        for n in (5, 200)
+    )
+    # only the fine sampling sees the dip
+    assert min(float(u.min()) for _, u in coarse.snapshots) == 0.0
+    assert min(float(u.min()) for _, u in fine.snapshots) < 0.0
+    assert coarse.min_value == fine.min_value < 0.0
+    cmps = [compare_with_envelope(out, v.eval(g.nodes), env) for out in (coarse, fine)]
+    assert cmps[0].min_value == cmps[1].min_value == fine.min_value
+    assert not cmps[0].passed
+
+
 def test_comparison_negative_control(hyp3):
     # data ten times above the admissible amplitude breaks the sandwich
     v = ExpBarrier(1.0, 1.0)

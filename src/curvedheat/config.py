@@ -20,6 +20,7 @@ from .barriers import ExpBarrier
 from .errors import ConfigError
 from .evolution import EvolutionControls, bump_profile, power_tail_profile
 from .forcing import Forcing
+from .geometry import HyperbolicWarping, gamma_table_nodes
 from .operators import RadialGrid
 
 __all__ = [
@@ -52,6 +53,13 @@ class ManifoldSpec:
     gamma: float = 2.0
     r_max: float = 25.0
     dr: float = 1e-3
+
+    def __post_init__(self):
+        # the model's own checks, before any table is built
+        if self.kind == "hyperbolic":
+            HyperbolicWarping(self.k)
+        elif self.kind == "gamma":
+            gamma_table_nodes(self.c0, self.gamma, self.r_max, self.dr)
 
 
 @dataclass(frozen=True)
@@ -302,7 +310,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if kind not in MANIFOLD_KINDS:
         raise ConfigError(f"manifold kind must be one of {MANIFOLD_KINDS}, got {kind!r}")
     _required(man, "manifold", "n")
-    manifold = ManifoldSpec(**man)
+    manifold = _admissible("manifold", ManifoldSpec, **man)
     if manifold.n < 2:
         raise ConfigError(f"dimension must be >= 2, got {manifold.n}")
 

@@ -6,22 +6,25 @@ is inverse-positive and the explicit term is nonnegative, so a fixed-step
 run (rel_tol = 0) keeps nonnegative data nonnegative (up to rounding)
 and is first order in time.
 
-Adaptive runs extrapolate that step over the harmonic sequence 1, 2, 3
-(Hairer & Wanner, Solving ODEs II, IV.9; Constantinescu & Sandu 2010):
-T_j1 takes j substeps of length dt/j, the three first substeps share one
-reaction evaluation, and the accepted value is the top entry of the
-extrapolation table, T33 = T32 + d with T32 = 3 T31 - 2 T21,
-T22 = 2 T21 - T11 and d = (T32 - T22) / 2; it is third order.  |d|
-estimates the local error of T32, the second-order entry below it, and
-dt follows the cube root of tolerance over that estimate.  The
-extrapolated combination is not monotone: on a stiff diffusion mode of
-dt*eigenvalue mu the amplification of T33,
-4.5 (1 + mu/3)^-3 - 4 (1 + mu/2)^-2 + 0.5 (1 + mu)^-1, is negative only
-for mu in (4.51, 18.8), down to -0.0136, so adaptive runs stay
-nonnegative only up to the tolerance.
+Adaptive runs extrapolate that step over the harmonic sequence
+1, 2, ..., 6 (Hairer & Wanner, Solving ODEs II, IV.9; Deuflhard 1985,
+SIAM Rev. 27): row j of the table starts from T_j1, which takes j
+substeps of length dt/j, and every row shares the reaction evaluated at
+(u, t), so an attempt makes 21 solves and 16 reaction evaluations.  The
+Aitken-Neville rule
+T_j,k+1 = T_jk + (T_jk - T_j-1,k) / (j/(j-k) - 1)
+fills the table, and the accepted value is its top entry T66, of order
+six; |T66 - T65| estimates the local error of the fifth-order T65 below
+it, and dt follows the sixth root of tolerance over that estimate.  The
+extrapolated combination T66 = sum_j c_j T_j1 with
+c_j = (-1)^(6-j) j^6 / (j! (6-j)!) is not monotone: on a stiff diffusion
+mode of dt*eigenvalue mu its amplification sum_j c_j (1 + mu/j)^-j is
+negative for mu > 13.97, down to -3.8e-4 near mu = 22.7, and tends to 0
+like -1/(120 mu), so adaptive runs stay nonnegative only up to the
+tolerance.
 
-Each adaptive attempt solves with three matrices, I - (dt/j)*Delta_h for
-j = 1, 2, 3.  Their LU factors are computed once per step size and
+Each adaptive attempt solves with six matrices, I - (dt/j)*Delta_h for
+j = 1, ..., 6.  Their LU factors are computed once per step size and
 reused while dt stays put; dt moves after a rejection, after a
 threshold crossing, at the clamp of the last step to the horizon, and
 when the controller rescales it.  As in RADAU5's strategy (Hairer &
@@ -74,6 +77,8 @@ VERDICT_BLOWUP = "blow-up"
 VERDICT_UNDECIDED = "undecided"
 
 _MAX_STEPS = 2_000_000
+# rows of the extrapolation table of an adaptive step; row j takes j substeps
+_ROWS = 6
 # an accepted step whose controller proposes growth by a factor in
 # [1, _DT_HOLD] keeps dt, and with it the LU factors of its IMEX matrices
 _DT_HOLD = 1.2
@@ -84,7 +89,7 @@ class EvolutionControls:
     """Step-control knobs.
 
     rel_tol bounds, relative to the sup norm, the estimated local error
-    of T32, the second-order entry below the accepted third-order T33;
+    of T65, the fifth-order entry below the accepted sixth-order T66;
     rel_tol = 0 disables adaptivity and runs IMEX Euler at the fixed
     step dt_init.  An adaptive dt moves only when the controller asks
     for a factor below 1 or above 1.2 (the dead band of Hairer & Wanner,
@@ -169,10 +174,10 @@ def _imex_parts(M: ModelManifold, grid: RadialGrid, forcing: Forcing, p: float, 
 
 
 def _step_factor(est: float, tol: float) -> float:
-    """dt multiplier for a local error est ~ dt^3 against the target tol."""
+    """dt multiplier for a local error est ~ dt^_ROWS against the target tol."""
     if est == 0.0:
         return 5.0
-    return min(5.0, max(0.2, 0.9 * (tol / est) ** (1.0 / 3.0)))
+    return min(5.0, max(0.2, 0.9 * (tol / est) ** (1.0 / _ROWS)))
 
 
 def solve_on_ball(
@@ -204,10 +209,11 @@ def solve_on_ball(
     reaction : callable(u, t) -> array, optional
         Replaces h(t) u^p (test hook, e.g. the linear term lam*u).  It
         must be a pure function of (u, t): an adaptive attempt calls it
-        four times, at t (shared by the three first substeps), t + dt/2,
-        t + dt/3 and t + 2 dt/3; a fixed step calls it once.  It runs
-        under ``np.errstate(over="ignore")``: overflow to inf is a
-        rejected trial, never a warning.
+        16 times, at t (shared by the first substeps of the six rows)
+        and at t + i dt/j for 0 < i < j <= 6; a fixed step calls it
+        once.  It runs under ``np.errstate(over="ignore",
+        invalid="ignore")``: overflow to inf, and the nan that inf - inf
+        makes in the table, is a rejected trial, never a warning.
     n_snapshots : int
         Field snapshots at equispaced times via linear interpolation in
         t, so runs with different step sequences stay comparable.
@@ -247,7 +253,7 @@ def solve_on_ball(
     t = 0.0
     dt = controls.dt_init
     adaptive = controls.rel_tol > 0.0
-    react, imex = _imex_parts(M, grid, forcing, p, reaction, (1, 2, 3) if adaptive else (1,))
+    react, imex = _imex_parts(M, grid, forcing, p, reaction, range(1, _ROWS + 1) if adaptive else (1,))
     history = [(0.0, sup0, 0.0)]
     t_cross = None
     verdict = None
@@ -262,8 +268,8 @@ def solve_on_ball(
             snapshots.append((float(ts), np.concatenate((ui, [0.0]))))
             next_sample += 1
 
-    # overflow to inf is an outcome the step controller handles
-    with np.errstate(over="ignore"):
+    # overflow to inf, and nan from inf - inf, are outcomes the step controller handles
+    with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(_MAX_STEPS):
             remaining = controls.t_end - t
             if remaining <= max(controls.dt_min, 1e-12 * controls.t_end):
@@ -273,23 +279,20 @@ def solve_on_ball(
             dt = min(dt, controls.dt_max, remaining)
             if adaptive:
                 # harmonic-sequence extrapolation of the IMEX Euler substep:
-                # T_j1 takes j substeps of dt/j, and the first substeps share r
-                lu1, lu2, lu3 = imex(dt)
+                # row j starts from j substeps of dt/j, and the first substeps share r
                 r = react(u, t)
-                t11 = solve_banded(lu1, u + dt * r)
-                h = 0.5 * dt
-                v = solve_banded(lu2, u + h * r)
-                t21 = solve_banded(lu2, v + h * react(v, t + h))
-                h = dt / 3.0
-                v = solve_banded(lu3, u + h * r)
-                v = solve_banded(lu3, v + h * react(v, t + h))
-                t31 = solve_banded(lu3, v + h * react(v, t + 2.0 * h))
-                t32 = 3.0 * t31 - 2.0 * t21
-                # T33 = T32 + d with d = (T32 - T22) / 2 and T22 = 2 T21 - T11;
-                # est = |d| is nan or inf when any trial is, so it doubles as the finiteness test
-                d = 0.5 * (t32 - 2.0 * t21 + t11)
-                u_new = t32 + d
-                est = float(np.max(np.abs(d)))
+                for j, lu in enumerate(imex(dt), start=1):
+                    h = dt / j
+                    v = solve_banded(lu, u + h * r)
+                    for i in range(1, j):
+                        v = solve_banded(lu, v + h * react(v, t + i * h))
+                    row = [v]
+                    for k in range(1, j):
+                        row.append(row[k - 1] + (row[k - 1] - above[k - 1]) / (j / (j - k) - 1.0))
+                    above = row
+                u_new = row[-1]
+                # est is nan or inf when any trial is, so it doubles as the finiteness test
+                est = float(np.max(np.abs(u_new - row[-2])))
                 s_new = float(np.max(np.abs(u_new)))
                 scale = max(s_new, s, 1e-300)
                 finite = math.isfinite(est)

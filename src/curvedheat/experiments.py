@@ -80,16 +80,13 @@ def write_csv(path, header, rows):
 
 
 def build_manifold(cfg: ExperimentConfig) -> ModelManifold:
-    """The configured model; an inadmissible parameter is a ConfigError."""
+    """The configured model; ``ManifoldSpec`` has refused every inadmissible parameter."""
     m = cfg.manifold
-    try:
-        if m.kind == "euclidean":
-            return make_euclidean(m.n)
-        if m.kind == "hyperbolic":
-            return make_hyperbolic(m.n, m.k)
-        return make_gamma_model(m.n, m.c0, m.gamma, m.r_max, m.dr)
-    except ValueError as exc:
-        raise ConfigError(f"[manifold] {exc}") from exc
+    if m.kind == "euclidean":
+        return make_euclidean(m.n)
+    if m.kind == "hyperbolic":
+        return make_hyperbolic(m.n, m.k)
+    return make_gamma_model(m.n, m.c0, m.gamma, m.r_max, m.dr)
 
 
 def pinch_constant(cfg: ExperimentConfig) -> float | None:

@@ -42,6 +42,7 @@ __all__ = [
     "make_euclidean",
     "make_hyperbolic",
     "make_gamma_model",
+    "gamma_table_nodes",
     "drift",
     "radial_curvature",
     "sphere_curvature",
@@ -265,15 +266,11 @@ def _jacobi_coefficient(r, c0, gamma):
     return np.full_like(np.asarray(r, dtype=float), c0)
 
 
-def make_gamma_model(n: int, c0: float, gamma: float, r_max: float, dr: float) -> ModelManifold:
-    """Model with radial curvature exactly -c0 (1 + r^gamma).
+def gamma_table_nodes(c0: float, gamma: float, r_max: float, dr: float) -> int:
+    """Node count of make_gamma_model's table; a ValueError names the parameter it refuses.
 
-    Integrates the Jacobi equation psi'' = c0 (1 + r^gamma) psi with a
-    classical fixed-step RK4 sweep, started from the series
-    psi = r + c0 r^3/6 (+ the r^{gamma+3} correction) at r = dr.  The
-    state is renormalized whenever it grows large and only log psi,
-    psi'/psi, psi''/psi are tabulated, so no overflow occurs even though
-    psi grows like exp(C r^{1+gamma/2}).
+    The checks need no integration, so a config is refused before any
+    table is built.
     """
     if c0 <= 0:
         raise ValueError(f"curvature amplitude c0 must be positive, got {c0}")
@@ -287,15 +284,28 @@ def make_gamma_model(n: int, c0: float, gamma: float, r_max: float, dr: float) -
             f"dr = {dr} too coarse for the Jacobi equation: need "
             f"dr * sqrt(c0*(1 + r_max^gamma)) < 0.5, got {dr * math.sqrt(q_max):.3g}"
         )
+    n_steps = int(round(r_max / dr))
+    if n_steps < 4:
+        raise ValueError("table would have fewer than 4 nodes")
+    return n_steps
+
+
+def make_gamma_model(n: int, c0: float, gamma: float, r_max: float, dr: float) -> ModelManifold:
+    """Model with radial curvature exactly -c0 (1 + r^gamma).
+
+    Integrates the Jacobi equation psi'' = c0 (1 + r^gamma) psi with a
+    classical fixed-step RK4 sweep, started from the series
+    psi = r + c0 r^3/6 (+ the r^{gamma+3} correction) at r = dr.  The
+    state is renormalized whenever it grows large and only log psi,
+    psi'/psi, psi''/psi are tabulated, so no overflow occurs even though
+    psi grows like exp(C r^{1+gamma/2}).
+    """
+    n_steps = gamma_table_nodes(c0, gamma, r_max, dr)
 
     def q_at(r):
         if gamma > 0:
             return c0 * (1.0 + r**gamma)
         return c0
-
-    n_steps = int(round(r_max / dr))
-    if n_steps < 4:
-        raise ValueError("table would have fewer than 4 nodes")
 
     # series start at r = dr
     r = dr

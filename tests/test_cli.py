@@ -406,8 +406,9 @@ GEOMETRY_BASE = "[manifold]\nkind = hyperbolic\nn = 3\nk = 1.0\n\n[grid]\nR = 10
         (GEOMETRY_BASE + "[sweep]\naxis = sigma\nvalues = 0 1\n", "exponential rate must be positive"),
         (
             "[manifold]\nkind = gamma\nn = 3\ngamma = 2.0\nr_max = 40\ndr = 0.1\n\n[grid]\nR = 10\nN = 100\n",
-            "too coarse for the Jacobi equation",
+            "[manifold] dr = 0.1 too coarse for the Jacobi equation",
         ),
+        (GEOMETRY_BASE.replace("k = 1.0", "k = 0"), "[manifold] curvature scale k must be positive"),
         (GEOMETRY_BASE.replace("R = 10", "R = -5"), "outer radius must be positive"),
         (GEOMETRY_BASE.replace("N = 100", "N = 0"), "interior node count must be a positive integer"),
         (GEOMETRY_BASE + "[u0]\nkind = bump\nwidth = 0\n", "bump width must be positive"),
@@ -456,7 +457,7 @@ GEOMETRY_BASE = "[manifold]\nkind = hyperbolic\nn = 3\nk = 1.0\n\n[grid]\nR = 10
         ),
     ],
     ids=["sigma", "q", "t_end", "dt-order", "c_lower-text", "c_lower-sign", "sweep-sigma",
-         "gamma-dr", "grid-R", "grid-N", "u0-width", "explicit-lambda", "exp-alpha",
+         "gamma-dr", "k-zero", "grid-R", "grid-N", "u0-width", "explicit-lambda", "exp-alpha",
          "check-nodes", "check-r_min", "u0-power-tail-alpha", "unknown-section",
          "default-section", "unknown-key", "retired-blowup_threshold", "retired-fallback",
          "interpolation", "t_end-nan", "p-nan", "rel_tol-nan", "k-nan", "p-inf", "p-one",
@@ -465,11 +466,13 @@ GEOMETRY_BASE = "[manifold]\nkind = hyperbolic\nn = 3\nk = 1.0\n\n[grid]\nR = 10
 )
 def test_inadmissible_config_values_are_config_errors(tmp_path, capsys, text, hypothesis):
     cfg = write_cfg(tmp_path, text)
-    assert main(["geometry", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    out = tmp_path / "x"
+    assert main(["geometry", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert hypothesis in err
     assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -9,29 +9,42 @@ and is first order in time.
 Adaptive runs extrapolate that step over the harmonic sequence
 1, 2, ..., 6 (Hairer & Wanner, Solving ODEs II, IV.9; Deuflhard 1985,
 SIAM Rev. 27): row j of the table starts from T_j1, which takes j
-substeps of length dt/j, and every row shares the reaction evaluated at
-(u, t), so an attempt makes 21 solves and 16 reaction evaluations.  The
-Aitken-Neville rule
+substeps of length dt/j.  The Aitken-Neville rule
 T_j,k+1 = T_jk + (T_jk - T_j-1,k) / (j/(j-k) - 1)
 fills the table, and the accepted value is its top entry T66, of order
 six; |T66 - T65| estimates the local error of the fifth-order T65 below
-it, and dt follows the sixth root of tolerance over that estimate.  The
-extrapolated combination T66 = sum_j c_j T_j1 with
+it.  The extrapolated combination T66 = sum_j c_j T_j1 with
 c_j = (-1)^(6-j) j^6 / (j! (6-j)!) is not monotone: on a stiff diffusion
 mode of dt*eigenvalue mu its amplification sum_j c_j (1 + mu/j)^-j is
 negative for mu > 13.97, down to -3.8e-4 near mu = 22.7, and tends to 0
 like -1/(120 mu), so adaptive runs stay nonnegative only up to the
 tolerance.
 
-Each adaptive attempt solves with six matrices, I - (dt/j)*Delta_h for
-j = 1, ..., 6.  Their LU factors are computed once per step size and
-reused while dt stays put; dt moves after a rejection, after a
-threshold crossing, at the clamp of the last step to the horizon, and
-when the controller rescales it.  As in RADAU5's strategy (Hairer &
-Wanner, Solving ODEs II, IV.8), an accepted step whose controller
-proposes growth by a factor between 1 and 1.2 keeps dt as it is, so
-that its factors serve the next step too; every step still passes the
-tolerance test.  A fixed-step run factors once, and once more if its
+The six rows run in lockstep.  Their matrices I - (dt/j)*Delta_h,
+stacked as the blocks of one block-diagonal tridiagonal band in the
+order j = 6, ..., 1, are factored once per step size; substep i solves
+the leading 6 - i blocks, the rows still running, in one call and
+evaluates the reaction once on them, at the per-row times t + i dt/j
+(substep 0 shares the reaction at (u, t)).  So an attempt makes 6
+solves and 6 reaction evaluations, with the arithmetic of six separate
+rows: elimination never crosses a block boundary.  The table is then
+filled column by column over the rows.
+
+The factors are reused while dt stays put; dt moves after a rejection,
+after a threshold crossing, at the clamp of the last step to the
+horizon, and when the controller rescales it.  As in RADAU5's strategy
+(Hairer & Wanner, Solving ODEs II, IV.8), an accepted step whose
+controller proposes growth by a factor between 1 and 1.2 keeps dt as it
+is, so that its factors serve the next step too; every step still
+passes the tolerance test.  With err the estimate over the tolerance,
+a rejected step scales dt by 0.9 err^(-1/6); an accepted one by the
+smaller of that and Gustafsson's predictive factor
+0.9 (dt/dt_acc) (err_acc/err^2)^(1/6), where dt_acc and
+err_acc = max(err, 0.01) belong to the previous accepted step (ACM TOMS
+20, 1994; the controller of RADAU5).  The second factor reads the trend
+of err: where it grows from step to step, as before blow-up, dt shrinks
+ahead of it instead of every accepted step being followed by a
+rejected attempt.  A fixed-step run factors once, and once more if its
 last step is clamped.
 
 Near blow-up the explicit reaction drives the estimator up, dt
@@ -126,6 +139,9 @@ class RunOutcome:
     final: RadialField
     threshold: float
     min_value: float  # min of u over u0 and every accepted step
+    rejected_error: int  # attempts rejected by the error test
+    rejected_nonfinite: int  # attempts rejected for non-finite values
+    factor_sets: int  # LU factorizations of the IMEX band, one per new dt
     note: str = ""
 
 
@@ -149,28 +165,59 @@ class EnvelopeComparison:
     passed: bool
 
 
-def _imex_parts(M: ModelManifold, grid: RadialGrid, forcing: Forcing, p: float, reaction, substeps):
-    """Return react(u, t), the reaction term, and imex(dt), the LU factors of I - (dt/j)*Delta_h per j in substeps.
+def _imex_parts(M: ModelManifold, grid: RadialGrid, forcing: Forcing, p: float, reaction, rows: int):
+    """Return factor(dt) and column(u, t, factors), the lockstep IMEX Euler rows of one attempt.
 
-    imex keeps the factors of the last dt it was given and factors again
-    only when dt changes.
+    factor(dt) stacks the matrices I - (dt/j)*Delta_h for j = rows, ..., 1
+    into one block-diagonal tridiagonal band (zero couplings between the
+    blocks) and returns its LU factors with the column of substep
+    lengths dt/j.  column(u, t, factors) advances row j by j substeps of
+    dt/j, all rows in lockstep: substep i solves the leading rows - i
+    blocks, the rows still running, with one solve and one reaction
+    evaluation at the per-row times t + i*dt/j; substep 0 shares the
+    reaction at (u, t).  Row a of the result is row j = rows - a.
     """
     sub, diag, sup = laplacian_tridiag(M, grid)
-    kept_dt, kept = None, None
+    n = diag.size
+    substeps = np.arange(rows, 0, -1)[:, None]
 
-    def react(u, t):
+    def react(v, times):
         if reaction is not None:
-            return reaction(u, t)
-        return float(forcing.h(t)) * np.maximum(u, 0.0) ** p
+            # the hook's contract is one row at a time
+            return np.array([reaction(row, s) for row, s in zip(v, times)])
+        return forcing.h(times)[:, None] * np.maximum(v, 0.0) ** p
 
-    def imex(dt):
-        nonlocal kept_dt, kept
-        if dt != kept_dt:
-            kept = [factor_banded(-h * sub, 1.0 - h * diag, -h * sup) for h in (dt / j for j in substeps)]
-            kept_dt = dt
-        return kept
+    def factor(dt):
+        h = dt / substeps
+        band_sub, band_sup = (-h * sub).ravel(), (-h * sup).ravel()
+        band_sub[::n] = 0.0
+        band_sup[n - 1 :: n] = 0.0
+        return factor_banded(band_sub, (1.0 - h * diag).ravel(), band_sup), h
 
-    return react, imex
+    def column(u, t, factors):
+        lu, h = factors
+        out = np.empty((rows, n))
+        v = u[None]
+        for i in range(rows):
+            m = rows - i
+            rhs = v + h[:m] * react(v, t + i * h[: len(v), 0])
+            v = solve_banded(lu, rhs.ravel()).reshape(m, n)
+            out[m - 1] = v[-1]  # row i + 1 has taken its i + 1 substeps
+            v = v[:-1]
+        return out
+
+    return factor, column
+
+
+# divisors of the Aitken-Neville rule per new column k + 1, rows _ROWS, ..., k + 1
+_NEVILLE = [np.array([[j / (j - k) - 1.0] for j in range(_ROWS, k, -1)]) for k in range(1, _ROWS)]
+
+
+def _extrapolate(col):
+    """Top two entries T_kk and T_k,k-1 of the table over col, the rows k, ..., 1 of column 1."""
+    for div in _NEVILLE:
+        below, col = col, col[:-1] + (col[:-1] - col[1:]) / div
+    return col[0], below[0]
 
 
 def _step_factor(est: float, tol: float) -> float:
@@ -208,10 +255,11 @@ def solve_on_ball(
         Step-size and verdict knobs; rel_tol = 0 runs fixed steps.
     reaction : callable(u, t) -> array, optional
         Replaces h(t) u^p (test hook, e.g. the linear term lam*u).  It
-        must be a pure function of (u, t): an adaptive attempt calls it
-        16 times, at t (shared by the first substeps of the six rows)
-        and at t + i dt/j for 0 < i < j <= 6; a fixed step calls it
-        once.  It runs under ``np.errstate(over="ignore",
+        must be a pure function of (u, t), with u one row of node
+        values and t a float: an adaptive attempt calls it 16 times,
+        once at t (shared by the first substeps of the six rows) and
+        then row by row at t + i dt/j for 0 < i < j <= 6; a fixed step
+        calls it once.  It runs under ``np.errstate(over="ignore",
         invalid="ignore")``: overflow to inf, and the nan that inf - inf
         makes in the table, is a rejected trial, never a warning.
     n_snapshots : int
@@ -253,11 +301,14 @@ def solve_on_ball(
     t = 0.0
     dt = controls.dt_init
     adaptive = controls.rel_tol > 0.0
-    react, imex = _imex_parts(M, grid, forcing, p, reaction, range(1, _ROWS + 1) if adaptive else (1,))
+    factor, column = _imex_parts(M, grid, forcing, p, reaction, _ROWS if adaptive else 1)
+    factors, factors_dt = None, None
+    dt_acc = err_acc = None  # dt and error of the previous accepted step
     history = [(0.0, sup0, 0.0)]
     t_cross = None
     verdict = None
     note = ""
+    rejected_error = rejected_nonfinite = factor_sets = 0
 
     def take_snapshots(t_old, u_old, t_new, u_new):
         nonlocal next_sample
@@ -277,29 +328,20 @@ def solve_on_ball(
                 verdict = VERDICT_GLOBAL
                 break
             dt = min(dt, controls.dt_max, remaining)
+            if dt != factors_dt:
+                factors, factors_dt = factor(dt), dt
+                factor_sets += 1
+            col = column(u, t, factors)
             if adaptive:
-                # harmonic-sequence extrapolation of the IMEX Euler substep:
-                # row j starts from j substeps of dt/j, and the first substeps share r
-                r = react(u, t)
-                for j, lu in enumerate(imex(dt), start=1):
-                    h = dt / j
-                    v = solve_banded(lu, u + h * r)
-                    for i in range(1, j):
-                        v = solve_banded(lu, v + h * react(v, t + i * h))
-                    row = [v]
-                    for k in range(1, j):
-                        row.append(row[k - 1] + (row[k - 1] - above[k - 1]) / (j / (j - k) - 1.0))
-                    above = row
-                u_new = row[-1]
+                u_new, below = _extrapolate(col)
                 # est is nan or inf when any trial is, so it doubles as the finiteness test
-                est = float(np.max(np.abs(u_new - row[-2])))
+                est = float(np.max(np.abs(u_new - below)))
                 s_new = float(np.max(np.abs(u_new)))
-                scale = max(s_new, s, 1e-300)
+                tol = controls.rel_tol * max(s_new, s, 1e-300)
                 finite = math.isfinite(est)
-                accept = finite and est <= controls.rel_tol * scale
+                accept = finite and est <= tol
             else:
-                (lu1,) = imex(dt)
-                u_new = solve_banded(lu1, u + dt * react(u, t))
+                u_new = col[0]
                 s_new = float(np.max(np.abs(u_new)))
                 finite = accept = math.isfinite(s_new)
 
@@ -317,13 +359,22 @@ def solve_on_ball(
                     # dt-collapse half of the blow-up verdict is reached
                     dt = 0.5 * dt
                 elif adaptive:
-                    grow = _step_factor(est, controls.rel_tol * scale)
+                    grow = _step_factor(est, tol)
+                    err = est / tol
+                    if dt_acc is not None and err > 0.0:
+                        # Gustafsson's predictive control (Hairer & Wanner II,
+                        # IV.8): an error growing from step to step, as near
+                        # blow-up, shrinks dt before a rejection does
+                        grow = min(grow, max(0.2, 0.9 * (dt / dt_acc) * (err_acc / err / err) ** (1.0 / _ROWS)))
+                    dt_acc, err_acc = dt, max(1e-2, err)
                     if not 1.0 <= grow <= _DT_HOLD:
                         dt = dt * grow
             elif not finite:
+                rejected_nonfinite += 1
                 dt = 0.25 * dt
             else:
-                dt = dt * _step_factor(est, controls.rel_tol * scale)
+                rejected_error += 1
+                dt = dt * _step_factor(est, tol)
             if dt < controls.dt_min:
                 if t_cross is not None:
                     verdict = VERDICT_BLOWUP
@@ -352,6 +403,9 @@ def solve_on_ball(
         final=final,
         threshold=threshold,
         min_value=low,
+        rejected_error=rejected_error,
+        rejected_nonfinite=rejected_nonfinite,
+        factor_sets=factor_sets,
         note=note,
     )
 

@@ -40,11 +40,13 @@ class Forcing:
         return Forcing("exp", sigma=float(sigma))
 
     def h(self, t):
+        """h at t, a scalar or an array; each entry is the same bits either way."""
         t = np.asarray(t, dtype=float)
         if self.kind == "one":
             return np.ones_like(t)
         if self.kind == "power":
-            return (1.0 + t) ** self.q
+            # the ufunc, not a scalar's ** (libm pow), which can differ in the last bit
+            return np.power(1.0 + t, self.q)
         if self.kind == "exp":
             return np.exp(self.sigma * t)
         raise ValueError(f"unknown forcing kind {self.kind!r}")

@@ -187,12 +187,23 @@ def solve_banded(lu, b) -> np.ndarray:
     """Solve A x = b for the factors ``lu = factor_banded(A)``; b is left intact.
 
     One LAPACK ``?gttrs`` call, bound when ``factor_banded`` made lu.
-    b must be a float64 vector of A's length.  Non-finite entries in b
-    give a non-finite x rather than an error.
+    b must be a float64 vector no longer than A.  A shorter b of length
+    k solves the leading k x k block of A, which must be decoupled from
+    the rest (A[k-1, k] = A[k, k-1] = 0, as at a block boundary of a
+    block-diagonal A): elimination never crosses such a boundary, so the
+    leading rows of A's factors are that block's own factors.
+    Non-finite entries in b give a non-finite x rather than an error.
     """
-    if b.size == 2:
-        return _gttrs(*lu, np.append(b, 0.0))[0][:2]
-    return _gttrs(*lu, b)[0]
+    k = b.size
+    if k == 2:
+        # scipy's ?gttrs wrapper refuses n = 2: solve the leading three
+        # rows with a zero appended to b; the third row, factor_banded's
+        # identity border or the next block's first row, is decoupled
+        return solve_banded(lu, np.append(b, 0.0))[:2]
+    dl, d, du, du2, ipiv = lu
+    if k < d.size:
+        dl, d, du, du2, ipiv = dl[: k - 1], d[:k], du[: k - 1], du2[: k - 2], ipiv[:k]
+    return _gttrs(dl, d, du, du2, ipiv, b)[0]
 
 
 def apply_laplacian(M: ModelManifold, u: RadialField) -> RadialField:

@@ -32,7 +32,8 @@ from curvedheat import (
     sup_norm,
     time_envelope,
 )
-from curvedheat.operators import laplacian_tridiag
+from curvedheat.evolution import _extrapolate, _imex_parts
+from curvedheat.operators import factor_banded, laplacian_tridiag, solve_banded
 
 
 def make_u0(grid, profile):
@@ -53,6 +54,13 @@ def test_forcing_closed_forms():
         assert float(f.H(ti)) == pytest.approx(oracle, rel=1e-12)
     f = Forcing.exponential(0.7)
     assert float(f.H(2.0)) == pytest.approx((math.exp(1.4) - 1.0) / 0.7, rel=1e-12)
+
+
+@pytest.mark.parametrize("forcing", [Forcing.one(), Forcing.power_law(0.37), Forcing.exponential(0.71)])
+def test_forcing_scalar_and_array_agree_bit_for_bit(forcing):
+    # an adaptive step evaluates h at one time or at one time per row
+    t = np.random.default_rng(3).uniform(0.0, 12.0, 2000)
+    assert np.array_equal([forcing.h(s) for s in t], forcing.h(t))
 
 
 def test_forcing_validation():
@@ -278,6 +286,76 @@ def test_adaptive_overflow_is_a_rejected_trial(euclid3):
     out = overflowing_run(euclid3, EvolutionControls(t_end=1.0))
     assert np.all(np.isfinite(out.history))
     assert np.all(np.isfinite(out.final.values))
+    assert out.rejected_nonfinite > 0
+
+
+def test_blowup_run_does_not_cycle_between_accepted_and_rejected_steps(euclid3):
+    # without memory of the previous error the controller follows each
+    # accepted step near blow-up with a rejected one (58 against 88)
+    g = RadialGrid(10.0, 100)
+    out = solve_on_ball(euclid3, 10.0, make_u0(g, bump_profile(3.0, 2.0)), Forcing.one(), 1.5, EvolutionControls(t_end=60.0))
+    assert out.verdict == VERDICT_BLOWUP
+    assert out.rejected_error <= 0.05 * (len(out.history) - 1)
+
+
+def test_adaptive_run_on_the_smallest_grid(hyp3):
+    # N = 1: each row of the stacked IMEX band is a block of 2 unknowns
+    g = RadialGrid(1.0, 1)
+    out = solve_on_ball(hyp3, 1.0, make_u0(g, bump_profile(0.5, 2.0)), Forcing.one(), 2.0, EvolutionControls(t_end=1.0))
+    assert out.verdict == VERDICT_GLOBAL
+    assert 0.0 < sup_norm(out.final) < 0.5
+
+
+def row_by_row_attempt(M, grid, forcing, p, u, t, dt):
+    """T66 and T65 of one adaptive attempt, one row and one substep at a time."""
+    sub, diag, sup = laplacian_tridiag(M, grid)
+
+    def react(v, s):
+        return float(forcing.h(s)) * np.maximum(v, 0.0) ** p
+
+    r = react(u, t)
+    for j in range(1, 7):
+        h = dt / j
+        lu = factor_banded(-h * sub, 1.0 - h * diag, -h * sup)
+        v = solve_banded(lu, u + h * r)
+        for i in range(1, j):
+            v = solve_banded(lu, v + h * react(v, t + i * h))
+        row = [v]
+        for k in range(1, j):
+            row.append(row[k - 1] + (row[k - 1] - above[k - 1]) / (j / (j - k) - 1.0))
+        above = row
+    return row[-1], row[-2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    model=st.one_of(
+        st.tuples(st.just("euclidean"), st.integers(2, 7)),
+        st.tuples(st.just("hyperbolic"), st.integers(2, 5)),
+    ),
+    R=st.floats(1.0, 20.0),
+    N=st.integers(1, 120),
+    forcing=st.one_of(
+        st.just(Forcing.one()),
+        st.floats(-0.9, 3.0).map(Forcing.power_law),
+        st.floats(0.05, 2.0).map(Forcing.exponential),
+    ),
+    p=st.floats(1.05, 4.0),
+    t=st.floats(0.0, 10.0),
+    dt=st.floats(1e-4, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lockstep_attempt_equals_row_by_row_table(model, R, N, forcing, p, t, dt, seed):
+    kind, n = model
+    M = make_euclidean(n) if kind == "euclidean" else make_hyperbolic(n, 1.0)
+    g = RadialGrid(R, N)
+    u = 3.0 * np.random.default_rng(seed).random(N + 1)
+    factor, column = _imex_parts(M, g, forcing, p, None, 6)
+    with np.errstate(over="ignore", invalid="ignore"):
+        top, below = _extrapolate(column(u, t, factor(dt)))
+        want_top, want_below = row_by_row_attempt(M, g, forcing, p, u, t, dt)
+    assert np.array_equal(top, want_top, equal_nan=True)
+    assert np.array_equal(below, want_below, equal_nan=True)
 
 
 def band_weighted_norm(M, grid):
@@ -348,8 +426,9 @@ def test_shared_reaction_matches_reference_solves(request, monkeypatch, manifold
         return sub, diag, sup
 
     def reference_solve(band, b):
+        # b may cover only the leading blocks of the stacked band
         calls["solve"] += 1
-        sub, diag, sup = band
+        sub, diag, sup = (a[: b.size] for a in band)
         ab = np.zeros((3, diag.size))
         ab[0, 1:] = sup[:-1]
         ab[1] = diag
@@ -370,9 +449,9 @@ def test_shared_reaction_matches_reference_solves(request, monkeypatch, manifold
         assert t_ref == t_plain
         assert np.array_equal(s_ref, s_plain)
     assert np.array_equal(ref.final.values, plain.final.values)
-    # per attempt: 21 solves, 16 reaction evaluations
-    assert calls["solve"] >= 21 * (len(plain.history) - 1)
-    assert 16 * calls["solve"] == 21 * calls["reaction"]
+    # per attempt: 6 solves, and the hook is called row by row, 16 times
+    assert calls["solve"] >= 6 * (len(plain.history) - 1)
+    assert 16 * calls["solve"] == 6 * calls["reaction"]
 
 
 def count_factors_and_solves(monkeypatch):
@@ -422,9 +501,12 @@ def test_adaptive_run_reuses_factors_across_steps(hyp3, monkeypatch):
     calls = count_factors_and_solves(monkeypatch)
     out = solve_on_ball(hyp3, 10.0, u0, Forcing.one(), 2.0, EvolutionControls(t_end=20.0), n_snapshots=11)
     assert out.verdict == VERDICT_GLOBAL
-    attempts, factor_sets = calls["solve"] / 21, calls["factor"] / 6
+    attempts, factor_sets = calls["solve"] / 6, calls["factor"]
     assert attempts >= len(out.history) - 1
     assert factor_sets < attempts / 10
+    # the outcome's counters account for every attempt and factorization
+    assert attempts == len(out.history) - 1 + out.rejected_error + out.rejected_nonfinite
+    assert out.factor_sets == factor_sets
 
 
 def test_comparison_sandwich_small(hyp3):

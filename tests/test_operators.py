@@ -220,6 +220,35 @@ def test_solve_banded_two_and_three_unknowns(kind, N):
         assert all(np.array_equal(a, k) for a, k in zip(band + (b,), kept))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 40),
+    blocks=st.integers(1, 6),
+    imex=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_prefix_solve_of_stacked_blocks_equals_each_blocks_own_solve(n, blocks, imex, seed):
+    # blocks of 2 unknowns are the ones scipy's ?gttrs wrapper refuses as they stand
+    rng = np.random.default_rng(seed)
+    if imex:
+        # I - (dt/j) Delta_h on one grid, as an adaptive step stacks them
+        sub, diag, sup = laplacian_tridiag(make_hyperbolic(3, 1.0), RadialGrid(4.0, n - 1))
+        dts = rng.uniform(1e-4, 1.0) / np.arange(1, blocks + 1)
+        bands = [(-h * sub, 1.0 - h * diag, -h * sup) for h in dts]
+    else:
+        # no diagonal dominance, so the elimination pivots
+        bands = [tuple(rng.standard_normal(n) for _ in range(3)) for _ in range(blocks)]
+    stacked = [np.concatenate(parts) for parts in zip(*bands)]
+    stacked[0][::n] = 0.0  # no coupling between blocks
+    stacked[2][n - 1 :: n] = 0.0
+    lu = factor_banded(*stacked)
+    b = rng.standard_normal(blocks * n)
+    for m in range(1, blocks + 1):
+        x = solve_banded(lu, b[: m * n])
+        own = [solve_banded(factor_banded(*band), b[k * n : (k + 1) * n]) for k, band in enumerate(bands[:m])]
+        assert np.array_equal(x, np.concatenate(own))
+
+
 def test_solve_banded_singular_raises():
     ones = np.ones(2)
     with pytest.raises(np.linalg.LinAlgError):

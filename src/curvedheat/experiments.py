@@ -501,7 +501,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path, threads: int = 1):
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # imported here: only pooled sweeps need it
 
-        load_lapack()  # the forked workers inherit the binding
+        load_lapack()  # the forked workers inherit the binding instead of each loading LAPACK again
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_cell, jobs))
     else:

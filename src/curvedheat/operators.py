@@ -18,8 +18,12 @@ product weighted by V_i A_i (A_{1/2}/(2n) at the pole).
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from typing import Callable
 
 import numpy as np
@@ -139,24 +143,49 @@ def tridiag_mult(sub, diag, sup, x) -> np.ndarray:
     return y
 
 
-# LAPACK's ?gttrf and ?gttrs, bound by ``load_lapack``
-_gttrf = _gttrs = None
+# LAPACK's ?gttrf, ?gttrs and ?stebz, bound by ``load_lapack``
+_gttrf = _gttrs = _stebz = None
+
+# scipy's compiled f2py wrapper module of LAPACK, loaded under its own name
+_FLAPACK = "scipy.linalg._flapack"
 
 
 def load_lapack():
-    """Bind LAPACK's ?gttrf and ?gttrs; later calls do nothing.
+    """Bind LAPACK's ?gttrf, ?gttrs and ?stebz; later calls do nothing.
 
-    Importing scipy.linalg costs more than importing numpy, so commands
-    that never solve (curvature checks, barrier checks) skip it:
-    ``factor_banded`` calls this on first use.  A process about to fork
-    workers calls it first, so that they inherit the binding instead of
-    each importing scipy.linalg again.
+    The routines come from scipy's compiled LAPACK wrapper module
+    ``scipy/linalg/_flapack``, loaded from its file without running the
+    ``__init__`` of scipy or scipy.linalg, which imports numpy.f2py and
+    numpy.testing and costs far more than the wrapper module alone.
+    They are the routines ``scipy.linalg.lapack`` exposes, so results
+    agree with scipy.linalg bit for bit.  ``factor_banded`` and
+    ``dirichlet_lambda1`` call this on first use, so commands that never
+    solve (curvature checks, barrier checks) skip it.  A process about
+    to fork workers calls it first, so that they inherit the binding.
+    A missing wrapper module raises ImportError naming the directories
+    searched.
     """
-    global _gttrf, _gttrs
+    global _gttrf, _gttrs, _stebz
     if _gttrf is None:
-        from scipy.linalg import get_lapack_funcs
-
-        _gttrf, _gttrs = get_lapack_funcs(("gttrf", "gttrs"), dtype=np.float64)
+        scipy_spec = importlib.util.find_spec("scipy")
+        roots = getattr(scipy_spec, "submodule_search_locations", None) or ()
+        dirs = [os.path.join(root, "linalg") for root in roots]
+        paths = [os.path.join(d, "_flapack" + suffix) for d in dirs for suffix in EXTENSION_SUFFIXES]
+        path = next((p for p in paths if os.path.isfile(p)), None)
+        if path is None:
+            raise ImportError(
+                f"scipy's LAPACK wrapper module _flapack is not in {' or '.join(dirs) or 'any scipy package'}"
+            )
+        loader = ExtensionFileLoader(_FLAPACK, path)
+        flapack = importlib.util.module_from_spec(importlib.util.spec_from_loader(_FLAPACK, loader))
+        loader.exec_module(flapack)
+        if "scipy.linalg" not in sys.modules:
+            # CPython files a single-phase extension module in sys.modules
+            # as it initialises it; without its parent packages that entry
+            # is a stray.  A later import of scipy.linalg loads the file
+            # again and reuses this initialisation.
+            sys.modules.pop(_FLAPACK, None)
+        _gttrf, _gttrs, _stebz = flapack.dgttrf, flapack.dgttrs, flapack.dstebz
 
 
 def factor_banded(sub, diag, sup):

@@ -17,13 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
+from . import operators
 from .geometry import ModelManifold
 from .operators import (
     RadialField,
     RadialGrid,
     factor_banded,
     laplacian_tridiag,
+    load_lapack,
     solve_banded,
     tridiag_mult,
 )
@@ -85,8 +88,11 @@ def mckean_bound(n: int, k: float) -> float:
 def dirichlet_lambda1(M: ModelManifold, R: float, N: int) -> EigenEstimate:
     """Smallest eigenvalue of -Delta_h on B_R and its eigenfunction.
 
-    lam is the smallest eigenvalue of the symmetrised band (LAPACK
-    bisection, ``eigh_tridiagonal``).  The eigenfunction is one step of
+    lam is the smallest eigenvalue of the symmetrised band: one LAPACK
+    ``?stebz`` bisection by index, the call scipy.linalg makes for the
+    first eigenvalue of a symmetric tridiagonal matrix, so lam agrees
+    with it bit for bit.  A non-finite band raises ValueError and a
+    failed bisection LinAlgError.  The eigenfunction is one step of
     inverse iteration from a positive bump: the solve of
     (A - s I) phi = x0 for A = -Delta_h, with the shift s placed
     4 eps max(diag A) below lam, past the bisection's error bound, so that
@@ -95,16 +101,18 @@ def dirichlet_lambda1(M: ModelManifold, R: float, N: int) -> EigenEstimate:
     ||A phi - lam phi||_inf, which certifies the pair, and
     ``iterations`` counts the one solve.
     """
-    from scipy.linalg import eigh_tridiagonal  # imported here: only eigen solves need it
-
     grid = RadialGrid(R, N)
     sub, diag, sup = laplacian_tridiag(M, grid)
     a_sub, a_diag, a_sup = -sub, -diag, -sup  # A = -Delta_h, an M-matrix
-    lam = float(
-        eigh_tridiagonal(
-            a_diag, -np.sqrt(sub[1:] * sup[:-1]), eigvals_only=True, select="i", select_range=(0, 0)
-        )[0]
-    )
+    off = -np.sqrt(sub[1:] * sup[:-1])
+    if not (np.all(np.isfinite(a_diag)) and np.all(np.isfinite(off))):
+        raise ValueError(f"non-finite Laplacian band on the ball of radius {R:g} with N = {N}")
+    load_lapack()
+    # smallest eigenvalue by index (range 2, il = iu = 1), tolerance eps |A|, ordered
+    _, w, _, _, info = operators._stebz(a_diag, off, 2, 0.0, 1.0, 1, 1, 0.0, "E")
+    if info != 0:
+        raise LinAlgError(f"?stebz failed on the ball of radius {R:g} (LAPACK info = {info})")
+    lam = float(w[0])
     shift = lam - 4.0 * np.finfo(float).eps * float(np.max(a_diag))
     y = solve_banded(factor_banded(a_sub, a_diag - shift, a_sup), 1.0 - (grid.nodes[:-1] / R) ** 2)
     y /= y[int(np.argmax(np.abs(y)))]  # sup-normalise with a positive peak

@@ -558,18 +558,24 @@ def test_fresh_import_loads_no_optional_scipy_module():
 
 FRESH_COMMANDS = """\
 import json, sys
+from curvedheat import operators
 from curvedheat.cli import main
-LAZY = ("scipy.linalg", "concurrent.futures.process")
-loaded = [[m for m in LAZY if m in sys.modules]]
+
+def state():
+    return {"scipy": sorted(m for m in sys.modules if m.startswith("scipy")),
+            "lapack": operators._gttrf is not None,
+            "pool": "concurrent.futures.process" in sys.modules}
+
+states = [state()]
 for argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, argv
-    loaded.append([m for m in LAZY if m in sys.modules])
-print(json.dumps(loaded))
+    states.append(state())
+print(json.dumps(states))
 """
 
 
 def fresh_commands(tmp_path, *commands):
-    """Modules of FRESH_COMMANDS' LAZY loaded after the import and after each command."""
+    """FRESH_COMMANDS' state after the import and after each command, in one fresh interpreter."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     argvs = [
@@ -580,12 +586,17 @@ def fresh_commands(tmp_path, *commands):
         [sys.executable, "-c", FRESH_COMMANDS, json.dumps(argvs)],
         env=env, capture_output=True, text=True, check=True,
     )
-    return json.loads(proc.stdout.splitlines()[-1])
+    states = json.loads(proc.stdout.splitlines()[-1])
+    return {key: [state[key] for state in states] for key in states[0]}
 
 
 def test_lapack_and_pool_load_only_when_a_command_uses_them(tmp_path):
+    # solving binds LAPACK from scipy's compiled wrapper module, which
+    # leaves no scipy module imported; the pool loads only for a pooled sweep
     gamma3 = ("--preset", "power-tail-gamma3")
     checks = fresh_commands(tmp_path, ("geometry", *gamma3), ("barrier", *gamma3), ("eigen", *gamma3))
-    assert checks == [[], [], [], ["scipy.linalg"]]
-    sim = ("--config", str(write_cfg(tmp_path, HYPERBOLIC_SIM)))
-    assert fresh_commands(tmp_path, ("simulate", *sim)) == [[], ["scipy.linalg"]]
+    assert checks == {"scipy": [[]] * 4, "lapack": [False, False, False, True], "pool": [False] * 4}
+    sim = ("--config", str(write_cfg(tmp_path, HYPERBOLIC_SIM, "sim.cfg")))
+    sweep = ("--config", str(write_cfg(tmp_path, TINY_SWEEP, "sweep.cfg")), "--threads", "2")
+    runs = fresh_commands(tmp_path, ("simulate", *sim), ("sweep", *sweep))
+    assert runs == {"scipy": [[]] * 3, "lapack": [False, True, True], "pool": [False, False, True]}

@@ -1,6 +1,11 @@
+import importlib.machinery
+import importlib.util
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +24,8 @@ from curvedheat import (
     solve_on_ball,
     sup_norm,
 )
-from curvedheat.operators import factor_banded, laplacian_tridiag, solve_banded
+from curvedheat import operators
+from curvedheat.operators import factor_banded, laplacian_tridiag, load_lapack, solve_banded
 
 
 def field_from(grid, fn):
@@ -263,3 +269,19 @@ def test_solve_banded_nonfinite_rhs_gives_nonfinite_x(hyp3):
     b[50] = np.inf
     x = solve_banded(factor_banded(-0.1 * sub, 1.0 - 0.1 * diag, -0.1 * sup), b)
     assert not np.all(np.isfinite(x))
+
+
+def test_bound_routines_are_scipys_lapack_wrappers():
+    load_lapack()
+    for bound, name in ((operators._gttrf, "dgttrf"), (operators._gttrs, "dgttrs"), (operators._stebz, "dstebz")):
+        assert bound.__doc__ == getattr(scipy.linalg.lapack, name).__doc__
+
+
+def test_missing_wrapper_module_is_an_import_error(tmp_path, monkeypatch):
+    (tmp_path / "linalg").mkdir()
+    scipy_spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    scipy_spec.submodule_search_locations.append(str(tmp_path))
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: scipy_spec)
+    monkeypatch.setattr(operators, "_gttrf", None)
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
+        load_lapack()

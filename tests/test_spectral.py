@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 from curvedheat import (
     RadialGrid,
@@ -12,6 +13,7 @@ from curvedheat import (
     mckean_bound,
     positive_radial_solution,
     save_eigen_csv,
+    spectral,
 )
 from curvedheat.operators import laplacian_tridiag
 
@@ -75,9 +77,24 @@ def test_eigenpair_matches_dense_solver(gamma2, gamma3, model, R, N):
     off = -np.sqrt(np.diag(dense, 1) * np.diag(dense, -1))
     sym = np.diag(np.diag(dense)) + np.diag(off, 1) + np.diag(off, -1)
     est = dirichlet_lambda1(M, R, N)
+    # the same LAPACK bisection as scipy's, so the same bits
+    lowest = eigh_tridiagonal(np.diag(sym), off, eigvals_only=True, select="i", select_range=(0, 0))
+    assert est.lambda1_ball == lowest[0]
     assert est.lambda1_ball == pytest.approx(np.linalg.eigvalsh(sym)[0], rel=1e-10)
     assert np.all(est.eigenfunction.values[:-1] > 0)
     assert est.residual <= 1e-12 * np.max(np.sum(np.abs(dense), axis=1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_band_is_a_value_error(monkeypatch, hyp3, bad):
+    def band(M, grid):
+        sub, diag, sup = laplacian_tridiag(M, grid)
+        diag[grid.N // 2] = bad
+        return sub, diag, sup
+
+    monkeypatch.setattr(spectral, "laplacian_tridiag", band)
+    with pytest.raises(ValueError, match="non-finite"):
+        dirichlet_lambda1(hyp3, 4.0, 40)
 
 
 def test_eigen_residual_tolerance(hyp3):

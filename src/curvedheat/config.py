@@ -40,6 +40,13 @@ __all__ = [
 
 MANIFOLD_KINDS = ("euclidean", "hyperbolic", "gamma")
 BARRIER_KINDS = ("exp", "exp-linear", "exp-slow", "exp-fast", "power-tail", "glued")
+# the [barrier] keys each kind reads and has no default for
+BARRIER_NEEDS = {
+    "exp": ("alpha", "beta"),
+    "exp-fast": ("alpha",),
+    "power-tail": ("alpha",),
+    "glued": ("alpha", "beta", "r0", "r1", "r2"),
+}
 U0_KINDS = ("scaled-barrier", "bump", "power-tail", "zero")
 LAMBDA_POLICIES = ("mckean", "eigen", "explicit")
 
@@ -338,8 +345,6 @@ def parse_config(text: str) -> ExperimentConfig:
     bkind = barrier.kind
     if bkind not in BARRIER_KINDS:
         raise ConfigError(f"barrier kind must be one of {BARRIER_KINDS}, got {bkind!r}")
-    if bkind in ("exp", "glued") and None not in (barrier.alpha, barrier.beta):
-        _admissible("barrier", ExpBarrier, barrier.alpha, barrier.beta)
     if barrier.beta_policy not in ("lo", "mid", "hi"):
         raise ConfigError(f"beta_policy must be lo | mid | hi, got {barrier.beta_policy!r}")
     if bkind == "power-tail" and manifold.kind == "gamma" and manifold.gamma <= 2:
@@ -352,6 +357,11 @@ def parse_config(text: str) -> ExperimentConfig:
             f"barrier kind {bkind!r} needs a divergent-curvature (gamma) model, "
             f"got manifold kind {manifold.kind!r}"
         )
+    missing = [key for key in BARRIER_NEEDS.get(bkind, ()) if getattr(barrier, key) is None]
+    if missing:
+        raise ConfigError(f"barrier kind {bkind} needs explicit {', '.join(missing)}")
+    if bkind in ("exp", "glued"):
+        _admissible("barrier", ExpBarrier, barrier.alpha, barrier.beta)
 
     u0 = _admissible("u0", U0Spec, **sec["u0"])
     if u0.kind not in U0_KINDS:
@@ -485,9 +495,15 @@ N = 1499
 [controls]
 t_end = 50
 rel_tol = 1e-5
+
+[sweep]
+axis = p
+values = 1.5 2 3
 """,
     # Flat-space dichotomy around the critical reaction exponent
-    # 1 + 2/n = 5/3: small bump data blows up below, decays above.
+    # 1 + 2/n = 5/3: small bump data blows up below, decays above.  Flat
+    # space admits no exponential barrier (its spectral bottom is 0), so
+    # the barrier command reports FAIL here.
     "fujita-euclidean": """\
 [manifold]
 kind = euclidean
@@ -502,6 +518,8 @@ lambda_policy = eigen
 
 [barrier]
 kind = exp
+alpha = 1.0
+beta = 0.5
 
 [u0]
 kind = bump

@@ -1,10 +1,20 @@
 """Semilinear evolution u_t = Delta u + h(t) u^p on exhaustion balls.
 
 The basic step is IMEX Euler: diffusion implicitly through a tridiagonal
-solve of (I - dt*Delta_h), the reaction h(t) u^p explicitly.  Its matrix
-is inverse-positive and the explicit term is nonnegative, so a fixed-step
-run (rel_tol = 0) keeps nonnegative data nonnegative (up to rounding)
-and is first order in time.
+solve of (I - dt*Delta_h), the reaction h(t) u^p explicitly.  Delta_h is
+self-adjoint in its volume weight w, so with s = sqrt(w) and
+S = diag(s) the matrix S (I - dt*Delta_h) S^-1 is symmetric positive
+definite with eigenvalues >= 1.  The step solves it by LDL^T without
+pivoting (LAPACK ?pttrf/?pttrs): x = S^-1 ?pttrs(S b).  s is computed
+once per run in the log domain, from the band alone, with s = 1 at the
+pole.  Where s spans too many nats for S b to stay finite below the
+blow-up threshold (on steeply curved models and large balls), or a
+coupling of the band is one-sided, the run keeps the pivoting LU
+(?gttrf/?gttrs) instead.  The matrix is an M-matrix and the explicit
+term is nonnegative, so a fixed-step run (rel_tol = 0) is first order in
+time and keeps nonnegative data nonnegative: on the LDL^T branch
+exactly, since every term of that solve is nonnegative; on the LU
+branch up to rounding.
 
 Adaptive runs extrapolate that step over the harmonic sequence
 1, 2, ..., 6 (Hairer & Wanner, Solving ODEs II, IV.9; Deuflhard 1985,
@@ -22,13 +32,14 @@ tolerance.
 
 The six rows run in lockstep.  Their matrices I - (dt/j)*Delta_h,
 stacked as the blocks of one block-diagonal tridiagonal band in the
-order j = 6, ..., 1, are factored once per step size; substep i solves
-the leading 6 - i blocks, the rows still running, in one call and
-evaluates the reaction once on them, at the per-row times t + i dt/j
-(substep 0 shares the reaction at (u, t)).  So an attempt makes 6
-solves and 6 reaction evaluations, with the arithmetic of six separate
-rows: elimination never crosses a block boundary.  The table is then
-filled column by column over the rows.
+order j = 6, ..., 1 (s restarts at 1 at the pole of each block), are
+factored once per step size; substep i solves the leading 6 - i
+blocks, the rows still running, in one call and evaluates the reaction
+once on them, at the per-row times t + i dt/j (substep 0 shares the
+reaction at (u, t)).  So an attempt makes 6 solves and 6 reaction
+evaluations, with the arithmetic of six separate rows: elimination
+never crosses a block boundary.  The table is then filled column by
+column over the rows.
 
 The factors are reused while dt stays put; dt moves after a rejection,
 after a threshold crossing, at the clamp of the last step to the
@@ -65,7 +76,15 @@ import numpy as np
 
 from .forcing import Forcing
 from .geometry import ModelManifold
-from .operators import RadialField, RadialGrid, factor_banded, laplacian_tridiag, solve_banded, sup_norm
+from .operators import (
+    RadialField,
+    RadialGrid,
+    factor_banded,
+    laplacian_tridiag,
+    log_symmetrizer,
+    solve_banded,
+    sup_norm,
+)
 
 __all__ = [
     "VERDICT_GLOBAL",
@@ -93,8 +112,14 @@ _MAX_STEPS = 2_000_000
 # rows of the extrapolation table of an adaptive step; row j takes j substeps
 _ROWS = 6
 # an accepted step whose controller proposes growth by a factor in
-# [1, _DT_HOLD] keeps dt, and with it the LU factors of its IMEX matrices
+# [1, _DT_HOLD] keeps dt, and with it the factors of its IMEX matrices
 _DT_HOLD = 1.2
+# the IMEX band is solved in its symmetric form when S b stays finite for
+# every |b| below the blow-up threshold: log s may span at most
+# _LOG_FLOAT_MAX - log(threshold) - _SOLVE_HEADROOM, where the headroom
+# covers the growth inside the solve, at most ||I - h Delta_h||_inf
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+_SOLVE_HEADROOM = 64.0
 
 
 @dataclass(frozen=True)
@@ -106,7 +131,7 @@ class EvolutionControls:
     rel_tol = 0 disables adaptivity and runs IMEX Euler at the fixed
     step dt_init.  An adaptive dt moves only when the controller asks
     for a factor below 1 or above 1.2 (the dead band of Hairer & Wanner,
-    Solving ODEs II, IV.8, which lets the LU factors of the IMEX
+    Solving ODEs II, IV.8, which lets the factors of the IMEX
     matrices serve consecutive steps).
     """
 
@@ -141,7 +166,7 @@ class RunOutcome:
     min_value: float  # min of u over u0 and every accepted step
     rejected_error: int  # attempts rejected by the error test
     rejected_nonfinite: int  # attempts rejected for non-finite values
-    factor_sets: int  # LU factorizations of the IMEX band, one per new dt
+    factor_sets: int  # factorizations of the IMEX band, one per new dt
     note: str = ""
 
 
@@ -165,13 +190,17 @@ class EnvelopeComparison:
     passed: bool
 
 
-def _imex_parts(M: ModelManifold, grid: RadialGrid, forcing: Forcing, p: float, reaction, rows: int):
+def _imex_parts(
+    M: ModelManifold, grid: RadialGrid, forcing: Forcing, p: float, reaction, rows: int, threshold: float
+):
     """Return factor(dt) and column(u, t, factors), the lockstep IMEX Euler rows of one attempt.
 
     factor(dt) stacks the matrices I - (dt/j)*Delta_h for j = rows, ..., 1
     into one block-diagonal tridiagonal band (zero couplings between the
-    blocks) and returns its LU factors with the column of substep
-    lengths dt/j.  column(u, t, factors) advances row j by j substeps of
+    blocks) and returns its factors with the column of substep lengths
+    dt/j: LDL^T of the band symmetrized by s, which restarts at 1 at the
+    pole of each block, when |b| < threshold keeps S b finite; LU
+    otherwise.  column(u, t, factors) advances row j by j substeps of
     dt/j, all rows in lockstep: substep i solves the leading rows - i
     blocks, the rows still running, with one solve and one reaction
     evaluation at the per-row times t + i*dt/j; substep 0 shares the
@@ -180,6 +209,12 @@ def _imex_parts(M: ModelManifold, grid: RadialGrid, forcing: Forcing, p: float, 
     sub, diag, sup = laplacian_tridiag(M, grid)
     n = diag.size
     substeps = np.arange(rows, 0, -1)[:, None]
+    log_s = log_symmetrizer(sub, sup)
+    # nan or inf where a coupling is one-sided, which fails the test too
+    span = log_s.max() - log_s.min()
+    s = None
+    if span <= _LOG_FLOAT_MAX - math.log(max(threshold, 1.0)) - _SOLVE_HEADROOM:
+        s = np.tile(np.exp(log_s), rows)
 
     def react(v, times):
         if reaction is not None:
@@ -192,16 +227,16 @@ def _imex_parts(M: ModelManifold, grid: RadialGrid, forcing: Forcing, p: float, 
         band_sub, band_sup = (-h * sub).ravel(), (-h * sup).ravel()
         band_sub[::n] = 0.0
         band_sup[n - 1 :: n] = 0.0
-        return factor_banded(band_sub, (1.0 - h * diag).ravel(), band_sup), h
+        return factor_banded(band_sub, (1.0 - h * diag).ravel(), band_sup, s), h
 
     def column(u, t, factors):
-        lu, h = factors
+        band_factors, h = factors
         out = np.empty((rows, n))
         v = u[None]
         for i in range(rows):
             m = rows - i
             rhs = v + h[:m] * react(v, t + i * h[: len(v), 0])
-            v = solve_banded(lu, rhs.ravel()).reshape(m, n)
+            v = solve_banded(band_factors, rhs.ravel()).reshape(m, n)
             out[m - 1] = v[-1]  # row i + 1 has taken its i + 1 substeps
             v = v[:-1]
         return out
@@ -301,7 +336,7 @@ def solve_on_ball(
     t = 0.0
     dt = controls.dt_init
     adaptive = controls.rel_tol > 0.0
-    factor, column = _imex_parts(M, grid, forcing, p, reaction, _ROWS if adaptive else 1)
+    factor, column = _imex_parts(M, grid, forcing, p, reaction, _ROWS if adaptive else 1, threshold)
     factors, factors_dt = None, None
     dt_acc = err_acc = None  # dt and error of the previous accepted step
     history = [(0.0, sup0, 0.0)]

@@ -131,8 +131,6 @@ def build_barrier(cfg: ExperimentConfig, M: ModelManifold):
         return drift_lower_constant(M, grid.nodes[1:], gamma), "measured"
 
     if spec.kind == "exp":
-        if spec.alpha is None or spec.beta is None:
-            raise ConfigError("barrier kind exp needs explicit alpha and beta")
         lam, origin = resolve_lambda(cfg, M)
         return ExpBarrier(spec.alpha, spec.beta), lam, {"lambda_origin": origin}
 
@@ -162,8 +160,6 @@ def build_barrier(cfg: ExperimentConfig, M: ModelManifold):
         }
 
     if spec.kind == "exp-fast":
-        if spec.alpha is None:
-            raise ConfigError("barrier kind exp-fast needs an explicit alpha")
         lam, origin = resolve_lambda(cfg, M)
         c, c_origin = measured_c()
         beta = _admissible("barrier", fast_decay_rate, n, c, gamma, lam, spec.alpha)
@@ -172,8 +168,6 @@ def build_barrier(cfg: ExperimentConfig, M: ModelManifold):
         }
 
     if spec.kind == "power-tail":
-        if spec.alpha is None:
-            raise ConfigError("barrier kind power-tail needs an explicit alpha")
         k = pinch_constant(cfg)
         c, c_origin = measured_c()
         barrier, lam_star = _admissible("barrier", power_tail_barrier, n, k, c, gamma, spec.alpha)
@@ -184,10 +178,6 @@ def build_barrier(cfg: ExperimentConfig, M: ModelManifold):
         }
 
     if spec.kind == "glued":
-        if spec.alpha is None or spec.beta is None:
-            raise ConfigError("barrier kind glued needs explicit alpha and beta")
-        if None in (spec.r0, spec.r1, spec.r2):
-            raise ConfigError("barrier kind glued needs r0, r1, r2")
         lam, origin = resolve_lambda(cfg, M)
         barrier = _admissible(
             "barrier", glued_barrier,

@@ -37,6 +37,7 @@ __all__ = [
     "SmoothRadialFn",
     "laplacian_tridiag",
     "tridiag_mult",
+    "log_symmetrizer",
     "load_lapack",
     "factor_banded",
     "solve_banded",
@@ -143,15 +144,31 @@ def tridiag_mult(sub, diag, sup, x) -> np.ndarray:
     return y
 
 
-# LAPACK's ?gttrf, ?gttrs and ?stebz, bound by ``load_lapack``
-_gttrf = _gttrs = _stebz = None
+def log_symmetrizer(sub, sup) -> np.ndarray:
+    """log s of the diagonal S = diag(s) that makes S A S^-1 symmetric, s_0 = 1.
+
+    A is any tridiagonal with the couplings (sub, sup) of
+    ``laplacian_tridiag``, whose diagonal S A S^-1 leaves alone:
+    s_{i+1}/s_i = sqrt(sup_i/sub_{i+1}), so s^2 is Delta_h's volume
+    weight V_i A_i up to a constant, and S (I - h Delta_h) S^-1 is the
+    same for every h.  Summing in the log domain keeps s free of
+    overflow however fast the weights grow; a one-sided coupling (a 0
+    entry) makes the entries past it infinite or nan.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        steps = 0.5 * (np.log(sup[:-1]) - np.log(sub[1:]))
+    return np.concatenate(([0.0], np.cumsum(steps)))
+
+
+# LAPACK's ?gttrf, ?gttrs, ?pttrf, ?pttrs and ?stebz, bound by ``load_lapack``
+_gttrf = _gttrs = _pttrf = _pttrs = _stebz = None
 
 # scipy's compiled f2py wrapper module of LAPACK, loaded under its own name
 _FLAPACK = "scipy.linalg._flapack"
 
 
 def load_lapack():
-    """Bind LAPACK's ?gttrf, ?gttrs and ?stebz; later calls do nothing.
+    """Bind LAPACK's ?gttrf, ?gttrs, ?pttrf, ?pttrs and ?stebz; later calls do nothing.
 
     The routines come from scipy's compiled LAPACK wrapper module
     ``scipy/linalg/_flapack``, loaded from its file without running the
@@ -165,7 +182,7 @@ def load_lapack():
     A missing wrapper module raises ImportError naming the directories
     searched.
     """
-    global _gttrf, _gttrs, _stebz
+    global _gttrf, _gttrs, _pttrf, _pttrs, _stebz
     if _gttrf is None:
         scipy_spec = importlib.util.find_spec("scipy")
         roots = getattr(scipy_spec, "submodule_search_locations", None) or ()
@@ -185,21 +202,45 @@ def load_lapack():
             # is a stray.  A later import of scipy.linalg loads the file
             # again and reuses this initialisation.
             sys.modules.pop(_FLAPACK, None)
-        _gttrf, _gttrs, _stebz = flapack.dgttrf, flapack.dgttrs, flapack.dstebz
+        _gttrf, _gttrs, _pttrf, _pttrs, _stebz = (
+            flapack.dgttrf, flapack.dgttrs, flapack.dpttrf, flapack.dpttrs, flapack.dstebz
+        )
 
 
-def factor_banded(sub, diag, sup):
-    """LU factors of the tridiagonal (sub, diag, sup); sub[0], sup[-1] unread; inputs are left intact.
+def factor_banded(sub, diag, sup, s=None):
+    """Factors of the tridiagonal A = (sub, diag, sup); sub[0], sup[-1] unread; inputs are left intact.
 
-    One LAPACK ``?gttrf`` call (Gaussian elimination with partial
-    pivoting), without input validation: the arguments must be float64
-    vectors of one length n >= 2.  A zero pivot raises LinAlgError.  The
-    factors serve any number of ``solve_banded`` calls; factoring once
-    and solving does the arithmetic of ``?gtsv``, the routine
+    The arguments must be float64 vectors of one length n >= 2; there is
+    no input validation.  The factors serve any number of
+    ``solve_banded`` calls.
+
+    Without s: one LAPACK ``?gttrf`` call (Gaussian elimination with
+    partial pivoting).  A zero pivot raises LinAlgError.  Factoring
+    once and solving does the arithmetic of ``?gtsv``, the routine
     ``scipy.linalg.solve_banded`` dispatches to for a (1, 1) band, so
     the solutions agree with it bit for bit.
+
+    With s, a positive symmetrizer of A (``exp(log_symmetrizer(sub,
+    sup))``, or any vector with s_{i+1}/s_i = sqrt(sup_i/sub_{i+1})):
+    one ``?pttrf`` call, LDL^T without pivoting of T = S A S^-1, whose
+    diagonal is diag and whose off-diagonal is
+    sign(sup_i) sqrt(sub_{i+1} sup_i).  T must be positive definite, as
+    I - h Delta_h is for h >= 0; a nonpositive pivot raises
+    LinAlgError.  On such a T, LDL^T is backward stable componentwise
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+    ch. 9), and a componentwise bound survives the diagonal scaling, so
+    the solution is as accurate as the pivoting LU's as long as S b
+    stays inside the float range.  s is read by ``solve_banded`` only.
     """
     load_lapack()
+    if s is not None:
+        e = sub[1:] * sup[:-1]
+        np.sqrt(e, out=e)
+        np.copysign(e, sup[:-1], out=e)
+        d, e, info = _pttrf(diag, e, overwrite_e=1)
+        if info > 0:
+            raise LinAlgError(f"tridiagonal matrix is not positive definite: pivot {info} is not positive")
+        return d, e, s
     dl, d, du = sub[1:], diag, sup[:-1]
     if d.size == 2:
         # scipy's ?gttrf and ?gttrs wrappers refuse n = 2: border the
@@ -212,24 +253,35 @@ def factor_banded(sub, diag, sup):
     return tuple(lu)
 
 
-def solve_banded(lu, b) -> np.ndarray:
-    """Solve A x = b for the factors ``lu = factor_banded(A)``; b is left intact.
+def solve_banded(factors, b) -> np.ndarray:
+    """Solve A x = b for ``factors = factor_banded(A)``; b is left intact.
 
-    One LAPACK ``?gttrs`` call, bound when ``factor_banded`` made lu.
-    b must be a float64 vector no longer than A.  A shorter b of length
-    k solves the leading k x k block of A, which must be decoupled from
-    the rest (A[k-1, k] = A[k, k-1] = 0, as at a block boundary of a
-    block-diagonal A): elimination never crosses such a boundary, so the
-    leading rows of A's factors are that block's own factors.
-    Non-finite entries in b give a non-finite x rather than an error.
+    One LAPACK ``?gttrs`` call on LU factors, or x = S^-1 ?pttrs(S b) on
+    LDL^T factors; the routines are bound when ``factor_banded`` made
+    the factors.  b must be a float64 vector no longer than A.  A
+    shorter b of length k solves the leading k x k block of A, which
+    must be decoupled from the rest (A[k-1, k] = A[k, k-1] = 0, as at a
+    block boundary of a block-diagonal A): elimination never crosses
+    such a boundary, so the leading rows of A's factors are that block's
+    own factors.  For a nonnegative b, an M-matrix A (nonpositive
+    off-diagonals) and LDL^T factors, every term of the solve is
+    nonnegative, so x >= 0 exactly.  Non-finite entries in b give a
+    non-finite x rather than an error.
     """
     k = b.size
+    if len(factors) == 3:  # LDL^T factors and the symmetrizer; LU factors come as five arrays
+        d, e, s = factors
+        if k < d.size:
+            d, e, s = d[:k], e[: k - 1], s[:k]
+        x = _pttrs(d, e, s * b, overwrite_b=1)[0]
+        x /= s
+        return x
     if k == 2:
         # scipy's ?gttrs wrapper refuses n = 2: solve the leading three
         # rows with a zero appended to b; the third row, factor_banded's
         # identity border or the next block's first row, is decoupled
-        return solve_banded(lu, np.append(b, 0.0))[:2]
-    dl, d, du, du2, ipiv = lu
+        return solve_banded(factors, np.append(b, 0.0))[:2]
+    dl, d, du, du2, ipiv = factors
     if k < d.size:
         dl, d, du, du2, ipiv = dl[: k - 1], d[:k], du[: k - 1], du2[: k - 2], ipiv[:k]
     return _gttrs(dl, d, du, du2, ipiv, b)[0]

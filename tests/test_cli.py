@@ -361,6 +361,14 @@ def test_fujita_preset_dichotomy(tmp_path):
     assert verdicts[1.666] in ("blow-up", "global-up-to-horizon", "undecided")
 
 
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_every_command_runs_every_preset(tmp_path, preset):
+    # exit 1 is a FAIL verdict under --strict, as flat space gives on the
+    # curvature and barrier checks; 2 would be a preset its own command refuses
+    for command in ("geometry", "eigen", "barrier", "simulate", "sweep"):
+        assert main([command, "--preset", preset, "--out", str(tmp_path / command), "--strict"]) in (0, 1), command
+
+
 def test_glued_barrier_through_cli(tmp_path):
     text = HYPERBOLIC_SIM.replace(
         "kind = exp-linear\nbeta_policy = mid",
@@ -417,6 +425,18 @@ GEOMETRY_BASE = "[manifold]\nkind = hyperbolic\nn = 3\nk = 1.0\n\n[grid]\nR = 10
             "lambda must be positive",
         ),
         (GEOMETRY_BASE + "[barrier]\nkind = exp\nalpha = -1\nbeta = 1\n", "alpha and beta must be positive"),
+        (GEOMETRY_BASE + "[barrier]\nkind = exp\n", "barrier kind exp needs explicit alpha, beta"),
+        (GEOMETRY_BASE + "[barrier]\nkind = exp\nalpha = 1\n", "barrier kind exp needs explicit beta"),
+        (
+            GEOMETRY_BASE + "[barrier]\nkind = glued\nalpha = 1\nbeta = 1\nr1 = 3\n",
+            "barrier kind glued needs explicit r0, r2",
+        ),
+        (GEOMETRY_BASE + "[barrier]\nkind = exp-fast\n", "barrier kind exp-fast needs explicit alpha"),
+        (
+            GEOMETRY_BASE.replace("kind = hyperbolic\nn = 3\nk = 1.0", "kind = gamma\nn = 3\ngamma = 3.0\nr_max = 12")
+            + "[barrier]\nkind = power-tail\n",
+            "barrier kind power-tail needs explicit alpha",
+        ),
         (GEOMETRY_BASE + "[check]\nnodes = 0\n", "nodes must be >= 1"),
         (GEOMETRY_BASE + "[check]\nr_min = 0\n", "r_min and r_max must be positive"),
         (GEOMETRY_BASE + "[u0]\nkind = power-tail\nalpha = -1\n", "decay exponent must be positive"),
@@ -458,6 +478,7 @@ GEOMETRY_BASE = "[manifold]\nkind = hyperbolic\nn = 3\nk = 1.0\n\n[grid]\nR = 10
     ],
     ids=["sigma", "q", "t_end", "dt-order", "c_lower-text", "c_lower-sign", "sweep-sigma",
          "gamma-dr", "k-zero", "grid-R", "grid-N", "u0-width", "explicit-lambda", "exp-alpha",
+         "exp-no-alpha-beta", "exp-no-beta", "glued-no-radii", "exp-fast-no-alpha", "power-tail-no-alpha",
          "check-nodes", "check-r_min", "u0-power-tail-alpha", "unknown-section",
          "default-section", "unknown-key", "retired-blowup_threshold", "retired-fallback",
          "interpolation", "t_end-nan", "p-nan", "rel_tol-nan", "k-nan", "p-inf", "p-one",
@@ -561,9 +582,11 @@ import json, sys
 from curvedheat import operators
 from curvedheat.cli import main
 
+LAPACK = ("_gttrf", "_gttrs", "_pttrf", "_pttrs", "_stebz")
+
 def state():
     return {"scipy": sorted(m for m in sys.modules if m.startswith("scipy")),
-            "lapack": operators._gttrf is not None,
+            "lapack": [name for name in LAPACK if getattr(operators, name) is not None],
             "pool": "concurrent.futures.process" in sys.modules}
 
 states = [state()]
@@ -594,9 +617,10 @@ def test_lapack_and_pool_load_only_when_a_command_uses_them(tmp_path):
     # solving binds LAPACK from scipy's compiled wrapper module, which
     # leaves no scipy module imported; the pool loads only for a pooled sweep
     gamma3 = ("--preset", "power-tail-gamma3")
+    bound = ["_gttrf", "_gttrs", "_pttrf", "_pttrs", "_stebz"]
     checks = fresh_commands(tmp_path, ("geometry", *gamma3), ("barrier", *gamma3), ("eigen", *gamma3))
-    assert checks == {"scipy": [[]] * 4, "lapack": [False, False, False, True], "pool": [False] * 4}
+    assert checks == {"scipy": [[]] * 4, "lapack": [[], [], [], bound], "pool": [False] * 4}
     sim = ("--config", str(write_cfg(tmp_path, HYPERBOLIC_SIM, "sim.cfg")))
     sweep = ("--config", str(write_cfg(tmp_path, TINY_SWEEP, "sweep.cfg")), "--threads", "2")
     runs = fresh_commands(tmp_path, ("simulate", *sim), ("sweep", *sweep))
-    assert runs == {"scipy": [[]] * 3, "lapack": [False, True, True], "pool": [False, False, True]}
+    assert runs == {"scipy": [[]] * 3, "lapack": [[], bound, bound], "pool": [False, False, True]}

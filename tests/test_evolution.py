@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
+import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -33,7 +33,7 @@ from curvedheat import (
     time_envelope,
 )
 from curvedheat.evolution import _extrapolate, _imex_parts
-from curvedheat.operators import factor_banded, laplacian_tridiag, solve_banded
+from curvedheat.operators import laplacian_tridiag, log_symmetrizer
 
 
 def make_u0(grid, profile):
@@ -306,9 +306,25 @@ def test_adaptive_run_on_the_smallest_grid(hyp3):
     assert 0.0 < sup_norm(out.final) < 0.5
 
 
+def grid_symmetrizer(M, grid):
+    """s with s = 1 at the pole that symmetrizes Delta_h's band on grid: one block's worth."""
+    sub, _, sup = laplacian_tridiag(M, grid)
+    return np.exp(log_symmetrizer(sub, sup))
+
+
+def reference_solve(sub, diag, sup, s, b):
+    """S^-1 dpttrs(S b) for the leading len(b) rows of the band, factored afresh by scipy's dpttrf."""
+    k = b.size
+    sub, diag, sup, s = sub[:k], diag[:k], sup[:k], s[:k]
+    d, e, info = scipy.linalg.lapack.dpttrf(diag, np.copysign(np.sqrt(sub[1:] * sup[:-1]), sup[:-1]))
+    assert info == 0
+    return scipy.linalg.lapack.dpttrs(d, e, s * b)[0] / s
+
+
 def row_by_row_attempt(M, grid, forcing, p, u, t, dt):
     """T66 and T65 of one adaptive attempt, one row and one substep at a time."""
     sub, diag, sup = laplacian_tridiag(M, grid)
+    sym = grid_symmetrizer(M, grid)
 
     def react(v, s):
         return float(forcing.h(s)) * np.maximum(v, 0.0) ** p
@@ -316,10 +332,10 @@ def row_by_row_attempt(M, grid, forcing, p, u, t, dt):
     r = react(u, t)
     for j in range(1, 7):
         h = dt / j
-        lu = factor_banded(-h * sub, 1.0 - h * diag, -h * sup)
-        v = solve_banded(lu, u + h * r)
+        band = (-h * sub, 1.0 - h * diag, -h * sup, sym)
+        v = reference_solve(*band, u + h * r)
         for i in range(1, j):
-            v = solve_banded(lu, v + h * react(v, t + i * h))
+            v = reference_solve(*band, v + h * react(v, t + i * h))
         row = [v]
         for k in range(1, j):
             row.append(row[k - 1] + (row[k - 1] - above[k - 1]) / (j / (j - k) - 1.0))
@@ -350,9 +366,11 @@ def test_lockstep_attempt_equals_row_by_row_table(model, R, N, forcing, p, t, dt
     M = make_euclidean(n) if kind == "euclidean" else make_hyperbolic(n, 1.0)
     g = RadialGrid(R, N)
     u = 3.0 * np.random.default_rng(seed).random(N + 1)
-    factor, column = _imex_parts(M, g, forcing, p, None, 6)
+    factor, column = _imex_parts(M, g, forcing, p, None, 6, 3e8)
+    factors = factor(dt)
+    assert len(factors[0]) == 3  # LDL^T
     with np.errstate(over="ignore", invalid="ignore"):
-        top, below = _extrapolate(column(u, t, factor(dt)))
+        top, below = _extrapolate(column(u, t, factors))
         want_top, want_below = row_by_row_attempt(M, g, forcing, p, u, t, dt)
     assert np.array_equal(top, want_top, equal_nan=True)
     assert np.array_equal(below, want_below, equal_nan=True)
@@ -361,10 +379,10 @@ def test_lockstep_attempt_equals_row_by_row_table(model, R, N, forcing, p, t, dt
 def band_weighted_norm(M, grid):
     """u -> sqrt(sum w u^2) with the weights w that make Delta_h self-adjoint.
 
-    The band alone gives them: w_{i+1} / w_i = sup_i / sub_{i+1}.
+    The band alone gives them: w = s^2, w_{i+1} / w_i = sup_i / sub_{i+1}.
     """
     sub, _, sup = laplacian_tridiag(M, grid)
-    log_w = np.concatenate(([0.0], np.cumsum(np.log(sup[:-1]) - np.log(sub[1:]))))
+    log_w = 2.0 * log_symmetrizer(sub, sup)
     w = np.exp(log_w - log_w.max())
     return lambda u: math.sqrt(float(np.sum(w * u[: w.size] ** 2)))
 
@@ -421,26 +439,24 @@ def test_shared_reaction_matches_reference_solves(request, monkeypatch, manifold
     assert plain.verdict == verdict
 
     calls = {"solve": 0, "reaction": 0}
+    # the symmetrizer restarts at 1 at the pole of each of the six blocks
+    sym = np.tile(grid_symmetrizer(M, g), 6)
 
-    def reference_factor(sub, diag, sup):
+    def reference_factor(sub, diag, sup, s):
+        assert s is not None  # the run takes the LDL^T branch
         return sub, diag, sup
 
-    def reference_solve(band, b):
+    def counted_solve(band, b):
         # b may cover only the leading blocks of the stacked band
         calls["solve"] += 1
-        sub, diag, sup = (a[: b.size] for a in band)
-        ab = np.zeros((3, diag.size))
-        ab[0, 1:] = sup[:-1]
-        ab[1] = diag
-        ab[2, :-1] = sub[1:]
-        return scipy.linalg.solve_banded((1, 1), ab, b)
+        return reference_solve(*band, sym, b)
 
     def counted_reaction(u, t):
         calls["reaction"] += 1
         return float(forcing.h(t)) * np.maximum(u, 0.0) ** p
 
     monkeypatch.setattr(curvedheat.evolution, "factor_banded", reference_factor)
-    monkeypatch.setattr(curvedheat.evolution, "solve_banded", reference_solve)
+    monkeypatch.setattr(curvedheat.evolution, "solve_banded", counted_solve)
     ref = solve_on_ball(M, 10.0, u0, forcing, p, ctl, reaction=counted_reaction, n_snapshots=11)
     assert ref.verdict == plain.verdict
     assert np.array_equal(ref.history, plain.history)
@@ -477,7 +493,6 @@ def test_fixed_step_run_factors_once_and_matches_per_solve_factoring(hyp3, monke
     u0 = make_u0(g, bump_profile(0.5, 2.0))
     # 33 steps of 0.03 and a last step clamped to the remaining 0.01
     ctl = EvolutionControls(t_end=1.0, dt_init=0.03, dt_max=0.03, rel_tol=0.0)
-    factor, solve = curvedheat.evolution.factor_banded, curvedheat.evolution.solve_banded
     with monkeypatch.context() as patch:
         calls = count_factors_and_solves(patch)
         plain = solve_on_ball(hyp3, 10.0, u0, Forcing.one(), 2.0, ctl, n_snapshots=11)
@@ -485,8 +500,12 @@ def test_fixed_step_run_factors_once_and_matches_per_solve_factoring(hyp3, monke
     assert calls["solve"] == len(plain.history) - 1 == 34
     assert calls["factor"] == 2
 
+    sym = grid_symmetrizer(hyp3, g)
+
     def factor_each_solve(band, b):
-        return solve(factor(*band), b)
+        *band, s = band
+        assert np.array_equal(s, sym)
+        return reference_solve(*band, sym, b)
 
     monkeypatch.setattr(curvedheat.evolution, "factor_banded", lambda *band: band)
     monkeypatch.setattr(curvedheat.evolution, "solve_banded", factor_each_solve)
@@ -507,6 +526,70 @@ def test_adaptive_run_reuses_factors_across_steps(hyp3, monkeypatch):
     # the outcome's counters account for every attempt and factorization
     assert attempts == len(out.history) - 1 + out.rejected_error + out.rejected_nonfinite
     assert out.factor_sets == factor_sets
+
+
+@pytest.mark.parametrize(
+    "R, N, threshold, ldlt",
+    [
+        pytest.param(15.0, 149, None, True, id="gamma3-R15"),
+        # s spans 353 nats: S b may overflow for |b| near 1e200
+        pytest.param(15.0, 149, 1e200, False, id="gamma3-R15-huge-threshold"),
+        # s spans 1,253 nats, beyond the float64 range
+        pytest.param(25.0, 249, None, False, id="gamma3-R25"),
+        # the last coupling of the band is one-sided: exp(-lo) overflows to a 0 entry
+        pytest.param(30.0, 10, None, False, id="gamma3-one-sided"),
+    ],
+)
+def test_steep_or_one_sided_band_keeps_the_pivoting_lu(gamma3, monkeypatch, R, N, threshold, ldlt):
+    g = RadialGrid(R, N)
+    sub, _, sup = laplacian_tridiag(gamma3, g)
+    log_s = log_symmetrizer(sub, sup)
+    assert np.all(np.isfinite(log_s)) == (N != 10)
+    branches = []
+    factor = curvedheat.evolution.factor_banded
+
+    def spied_factor(sub, diag, sup, s):
+        branches.append(s is not None)
+        return factor(sub, diag, sup, s)
+
+    monkeypatch.setattr(curvedheat.evolution, "factor_banded", spied_factor)
+    ctl = EvolutionControls(t_end=2.0, blowup_threshold=threshold)
+    out = solve_on_ball(gamma3, R, make_u0(g, bump_profile(0.5, 2.0)), Forcing.one(), 2.0, ctl, n_snapshots=5)
+    assert set(branches) == {ldlt}
+    assert out.verdict == VERDICT_GLOBAL
+    assert np.all(np.isfinite(out.final.values)) and 0.0 < sup_norm(out.final) < 0.5
+    assert out.min_value >= -EvolutionControls.rel_tol * 0.5  # rel_tol of sup u0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    model=st.one_of(
+        st.tuples(st.just("euclidean"), st.integers(2, 7), st.just(1.0)),
+        st.tuples(st.just("hyperbolic"), st.integers(2, 5), st.sampled_from([0.5, 1.0, 2.0])),
+    ),
+    R=st.floats(0.5, 20.0),
+    N=st.integers(1, 200),
+    dt=st.floats(1e-4, 1.0),
+    p=st.floats(1.05, 4.0),
+    forcing=st.sampled_from([Forcing.one(), Forcing.exponential(1.0), Forcing.power_law(-0.5)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fixed_step_ldlt_run_stays_nonnegative_exactly(model, R, N, dt, p, forcing, seed):
+    # every term of S^-1 ?pttrs(S b) is nonnegative for b >= 0, and IMEX
+    # Euler's right-hand side u + dt h(t) u^p is one
+    kind, n, k = model
+    M = make_euclidean(n) if kind == "euclidean" else make_hyperbolic(n, k)
+    g = RadialGrid(R, N)
+    rng = np.random.default_rng(seed)
+    vals = rng.random(N + 2) * (rng.random(N + 2) < 0.5)  # spikes next to zeros
+    vals[rng.integers(N + 1)] = 1.0
+    vals[-1] = 0.0
+    threshold = 1e8  # solve_on_ball's default, 1e8 sup u0
+    factor, _ = _imex_parts(M, g, forcing, p, None, 1, threshold)
+    assert len(factor(dt)[0]) == 3  # LDL^T
+    ctl = EvolutionControls(t_end=10.0 * dt, dt_init=dt, dt_min=1e-3 * dt, dt_max=dt, rel_tol=0.0)
+    out = solve_on_ball(M, R, RadialField(g, vals), forcing, p, ctl, n_snapshots=3)
+    assert out.min_value >= 0.0
 
 
 def test_comparison_sandwich_small(hyp3):

@@ -25,7 +25,7 @@ from curvedheat import (
     sup_norm,
 )
 from curvedheat import operators
-from curvedheat.operators import factor_banded, laplacian_tridiag, load_lapack, solve_banded
+from curvedheat.operators import factor_banded, laplacian_tridiag, load_lapack, log_symmetrizer, solve_banded
 
 
 def field_from(grid, fn):
@@ -255,6 +255,58 @@ def test_prefix_solve_of_stacked_blocks_equals_each_blocks_own_solve(n, blocks, 
         assert np.array_equal(x, np.concatenate(own))
 
 
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    model=st.one_of(
+        st.tuples(st.just("euclidean"), st.integers(2, 7)),
+        st.tuples(st.just("hyperbolic"), st.integers(2, 5)),
+        st.tuples(st.sampled_from(["gamma2", "gamma3"]), st.just(3)),
+    ),
+    R=st.floats(0.1, 15.0),
+    N=st.integers(1, 400),
+    dt=st.floats(1e-6, 1.0),
+    blocks=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ldlt_branch_matches_scipy_to_rounding(gamma2, gamma3, model, R, N, dt, blocks, seed):
+    # the IMEX band of an adaptive step: I - (dt/j) Delta_h for j = blocks, ..., 1,
+    # stacked, symmetrized by s with s = 1 at the pole of each block
+    kind, n = model
+    M = {
+        "euclidean": lambda: make_euclidean(n),
+        "hyperbolic": lambda: make_hyperbolic(n, 1.0),
+        "gamma2": lambda: gamma2,
+        "gamma3": lambda: gamma3,
+    }[kind]()
+    sub, diag, sup = laplacian_tridiag(M, RadialGrid(R, N))
+    s = np.exp(log_symmetrizer(sub, sup))
+    assert np.all(np.isfinite(s))  # R <= 15 keeps the gamma = 3 span below 360 nats
+    bands = [(-h * sub, 1.0 - h * diag, -h * sup) for h in dt / np.arange(blocks, 0, -1)]
+    stacked = [np.concatenate(parts) for parts in zip(*bands)]
+    stacked[0][:: N + 1] = 0.0
+    stacked[2][N :: N + 1] = 0.0
+    kept = [a.copy() for a in stacked]
+    factors = factor_banded(*stacked, np.tile(s, blocks))
+    assert len(factors) == 3 and all(np.array_equal(a, k) for a, k in zip(stacked, kept))
+    b = np.random.default_rng(seed).standard_normal(blocks * (N + 1))
+    for m in range(1, blocks + 1):
+        k = m * (N + 1)
+        x = solve_banded(factors, b[:k])
+        want = scipy_solve(*(a[:k] for a in stacked), b[:k])
+        # both solves are backward stable componentwise, and A^-1 >= 0 has
+        # ||A^-1||_inf <= 1, so each is within a few ulps of ||A||_inf ||x||_inf
+        norm = np.max(np.abs(stacked[0][:k]) + np.abs(stacked[1][:k]) + np.abs(stacked[2][:k]))
+        assert np.max(np.abs(x - want)) <= 32 * np.finfo(float).eps * norm * np.max(np.abs(want))
+
+
+def test_ldlt_of_an_indefinite_band_raises():
+    ones = np.ones(4)
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        factor_banded(ones, np.array([1.0, -1.0, 2.0, 2.0]), ones, ones)
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        factor_banded(2.0 * ones, ones, 2.0 * ones, ones)  # [[1, 2], [2, 1]] leads
+
+
 def test_solve_banded_singular_raises():
     ones = np.ones(2)
     with pytest.raises(np.linalg.LinAlgError):
@@ -273,8 +325,8 @@ def test_solve_banded_nonfinite_rhs_gives_nonfinite_x(hyp3):
 
 def test_bound_routines_are_scipys_lapack_wrappers():
     load_lapack()
-    for bound, name in ((operators._gttrf, "dgttrf"), (operators._gttrs, "dgttrs"), (operators._stebz, "dstebz")):
-        assert bound.__doc__ == getattr(scipy.linalg.lapack, name).__doc__
+    for name in ("dgttrf", "dgttrs", "dpttrf", "dpttrs", "dstebz"):
+        assert getattr(operators, "_" + name[1:]).__doc__ == getattr(scipy.linalg.lapack, name).__doc__
 
 
 def test_missing_wrapper_module_is_an_import_error(tmp_path, monkeypatch):

@@ -107,6 +107,15 @@ class GridSpec:
     R_list: tuple = ()
     dr: float | None = None  # shared spacing for exhaustion / eigen sequences
 
+    def __post_init__(self):
+        RadialGrid(self.R, self.N)
+        if any(not R > 0 for R in self.R_list):
+            raise ValueError(f"R_list entries must be positive, got {self.R_list}")
+        if any(b <= a for a, b in zip(self.R_list, self.R_list[1:])):
+            raise ValueError(f"R_list must be strictly increasing, got {self.R_list}")
+        if self.dr is not None and not self.dr > 0:
+            raise ValueError(f"dr = {self.dr:g} must be positive")
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -371,15 +380,20 @@ def parse_config(text: str) -> ExperimentConfig:
     elif u0.kind == "power-tail":
         _admissible("u0", power_tail_profile, 1.0, u0.alpha)
 
-    grid = GridSpec(**sec["grid"])
-    _admissible("grid", RadialGrid, grid.R, grid.N)
-    if manifold.kind == "gamma" and grid.R > manifold.r_max:
-        raise ConfigError(
-            f"grid radius R = {grid.R} exceeds the tabulated warping range r_max = {manifold.r_max}"
-        )
+    grid = _admissible("grid", GridSpec, **sec["grid"])
+    if manifold.kind == "gamma":
+        for R in (grid.R, *grid.R_list):
+            if R > manifold.r_max:
+                raise ConfigError(
+                    f"[grid] radius {R:g} exceeds the tabulated warping range r_max = {manifold.r_max:g}"
+                )
 
     co = {"t_end": 50.0, **sec["controls"]}
     snapshots = co.pop("snapshots", 33)
+    # the envelope's upper bound and the exhaustion nesting check read the
+    # snapshots; fewer than 2 keep t = 0 alone
+    if snapshots < 2:
+        raise ConfigError(f"[controls] snapshots must be >= 2, got {snapshots}")
     controls = _admissible("controls", EvolutionControls, **co)
 
     sweep = None

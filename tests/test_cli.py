@@ -5,7 +5,7 @@ import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -327,6 +327,20 @@ def test_two_axis_sweep(tmp_path):
     ET.parse(out / "sweep.svg")
 
 
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_preset_sweep_cells_are_the_base_config_at_each_p(preset):
+    cfg = parse_config(preset_text(preset))
+    assert list(cfg.sweep.configs) == [replace(cfg, p=v, sweep=None) for v in cfg.sweep.values]
+
+
+def test_sweep_axis_over_an_integer_key():
+    text = preset_text("power-tail-gamma3").replace("axis = p\nvalues = 1.5 2 3", "axis = grid.N\nvalues = 749 1499")
+    sweep = parse_config(text).sweep
+    assert [cell.grid.N for cell in sweep.configs] == [749, 1499]
+    assert all(type(cell.grid.N) is int for cell in sweep.configs)
+    assert sweep.cells == [((749.0,), {"grid.N": 749.0}), ((1499.0,), {"grid.N": 1499.0})]
+
+
 def test_barrier_kv_reload(tmp_path):
     from curvedheat import ExpBarrier
 
@@ -411,7 +425,10 @@ GEOMETRY_BASE = "[manifold]\nkind = hyperbolic\nn = 3\nk = 1.0\n\n[grid]\nR = 10
         (GEOMETRY_BASE + "[controls]\ndt_init = 1.0\ndt_max = 0.25\n", "need dt_min < dt_init <= dt_max"),
         (GEOMETRY_BASE + "[barrier]\nc_lower = steep\n", "bad value for 'c_lower'"),
         (GEOMETRY_BASE + "[barrier]\nc_lower = -1\n", "drift floor constant must be positive"),
-        (GEOMETRY_BASE + "[sweep]\naxis = sigma\nvalues = 0 1\n", "exponential rate must be positive"),
+        (
+            GEOMETRY_BASE + "[forcing]\nkind = exp\nsigma = 1\n\n[sweep]\naxis = sigma\nvalues = 0 1\n",
+            "[sweep] cell sigma = 0: [forcing] exponential rate must be positive",
+        ),
         (
             "[manifold]\nkind = gamma\nn = 3\ngamma = 2.0\nr_max = 40\ndr = 0.1\n\n[grid]\nR = 10\nN = 100\n",
             "[manifold] dr = 0.1 too coarse for the Jacobi equation",
@@ -457,23 +474,23 @@ GEOMETRY_BASE = "[manifold]\nkind = hyperbolic\nn = 3\nk = 1.0\n\n[grid]\nR = 10
         (GEOMETRY_BASE + "[u0]\namplitude = 0\n", "[u0] scaled-barrier amplitude must be positive"),
         (
             GEOMETRY_BASE + "[sweep]\naxis = p\nvalues = 2 0.5\n",
-            "[sweep] reaction exponent must satisfy p > 1, got 0.5",
+            "[sweep] cell p = 0.5: [problem] reaction exponent must satisfy p > 1, got 0.5",
         ),
         (
             GEOMETRY_BASE + "[u0]\nkind = bump\n\n[sweep]\naxis = amplitude\nvalues = 1 -1\n",
-            "[sweep] u0 must be nonnegative",
+            "[sweep] cell amplitude = -1: [u0] u0 must be nonnegative",
         ),
         (
             GEOMETRY_BASE + "[sweep]\naxis = p\nvalues = 2\naxis2 = amplitude\nvalues2 = 1 -0.125\n",
-            "[sweep] u0 must be nonnegative",
+            "[sweep] cell p = 2, amplitude = -0.125: [u0] u0 must be nonnegative",
         ),
         (
             GEOMETRY_BASE + "[sweep]\naxis = amplitude\nstart = 0\nstop = 1\ncount = 3\n",
-            "[sweep] scaled-barrier amplitude must be positive, got 0.0",
+            "[sweep] cell amplitude = 0: [u0] scaled-barrier amplitude must be positive, got 0.0",
         ),
         (
             GEOMETRY_BASE + "[sweep]\naxis = p\nvalues = 2\naxis2 = foo\nvalues2 = 1\n",
-            "[sweep] axis2 must be p | sigma | amplitude, got 'foo'",
+            "[sweep] an axis is a key section.key outside [sweep] or p | sigma | amplitude, got 'foo'",
         ),
         (
             GEOMETRY_BASE.replace("N = 100", "N = 100\nR_list = 10 5\ndr = 0.1"),
@@ -492,6 +509,23 @@ GEOMETRY_BASE = "[manifold]\nkind = hyperbolic\nn = 3\nk = 1.0\n\n[grid]\nR = 10
         (GEOMETRY_BASE + "[controls]\nsnapshots = -1\n", "[controls] snapshots must be >= 2, got -1"),
         (GEOMETRY_BASE + "[controls]\nsnapshots = 0\n", "[controls] snapshots must be >= 2, got 0"),
         (GEOMETRY_BASE + "[controls]\nsnapshots = 1\n", "[controls] snapshots must be >= 2, got 1"),
+        (
+            GEOMETRY_BASE.replace("kind = hyperbolic\nn = 3\nk = 1.0", "kind = gamma\nn = 3\ngamma = 3.0\nr_max = 12")
+            + "[barrier]\nkind = power-tail\nalpha = 1\n\n[sweep]\naxis = manifold.gamma\nvalues = 3 2\n",
+            "[sweep] cell manifold.gamma = 2: power-tail barrier needs curvature divergence exponent gamma > 2",
+        ),
+        (
+            GEOMETRY_BASE + "[sweep]\naxis = sigma\nvalues = 0.5 1\n",
+            "[sweep] cell sigma = 1 builds the same config as cell sigma = 0.5",
+        ),
+        (
+            GEOMETRY_BASE + "[sweep]\naxis = sweep.count\nvalues = 1 2\n",
+            "[sweep] an axis is a key section.key outside [sweep] or p | sigma | amplitude, got 'sweep.count'",
+        ),
+        (
+            GEOMETRY_BASE + "[sweep]\naxis = grid.M\nvalues = 1 2\n",
+            "[sweep] an axis is a key section.key outside [sweep] or p | sigma | amplitude, got 'grid.M'",
+        ),
     ],
     ids=["sigma", "q", "t_end", "dt-order", "c_lower-text", "c_lower-sign", "sweep-sigma",
          "gamma-dr", "k-zero", "grid-R", "grid-N", "u0-width", "explicit-lambda", "exp-alpha",
@@ -502,7 +536,8 @@ GEOMETRY_BASE = "[manifold]\nkind = hyperbolic\nn = 3\nk = 1.0\n\n[grid]\nR = 10
          "u0-bump-amplitude", "u0-factor", "u0-scaled-amplitude", "sweep-p", "sweep-amplitude",
          "sweep-amplitude2", "sweep-scaled-amplitude", "sweep-axis2", "R_list-decreasing",
          "R_list-negative", "R_list-beyond-r_max", "grid-dr", "snapshots-negative", "snapshots-zero",
-         "snapshots-one"],
+         "snapshots-one", "sweep-gamma", "sweep-duplicate-cell", "sweep-axis-in-sweep",
+         "sweep-axis-unknown"],
 )
 def test_inadmissible_config_values_are_config_errors(tmp_path, capsys, text, hypothesis):
     cfg = write_cfg(tmp_path, text)
@@ -563,7 +598,7 @@ def test_eigen_spacing_without_interior_nodes_is_a_config_error(tmp_path, capsys
     assert main(["eigen", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: [grid] dr = ")
-    assert not (tmp_path / "x" / "eigen.csv").exists()
+    assert not (tmp_path / "x").exists()
 
 
 def test_exhaustion_radii_off_the_spacing_are_a_config_error(tmp_path, capsys):

@@ -33,7 +33,7 @@ from curvedheat import (
     sup_norm,
     time_envelope,
 )
-from curvedheat.config import cell_config, parse_config, preset_text
+from curvedheat.config import parse_config, preset_text
 from curvedheat.evolution import _extrapolate, _imex_parts
 from curvedheat.experiments import _solve_single_ball, build_manifold
 from curvedheat.operators import laplacian_tridiag, log_symmetrizer
@@ -306,7 +306,7 @@ def test_threshold_crossing_cut_off_by_the_horizon_is_undecided(fraction):
     # the preset's p = 1.1 cell, its horizon moved to within one accepted
     # step of the crossing: the sup norm is past the threshold at t_end,
     # but dt never collapsed
-    cfg = cell_config(parse_config(preset_text("exp-forcing-hyperbolic")), {"p": 1.1})
+    cfg = parse_config(preset_text("exp-forcing-hyperbolic")).sweep.configs[0]
     M = build_manifold(cfg)
     full, *_ = _solve_single_ball(cfg, M)
     assert full.verdict == VERDICT_BLOWUP

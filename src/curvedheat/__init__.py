@@ -73,6 +73,7 @@ from .evolution import (
     exhaustion_solve,
     power_tail_profile,
     save_history_csv,
+    solve_batch,
     solve_on_ball,
 )
 

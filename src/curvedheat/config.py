@@ -279,6 +279,8 @@ ALIASES = {"p": "problem.p", "sigma": "forcing.sigma", "amplitude": "u0.amplitud
 def _axis_values(sw, suffix=""):
     """A sweep axis: ``values`` listed, or ``count`` points from ``start`` to ``stop``."""
     if "values" + suffix in sw:
+        if not sw["values" + suffix]:
+            raise ConfigError(f"[sweep] values{suffix} lists no numbers")
         return sw["values" + suffix]
     start, stop, count = (
         _required(sw, "sweep", key + suffix) for key in ("start", "stop", "count")
@@ -521,10 +523,13 @@ rel_tol = 1e-5
 axis = p
 values = 1.5 2 3
 """,
-    # Flat-space dichotomy around the critical reaction exponent
-    # 1 + 2/n = 5/3: small bump data blows up below, decays above.  Flat
-    # space admits no exponential barrier (its spectral bottom is 0), so
-    # the barrier command reports FAIL here.
+    # Bump data of amplitude 1 on the flat ball B_20 at p on both sides
+    # of 1 + 2/n = 5/3: it blows up at p = 1.5 and 1.666 and decays at
+    # 2.5.  That is a statement about amplitude 1 on one ball, not about
+    # the Fujita exponent: on a Dirichlet ball every p > 1 has global
+    # small data, and only a ladder of balls can show the dichotomy.
+    # Flat space admits no exponential barrier (its spectral bottom is
+    # 0), so the barrier command reports FAIL here.
     "fujita-euclidean": """\
 [manifold]
 kind = euclidean

@@ -41,6 +41,20 @@ evaluations, with the arithmetic of six separate rows: elimination
 never crosses a block boundary.  The table is then filled column by
 column over the rows.
 
+Runs go in lockstep the same way.  solve_batch advances K runs that
+share the manifold, the ball, the forcing, the controls and the solver
+branch, each with its own data and p: an attempt stacks the six blocks
+of every run still going in (row, run) order, so substep i solves the
+leading (6 - i) K blocks in one call and evaluates the reaction once on
+them, u^p with each run's own scalar p.  dt, factors, controller,
+history and verdict stay per run: the runs whose dt moved are factored
+afresh in one call and their blocks replace theirs in the stack's
+factors, and a run that ends leaves the stack.  Each run's arithmetic
+is the one it does alone, bit for bit, while its values are finite;
+inf * 0 at a block boundary is nan, so an attempt that comes out
+non-finite in the stack is made again by its run alone.  solve_on_ball
+is the batch of one.
+
 The factors are reused while dt stays put; dt moves after a rejection,
 after a threshold crossing, at the clamp of the last step to the
 horizon, and when the controller rescales it.  As in RADAU5's strategy
@@ -97,6 +111,7 @@ __all__ = [
     "ExhaustionReport",
     "EnvelopeComparison",
     "solve_on_ball",
+    "solve_batch",
     "nested_grids",
     "exhaustion_solve",
     "compare_with_envelope",
@@ -174,6 +189,7 @@ class RunOutcome:
     rejected_error: int  # attempts rejected by the error test
     rejected_nonfinite: int  # attempts rejected for non-finite values
     factor_sets: int  # factorizations of the IMEX band, one per new dt
+    solves: int  # banded solves: 6 per adaptive attempt, 1 per fixed step
     note: str = ""
 
 
@@ -197,46 +213,51 @@ class EnvelopeComparison:
     passed: bool
 
 
-def _imex_parts(M: ModelManifold, grid: RadialGrid, react, rows: int, threshold: float):
-    """Return factor(dt) and column(u, t, factors), the lockstep IMEX Euler rows of one attempt.
+def _imex_parts(band, rows: int, s, runs: int):
+    """Return factor(dts) and column(U, ts, dts, factors, react), the lockstep IMEX rows of several runs.
 
-    factor(dt) stacks the matrices I - (dt/j)*Delta_h for j = rows, ..., 1
-    into one block-diagonal tridiagonal band (zero couplings between the
-    blocks) and returns its factors with the column of substep lengths
-    dt/j: LDL^T of the band symmetrized by s, which restarts at 1 at the
-    pole of each block, when |b| < threshold keeps S b finite; LU
-    otherwise.  column(u, t, factors) advances row j by j substeps of
-    dt/j, all rows in lockstep: substep i solves the leading rows - i
-    blocks, the rows still running, with one solve and one call
-    react(v, times) on the block v of those rows and the column of their
-    times t + i*dt/j; substep 0 shares the reaction at (u, t).  Row a of
-    the result is row j = rows - a.
+    band is (sub, diag, sup) of Delta_h on the n unknowns.  factor(dts)
+    stacks the matrices I - (dt/j)*Delta_h for j = rows, ..., 1 and the
+    step sizes dts of up to ``runs`` runs, in (row, run) order, into one
+    block-diagonal tridiagonal band (zero couplings between the blocks)
+    and returns its factors: LDL^T of the band symmetrized by s, the
+    symmetrizer of one block (1 at its pole), or LU when s is None.
+    column(U, ts, dts, factors, react) advances row j of run k by j
+    substeps of dts[k]/j from U[k] at time ts[k], all rows of all runs
+    in lockstep: substep i solves the leading (rows - i) K blocks, the
+    rows still running, with one solve and one call react(v, times) on
+    the block v of those rows and the block of their times
+    ts[k] + i dts[k]/j, of shapes (rows - i, K, n) and (rows - i, K, 1);
+    substep 0 shares the reaction at (U, ts).  Entry [a, k] of the
+    result is row j = rows - a of run k.
     """
-    sub, diag, sup = laplacian_tridiag(M, grid)
+    sub, diag, sup = band
     n = diag.size
     substeps = np.arange(rows, 0, -1)[:, None]
-    log_s = log_symmetrizer(sub, sup)
-    # nan or inf where a coupling is one-sided, which fails the test too
-    span = log_s.max() - log_s.min()
-    s = None
-    if span <= _LOG_FLOAT_MAX - math.log(max(threshold, 1.0)) - _SOLVE_HEADROOM:
-        s = np.tile(np.exp(log_s), rows)
+    s_tiled = None if s is None else np.tile(s, rows * runs)
 
-    def factor(dt):
-        h = dt / substeps
+    def lengths(dts):
+        return (dts / substeps)[:, :, None]
+
+    def factor(dts):
+        h = lengths(dts)
         band_sub, band_sup = (-h * sub).ravel(), (-h * sup).ravel()
         band_sub[::n] = 0.0
         band_sup[n - 1 :: n] = 0.0
-        return factor_banded(band_sub, (1.0 - h * diag).ravel(), band_sup, s), h
+        s_band = None if s is None else s_tiled[: band_sub.size]
+        return factor_banded(band_sub, (1.0 - h * diag).ravel(), band_sup, s_band)
 
-    def column(u, t, factors):
-        band_factors, h = factors
-        out = np.empty((rows, n))
-        v = u[None]
+    def column(U, ts, dts, factors, react):
+        k = ts.size
+        h = lengths(dts)
+        out = np.empty((rows, k, n))
+        v = U[None]
+        t = ts[:, None]
         for i in range(rows):
             m = rows - i
-            rhs = v + h[:m] * react(v, t + i * h[: len(v)])
-            v = solve_banded(band_factors, rhs.ravel()).reshape(m, n)
+            rhs = h[:m] * react(v, t + i * h[: len(v)])
+            rhs += v
+            v = solve_banded(factors, rhs.ravel()).reshape(m, k, n)
             out[m - 1] = v[-1]  # row i + 1 has taken its i + 1 substeps
             v = v[:-1]
         return out
@@ -244,14 +265,45 @@ def _imex_parts(M: ModelManifold, grid: RadialGrid, react, rows: int, threshold:
     return factor, column
 
 
+def _merge(old, new, changed, rows: int, n: int):
+    """Factors of a stacked band whose runs ``changed`` take their blocks from ``new``.
+
+    old factors the band of K runs, new the stacked band of the runs
+    that the boolean mask ``changed`` selects.  Each factor array holds
+    one entry per row of its band, short by the trailing entries that
+    would couple across a block boundary (one for off-diagonals, two for
+    LU's second superdiagonal), which are zero; ``factor_banded`` borders
+    a band of two rows with one more.  Pivot rows are absolute and
+    1-based, so they move as offsets.
+    """
+    size, size_new = rows * changed.size * n, rows * np.count_nonzero(changed) * n
+    merged = []
+    for a, b in zip(old, new):
+        full, part = np.zeros(size, a.dtype), np.zeros(size_new, a.dtype)
+        full[: a.size] = a
+        kept = size_new - (size - a.size)
+        part[:kept] = b[:kept]
+        pivots = a.dtype.kind == "i"
+        if pivots:
+            full -= np.arange(1, size + 1, dtype=a.dtype)
+            part -= np.arange(1, size_new + 1, dtype=a.dtype)
+        full.reshape(rows, -1, n)[:, changed] = part.reshape(rows, -1, n)
+        if pivots:
+            full += np.arange(1, size + 1, dtype=a.dtype)
+        merged.append(full[: a.size])
+    return tuple(merged)
+
+
 # divisors of the Aitken-Neville rule per new column k + 1, rows _ROWS, ..., k + 1
-_NEVILLE = [np.array([[j / (j - k) - 1.0] for j in range(_ROWS, k, -1)]) for k in range(1, _ROWS)]
+_NEVILLE = [np.array([j / (j - k) - 1.0 for j in range(_ROWS, k, -1)])[:, None, None] for k in range(1, _ROWS)]
 
 
 def _extrapolate(col):
-    """Top two entries T_kk and T_k,k-1 of the table over col, the rows k, ..., 1 of column 1."""
+    """Top two entries T_kk and T_k,k-1 of the tables over col, the rows k, ..., 1 of column 1 of each run."""
     for div in _NEVILLE:
-        below, col = col, col[:-1] + (col[:-1] - col[1:]) / div
+        below, col = col, col[:-1] - col[1:]
+        col /= div
+        col += below[:-1]
     return col[0], below[0]
 
 
@@ -260,6 +312,294 @@ def _step_factor(est: float, tol: float) -> float:
     if est == 0.0:
         return 5.0
     return min(5.0, max(0.2, 0.9 * (tol / est) ** (1.0 / _ROWS)))
+
+
+class _Run:
+    """One run's state in the lockstep engine, and its step controller."""
+
+    def __init__(self, u0: RadialField, p: float, controls: EvolutionControls, n_snapshots: int):
+        vals = u0.values
+        self.p = p
+        self.controls = controls
+        self.s = sup_norm(u0)  # sup norm of u
+        if controls.blowup_threshold is not None:
+            self.threshold = controls.blowup_threshold
+        else:
+            self.threshold = 1e8 * self.s if self.s > 0.0 else math.inf
+        self.u = vals[:-1].copy()
+        self.low = float(np.min(vals))  # running minimum of u
+        self.t = 0.0
+        self.dt = controls.dt_init
+        self.factors_dt = None
+        self.dt_acc = self.err_acc = None  # dt and error of the previous accepted step
+        self.history = [(0.0, self.s, 0.0)]
+        self.sample_times = np.linspace(0.0, controls.t_end, n_snapshots)
+        self.snapshots = [(0.0, vals.copy())]
+        self.next_sample = 1
+        self.t_cross = None
+        self.verdict = None
+        self.note = ""
+        self.rejected_error = self.rejected_nonfinite = self.factor_sets = self.solves = 0
+
+    def reach_horizon(self) -> bool:
+        """End the run if it has reached the horizon; otherwise clamp dt to it."""
+        controls = self.controls
+        remaining = controls.t_end - self.t
+        if remaining <= max(controls.dt_min, 1e-12 * controls.t_end):
+            # horizon reached to within the step-size floor; a crossing
+            # without the dt collapse is neither verdict
+            if self.t_cross is None:
+                self.verdict = VERDICT_GLOBAL
+            else:
+                self.verdict = VERDICT_UNDECIDED
+                self.note = (
+                    f"sup norm crossed the blow-up threshold at t = {self.t_cross:.6g}; "
+                    "the horizon came before the step size collapsed below dt_min"
+                )
+            return True
+        self.dt = min(self.dt, controls.dt_max, remaining)
+        return False
+
+    def advance(self, u_new, est: float, s_new: float, low: float, rows: int) -> bool:
+        """Accept or reject the attempt of step dt from (t, u); return whether it was accepted.
+
+        u_new is the attempt's value, low its minimum and s_new its sup
+        norm; est estimates its local error (adaptive runs only).
+        """
+        controls = self.controls
+        adaptive = rows > 1
+        self.solves += rows
+        dt = self.dt
+        if adaptive:
+            tol = controls.rel_tol * max(s_new, self.s, 1e-300)
+            # est is nan or inf when any trial is, so it doubles as the finiteness test
+            finite = math.isfinite(est)
+            accept = finite and est <= tol
+        else:
+            finite = accept = math.isfinite(s_new)
+
+        if accept:
+            t_old, u_old = self.t, self.u
+            self.t = self.t + dt
+            self.u, self.s = u_new, s_new
+            self.low = min(self.low, low)
+            self.history.append((self.t, self.s, dt))
+            self._take_snapshots(t_old, u_old)
+            if self.s >= self.threshold and self.t_cross is None:
+                self.t_cross = self.t
+            if self.t_cross is not None:
+                # threshold crossed: force the step size down so the
+                # dt-collapse half of the blow-up verdict is reached
+                dt = 0.5 * dt
+            elif adaptive:
+                grow = _step_factor(est, tol)
+                err = est / tol
+                if self.dt_acc is not None and err > 0.0:
+                    # Gustafsson's predictive control (Hairer & Wanner II,
+                    # IV.8): an error growing from step to step, as near
+                    # blow-up, shrinks dt before a rejection does
+                    grow = min(grow, max(0.2, 0.9 * (dt / self.dt_acc) * (self.err_acc / err / err) ** (1.0 / _ROWS)))
+                self.dt_acc, self.err_acc = dt, max(1e-2, err)
+                if not 1.0 <= grow <= _DT_HOLD:
+                    dt = dt * grow
+        elif not finite:
+            self.rejected_nonfinite += 1
+            dt = 0.25 * dt
+        else:
+            self.rejected_error += 1
+            dt = dt * _step_factor(est, tol)
+        self.dt = dt
+
+        if dt < controls.dt_min:
+            if self.t_cross is not None:
+                self.verdict = VERDICT_BLOWUP
+            else:
+                self.verdict = VERDICT_UNDECIDED
+                self.note = (
+                    f"step size collapsed below dt_min = {controls.dt_min:g} at t = {self.t:.6g} "
+                    "without the sup norm reaching the blow-up threshold"
+                )
+        elif not finite and not adaptive:
+            self.verdict = VERDICT_BLOWUP if self.t_cross is not None else VERDICT_UNDECIDED
+            if self.verdict == VERDICT_UNDECIDED:
+                self.note = f"non-finite values at t = {self.t:.6g} in fixed-step mode"
+        return accept
+
+    def _take_snapshots(self, t_old, u_old):
+        t_new, u_new = self.t, self.u
+        while self.next_sample < self.sample_times.size and self.sample_times[self.next_sample] <= t_new + 1e-14:
+            ts = self.sample_times[self.next_sample]
+            w = 0.0 if t_new == t_old else (ts - t_old) / (t_new - t_old)
+            ui = u_old + w * (u_new - u_old)
+            self.snapshots.append((float(ts), np.concatenate((ui, [0.0]))))
+            self.next_sample += 1
+
+    def outcome(self, grid: RadialGrid) -> RunOutcome:
+        return RunOutcome(
+            verdict=self.verdict,
+            t_star=self.t_cross if self.verdict == VERDICT_BLOWUP else None,
+            history=np.asarray(self.history),
+            snapshots=self.snapshots,
+            final=RadialField(grid, np.concatenate((self.u, [0.0]))),
+            threshold=self.threshold,
+            min_value=self.low,
+            rejected_error=self.rejected_error,
+            rejected_nonfinite=self.rejected_nonfinite,
+            factor_sets=self.factor_sets,
+            solves=self.solves,
+            note=self.note,
+        )
+
+
+def _lockstep(band, runs, forcing: Forcing, controls: EvolutionControls, reaction, s):
+    """Advance ``runs`` to their verdicts in lockstep, every attempt one stacked column.
+
+    The runs share the band and its symmetrizer s (None: the LU
+    branch); reaction, if given, replaces the power reaction of the one
+    run.  A run's dt, factors, controller, history and verdict are its
+    own: a run whose dt moved gets its blocks factored afresh, in one
+    call for all such runs, and a run that ends leaves the stack.
+    """
+    adaptive = controls.rel_tol > 0.0
+    rows = _ROWS if adaptive else 1
+    n = band[1].size
+    factor, column = _imex_parts(band, rows, s, len(runs))
+
+    def react(v, times, live):
+        if reaction is not None:
+            return reaction(v[:, 0], times[:, 0])[:, None]
+        pos = np.maximum(v, 0.0)
+        if len(live) == 1:
+            pos = pos ** live[0].p
+        else:
+            # one scalar exponent per run keeps numpy's special cases,
+            # such as squaring at p = 2, that an array of exponents loses
+            for k, run in enumerate(live):
+                pos[:, k] = pos[:, k] ** run.p
+        return np.multiply(forcing.h(times), pos, out=pos)
+
+    def attempt(live, U, dts, factors):
+        """(value, local error estimate, sup norm) of each run's attempt."""
+        col = column(U, np.array([run.t for run in live]), dts, factors, lambda v, times: react(v, times, live))
+        if not adaptive:
+            u_new = col[0]
+            return u_new, None, np.max(np.abs(u_new), axis=1)
+        u_new, below = _extrapolate(col)
+        return u_new, np.max(np.abs(u_new - below), axis=1), np.max(np.abs(u_new), axis=1)
+
+    live = list(runs)
+    U = np.stack([run.u for run in live])
+    factors = None
+    # overflow to inf, and nan from inf - inf, are outcomes the step controller handles
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_MAX_STEPS):
+            ending = [run.verdict is not None or run.reach_horizon() for run in live]
+            if any(ending):
+                live = [run for run, end in zip(live, ending) if not end]
+                if not live:
+                    break
+                U = U[np.logical_not(ending)]
+                factors = None
+            dts = np.array([run.dt for run in live])
+            stale = np.array([run.dt != run.factors_dt for run in live])
+            for run, new_dt in zip(live, stale):
+                if new_dt:
+                    run.factors_dt = run.dt
+                    run.factor_sets += 1
+            if factors is None or stale.all():
+                factors = factor(dts)
+            elif stale.any():
+                factors = _merge(factors, factor(dts[stale]), stale, rows, n)
+
+            u_new, est, s_new = attempt(live, U, dts, factors)
+            if len(live) > 1:
+                # the stacked solve carries a non-finite value into the
+                # other runs' blocks (inf * 0 across a block boundary), so
+                # a run whose attempt is not finite takes it again alone
+                for k in np.flatnonzero(~np.isfinite(s_new if est is None else est)):
+                    one = slice(k, k + 1)
+                    u_k, est_k, s_k = attempt(live[one], U[one], dts[one], factor(dts[one]))
+                    u_new[k], s_new[k] = u_k[0], s_k[0]
+                    if est is not None:
+                        est[k] = est_k[0]
+            low = np.min(u_new, axis=1)
+            accepted = [
+                run.advance(u_new[k], None if est is None else float(est[k]), float(s_new[k]), float(low[k]), rows)
+                for k, run in enumerate(live)
+            ]
+            U = np.where(np.array(accepted)[:, None], u_new, U)
+        else:
+            for run in live:
+                if run.verdict is None:
+                    run.verdict = VERDICT_UNDECIDED
+                    run.note = f"step budget ({_MAX_STEPS}) exhausted at t = {run.t:.6g}"
+
+
+def _check_run(grid: RadialGrid, R: float, u0: RadialField, p: float):
+    if u0.grid != grid:
+        raise ValueError("the runs of a batch must share one grid")
+    if abs(grid.R - R) > 1e-9 * max(1.0, R):
+        raise ValueError(f"u0 lives on a grid with R = {grid.R}, not {R}")
+    if not p > 1:
+        raise ValueError(f"reaction exponent must satisfy p > 1, got {p}")
+    vals = u0.values
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("u0 has non-finite values")
+    if np.any(vals < 0.0):
+        raise ValueError("u0 must be nonnegative")
+    if vals[-1] != 0.0:
+        raise ValueError("u0 must vanish at the Dirichlet boundary node")
+
+
+def _symmetrizer(band, threshold: float):
+    """s of the band's LDL^T branch, or None (the LU branch) where S b may overflow below the threshold."""
+    log_s = log_symmetrizer(band[0], band[2])
+    # nan or inf where a coupling is one-sided, which fails the test too
+    span = log_s.max() - log_s.min()
+    if span <= _LOG_FLOAT_MAX - math.log(max(threshold, 1.0)) - _SOLVE_HEADROOM:
+        return np.exp(log_s)
+    return None
+
+
+def _solve(M, R, u0s, forcing, ps, controls, reaction, n_snapshots) -> list:
+    """The outcomes of the runs (u0, p), evolved in lockstep per solver branch."""
+    if not u0s or len(u0s) != len(ps):
+        raise ValueError(f"need one exponent per run and at least one run, got {len(u0s)} runs and {len(ps)} exponents")
+    grid = u0s[0].grid
+    for u0, p in zip(u0s, ps):
+        _check_run(grid, R, u0, p)
+    runs = [_Run(u0, p, controls, n_snapshots) for u0, p in zip(u0s, ps)]
+    band = laplacian_tridiag(M, grid)
+    branches = [_symmetrizer(band, run.threshold) for run in runs]
+    for lu in (False, True):
+        group = [k for k, s in enumerate(branches) if (s is None) == lu]
+        if group:
+            _lockstep(band, [runs[k] for k in group], forcing, controls, reaction, branches[group[0]])
+    return [run.outcome(grid) for run in runs]
+
+
+def solve_batch(
+    M: ModelManifold,
+    R: float,
+    u0s,
+    forcing: Forcing,
+    ps,
+    controls: EvolutionControls,
+    *,
+    n_snapshots: int = 33,
+) -> list:
+    """Evolve each u0 of ``u0s`` with its reaction exponent in ``ps``, all in lockstep.
+
+    The runs share the manifold, the ball (one grid for every u0), the
+    forcing and the controls; each outcome is bit for bit the one
+    ``solve_on_ball`` returns for its run alone.  Every attempt stacks
+    the IMEX blocks of all runs still going, so substep i of an attempt
+    is one banded solve and one reaction evaluation for all of them,
+    while dt, factors, controller, history, counters and verdict stay
+    per run.  Runs whose data put them on different solver branches
+    (LDL^T or LU, by their blow-up thresholds) go in separate stacks.
+    """
+    return _solve(M, R, list(u0s), forcing, list(ps), controls, None, n_snapshots)
 
 
 def solve_on_ball(
@@ -308,154 +648,10 @@ def solve_on_ball(
     -------
     RunOutcome
         Verdict, detected blow-up time, per-step (t, sup, dt) history,
-        snapshots, and the final field.
+        snapshots, and the final field.  It is ``solve_batch``'s batch
+        of one.
     """
-    grid = u0.grid
-    if abs(grid.R - R) > 1e-9 * max(1.0, R):
-        raise ValueError(f"u0 lives on a grid with R = {grid.R}, not {R}")
-    if not p > 1:
-        raise ValueError(f"reaction exponent must satisfy p > 1, got {p}")
-    vals = u0.values
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("u0 has non-finite values")
-    if np.any(vals < 0.0):
-        raise ValueError("u0 must be nonnegative")
-    if vals[-1] != 0.0:
-        raise ValueError("u0 must vanish at the Dirichlet boundary node")
-
-    sup0 = sup_norm(u0)
-    if controls.blowup_threshold is not None:
-        threshold = controls.blowup_threshold
-    else:
-        threshold = 1e8 * sup0 if sup0 > 0.0 else math.inf
-
-    sample_times = np.linspace(0.0, controls.t_end, n_snapshots)
-    snapshots = [(0.0, vals.copy())]
-    next_sample = 1
-
-    u = vals[:-1].copy()
-    s = sup0  # sup norm of u
-    low = float(np.min(vals))  # running minimum of u
-    t = 0.0
-    dt = controls.dt_init
-    adaptive = controls.rel_tol > 0.0
-    if reaction is None:
-        reaction = lambda v, times: forcing.h(times) * np.maximum(v, 0.0) ** p
-    factor, column = _imex_parts(M, grid, reaction, _ROWS if adaptive else 1, threshold)
-    factors, factors_dt = None, None
-    dt_acc = err_acc = None  # dt and error of the previous accepted step
-    history = [(0.0, sup0, 0.0)]
-    t_cross = None
-    verdict = None
-    note = ""
-    rejected_error = rejected_nonfinite = factor_sets = 0
-
-    def take_snapshots(t_old, u_old, t_new, u_new):
-        nonlocal next_sample
-        while next_sample < sample_times.size and sample_times[next_sample] <= t_new + 1e-14:
-            ts = sample_times[next_sample]
-            w = 0.0 if t_new == t_old else (ts - t_old) / (t_new - t_old)
-            ui = u_old + w * (u_new - u_old)
-            snapshots.append((float(ts), np.concatenate((ui, [0.0]))))
-            next_sample += 1
-
-    # overflow to inf, and nan from inf - inf, are outcomes the step controller handles
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(_MAX_STEPS):
-            remaining = controls.t_end - t
-            if remaining <= max(controls.dt_min, 1e-12 * controls.t_end):
-                # horizon reached to within the step-size floor; a crossing
-                # without the dt collapse is neither verdict
-                if t_cross is None:
-                    verdict = VERDICT_GLOBAL
-                else:
-                    verdict = VERDICT_UNDECIDED
-                    note = (
-                        f"sup norm crossed the blow-up threshold at t = {t_cross:.6g}; "
-                        "the horizon came before the step size collapsed below dt_min"
-                    )
-                break
-            dt = min(dt, controls.dt_max, remaining)
-            if dt != factors_dt:
-                factors, factors_dt = factor(dt), dt
-                factor_sets += 1
-            col = column(u, t, factors)
-            if adaptive:
-                u_new, below = _extrapolate(col)
-                # est is nan or inf when any trial is, so it doubles as the finiteness test
-                est = float(np.max(np.abs(u_new - below)))
-                s_new = float(np.max(np.abs(u_new)))
-                tol = controls.rel_tol * max(s_new, s, 1e-300)
-                finite = math.isfinite(est)
-                accept = finite and est <= tol
-            else:
-                u_new = col[0]
-                s_new = float(np.max(np.abs(u_new)))
-                finite = accept = math.isfinite(s_new)
-
-            if accept:
-                t_old, u_old = t, u
-                t = t + dt
-                u, s = u_new, s_new
-                low = min(low, float(np.min(u)))
-                history.append((t, s, dt))
-                take_snapshots(t_old, u_old, t, u)
-                if s >= threshold and t_cross is None:
-                    t_cross = t
-                if t_cross is not None:
-                    # threshold crossed: force the step size down so the
-                    # dt-collapse half of the blow-up verdict is reached
-                    dt = 0.5 * dt
-                elif adaptive:
-                    grow = _step_factor(est, tol)
-                    err = est / tol
-                    if dt_acc is not None and err > 0.0:
-                        # Gustafsson's predictive control (Hairer & Wanner II,
-                        # IV.8): an error growing from step to step, as near
-                        # blow-up, shrinks dt before a rejection does
-                        grow = min(grow, max(0.2, 0.9 * (dt / dt_acc) * (err_acc / err / err) ** (1.0 / _ROWS)))
-                    dt_acc, err_acc = dt, max(1e-2, err)
-                    if not 1.0 <= grow <= _DT_HOLD:
-                        dt = dt * grow
-            elif not finite:
-                rejected_nonfinite += 1
-                dt = 0.25 * dt
-            else:
-                rejected_error += 1
-                dt = dt * _step_factor(est, tol)
-            if dt < controls.dt_min:
-                if t_cross is not None:
-                    verdict = VERDICT_BLOWUP
-                else:
-                    verdict = VERDICT_UNDECIDED
-                    note = (
-                        f"step size collapsed below dt_min = {controls.dt_min:g} at t = {t:.6g} "
-                        "without the sup norm reaching the blow-up threshold"
-                    )
-                break
-            if not finite and not adaptive:
-                verdict = VERDICT_BLOWUP if t_cross is not None else VERDICT_UNDECIDED
-                if verdict == VERDICT_UNDECIDED:
-                    note = f"non-finite values at t = {t:.6g} in fixed-step mode"
-                break
-        else:
-            verdict = VERDICT_UNDECIDED
-            note = f"step budget ({_MAX_STEPS}) exhausted at t = {t:.6g}"
-
-    final = RadialField(grid, np.concatenate((u, [0.0])))
-    return RunOutcome(
-        verdict=verdict,
-        t_star=t_cross if verdict == VERDICT_BLOWUP else None,
-        history=np.asarray(history),
-        snapshots=snapshots,
-        final=final,
-        threshold=threshold,
-        min_value=low,
-        rejected_error=rejected_error,
-        rejected_nonfinite=rejected_nonfinite,
-        factor_sets=factor_sets,
-        note=note,
-    )
+    return _solve(M, R, [u0], forcing, [p], controls, reaction, n_snapshots)[0]
 
 
 def nested_grids(R_list, dr: float) -> list:

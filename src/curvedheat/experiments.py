@@ -39,6 +39,7 @@ from .evolution import (
     nested_grids,
     power_tail_profile,
     save_history_csv,
+    solve_batch,
     solve_on_ball,
 )
 from .forcing import Forcing
@@ -343,6 +344,19 @@ def _build_u0_profile(cfg: ExperimentConfig, M: ModelManifold):
     return barrier_profile(barrier, ctilde), barrier, lam, envelope, meta
 
 
+def _initial_field(cfg: ExperimentConfig, M: ModelManifold):
+    """The configured data on the configured ball.
+
+    Returns (u0, barrier, lam, envelope, meta) as _build_u0_profile, with
+    the data field in place of its profile.
+    """
+    profile, barrier, lam, envelope, meta = _build_u0_profile(cfg, M)
+    grid = RadialGrid(cfg.grid.R, cfg.grid.N)
+    vals = np.asarray(profile(grid.nodes), dtype=float)
+    vals[-1] = 0.0
+    return RadialField(grid, vals), barrier, lam, envelope, meta
+
+
 def _solve_single_ball(cfg: ExperimentConfig, M: ModelManifold):
     """Evolve the configured data on the configured ball.
 
@@ -350,15 +364,11 @@ def _solve_single_ball(cfg: ExperimentConfig, M: ModelManifold):
     with the run's outcome in place of the data profile; the run's grid
     is ``outcome.final.grid``.
     """
-    profile, barrier, lam, envelope, meta = _build_u0_profile(cfg, M)
-    grid = RadialGrid(cfg.grid.R, cfg.grid.N)
-    vals = np.asarray(profile(grid.nodes), dtype=float)
-    vals[-1] = 0.0
+    u0, *rest = _initial_field(cfg, M)
     outcome = solve_on_ball(
-        M, grid.R, RadialField(grid, vals), cfg.forcing, cfg.p, cfg.controls,
-        n_snapshots=cfg.snapshots,
+        M, u0.grid.R, u0, cfg.forcing, cfg.p, cfg.controls, n_snapshots=cfg.snapshots
     )
-    return outcome, barrier, lam, envelope, meta
+    return (outcome, *rest)
 
 
 def run_simulate(cfg: ExperimentConfig, out_dir: Path):
@@ -461,9 +471,8 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path):
     return ok, lines
 
 
-def _sweep_cell(cfg: ExperimentConfig):
-    M = build_manifold(cfg)
-    outcome, barrier, lam, envelope, meta = _solve_single_ball(cfg, M)
+def _sweep_cell(cfg: ExperimentConfig, outcome, barrier, lam, envelope, meta):
+    """The result row of one sweep cell from its run's outcome and its data's barrier and envelope."""
     grid = outcome.final.grid
     env_pass = None
     if envelope is not None and outcome.verdict != VERDICT_BLOWUP:
@@ -482,22 +491,57 @@ def _sweep_cell(cfg: ExperimentConfig):
     }
 
 
+def _sweep_batch(cfgs):
+    """The result rows of sweep cells that differ only in their data and p, their runs in lockstep."""
+    base = cfgs[0]
+    M = build_manifold(base)
+    cells = [_initial_field(cfg, M) for cfg in cfgs]
+    outcomes = solve_batch(
+        M, base.grid.R, [u0 for u0, *_ in cells], base.forcing, [cfg.p for cfg in cfgs],
+        base.controls, n_snapshots=base.snapshots,
+    )
+    return [_sweep_cell(cfg, outcome, *rest) for cfg, outcome, (_, *rest) in zip(cfgs, outcomes, cells)]
+
+
+def _sweep_jobs(configs, threads: int) -> list:
+    """The cells' indices in batches, one per pool job.
+
+    Cells that share manifold, ball, forcing and controls form a group,
+    and each group is dealt into at most ``threads`` interleaved batches.
+    """
+    groups: dict = {}
+    for i, cfg in enumerate(configs):
+        key = repr((cfg.manifold, cfg.grid, cfg.forcing, cfg.controls, cfg.snapshots))
+        groups.setdefault(key, []).append(i)
+    jobs = []
+    for group in groups.values():
+        parts = min(threads, len(group))
+        jobs += [group[w::parts] for w in range(parts)]
+    return jobs
+
+
 def run_sweep(cfg: ExperimentConfig, out_dir: Path, threads: int = 1):
     if cfg.sweep is None:
         raise ConfigError("sweep command needs a [sweep] section")
     spec = cfg.sweep
     cells = spec.cells
+    jobs = _sweep_jobs(spec.configs, threads)
+    batches = [[spec.configs[i] for i in job] for job in jobs]
     # under the fork start method the pool forks all its workers at the
-    # first submit, so it gets no more of them than there are cells
-    workers = min(threads, len(spec.configs))
+    # first submit, so it gets no more of them than there are batches
+    workers = min(threads, len(batches))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # imported here: only pooled sweeps need it
 
         load_lapack()  # the forked workers inherit the binding instead of each loading LAPACK again
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_cell, spec.configs))
+            rows_of = list(pool.map(_sweep_batch, batches))
     else:
-        results = [_sweep_cell(cell) for cell in spec.configs]
+        rows_of = [_sweep_batch(batch) for batch in batches]
+    results = [None] * len(spec.configs)
+    for job, rows in zip(jobs, rows_of):
+        for i, res in zip(job, rows):
+            results[i] = res
 
     axis_names = (spec.axis,) if spec.axis2 is None else (spec.axis, spec.axis2)
     header = axis_names + (

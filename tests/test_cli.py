@@ -526,6 +526,11 @@ GEOMETRY_BASE = "[manifold]\nkind = hyperbolic\nn = 3\nk = 1.0\n\n[grid]\nR = 10
             GEOMETRY_BASE + "[sweep]\naxis = grid.M\nvalues = 1 2\n",
             "[sweep] an axis is a key section.key outside [sweep] or p | sigma | amplitude, got 'grid.M'",
         ),
+        (GEOMETRY_BASE + "[sweep]\naxis = p\nvalues =\n", "[sweep] values lists no numbers"),
+        (
+            GEOMETRY_BASE + "[sweep]\naxis = p\nvalues = 2\naxis2 = amplitude\nvalues2 =\n",
+            "[sweep] values2 lists no numbers",
+        ),
     ],
     ids=["sigma", "q", "t_end", "dt-order", "c_lower-text", "c_lower-sign", "sweep-sigma",
          "gamma-dr", "k-zero", "grid-R", "grid-N", "u0-width", "explicit-lambda", "exp-alpha",
@@ -537,7 +542,7 @@ GEOMETRY_BASE = "[manifold]\nkind = hyperbolic\nn = 3\nk = 1.0\n\n[grid]\nR = 10
          "sweep-amplitude2", "sweep-scaled-amplitude", "sweep-axis2", "R_list-decreasing",
          "R_list-negative", "R_list-beyond-r_max", "grid-dr", "snapshots-negative", "snapshots-zero",
          "snapshots-one", "sweep-gamma", "sweep-duplicate-cell", "sweep-axis-in-sweep",
-         "sweep-axis-unknown"],
+         "sweep-axis-unknown", "sweep-values-empty", "sweep-values2-empty"],
 )
 def test_inadmissible_config_values_are_config_errors(tmp_path, capsys, text, hypothesis):
     cfg = write_cfg(tmp_path, text)

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg.lapack
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -29,12 +29,13 @@ from curvedheat import (
     make_hyperbolic,
     power_tail_profile,
     save_history_csv,
+    solve_batch,
     solve_on_ball,
     sup_norm,
     time_envelope,
 )
 from curvedheat.config import parse_config, preset_text
-from curvedheat.evolution import _extrapolate, _imex_parts
+from curvedheat.evolution import _extrapolate, _imex_parts, _symmetrizer
 from curvedheat.experiments import _solve_single_ball, build_manifold
 from curvedheat.operators import laplacian_tridiag, log_symmetrizer
 
@@ -346,7 +347,7 @@ def reference_solve(sub, diag, sup, s, b):
 
 
 def power_reaction(forcing, p):
-    """h(t) u^p on a block u of rows and the column t of their times."""
+    """h(t) u^p on a block u of rows and the block t of their times."""
     return lambda u, t: forcing.h(t) * np.maximum(u, 0.0) ** p
 
 
@@ -395,14 +396,17 @@ def test_lockstep_attempt_equals_row_by_row_table(model, R, N, forcing, p, t, dt
     M = make_euclidean(n) if kind == "euclidean" else make_hyperbolic(n, 1.0)
     g = RadialGrid(R, N)
     u = 3.0 * np.random.default_rng(seed).random(N + 1)
-    factor, column = _imex_parts(M, g, power_reaction(forcing, p), 6, 3e8)
-    factors = factor(dt)
-    assert len(factors[0]) == 3  # LDL^T
+    band = laplacian_tridiag(M, g)
+    s = _symmetrizer(band, 3e8)
+    assert s is not None  # LDL^T
+    factor, column = _imex_parts(band, 6, s, 1)
+    dts = np.array([dt])
+    factors = factor(dts)
     with np.errstate(over="ignore", invalid="ignore"):
-        top, below = _extrapolate(column(u, t, factors))
+        top, below = _extrapolate(column(u[None], np.array([t]), dts, factors, power_reaction(forcing, p)))
         want_top, want_below = row_by_row_attempt(M, g, forcing, p, u, t, dt)
-    assert np.array_equal(top, want_top, equal_nan=True)
-    assert np.array_equal(below, want_below, equal_nan=True)
+    assert np.array_equal(top[0], want_top, equal_nan=True)
+    assert np.array_equal(below[0], want_below, equal_nan=True)
 
 
 def band_weighted_norm(M, grid):
@@ -614,11 +618,76 @@ def test_fixed_step_ldlt_run_stays_nonnegative_exactly(model, R, N, dt, p, forci
     vals[rng.integers(N + 1)] = 1.0
     vals[-1] = 0.0
     threshold = 1e8  # solve_on_ball's default, 1e8 sup u0
-    factor, _ = _imex_parts(M, g, power_reaction(forcing, p), 1, threshold)
-    assert len(factor(dt)[0]) == 3  # LDL^T
+    assert _symmetrizer(laplacian_tridiag(M, g), threshold) is not None  # LDL^T
     ctl = EvolutionControls(t_end=10.0 * dt, dt_init=dt, dt_min=1e-3 * dt, dt_max=dt, rel_tol=0.0)
     out = solve_on_ball(M, R, RadialField(g, vals), forcing, p, ctl, n_snapshots=3)
     assert out.min_value >= 0.0
+
+
+def assert_same_outcome(batched, alone):
+    """Every field of two run outcomes equal, the arrays bit for bit."""
+    assert (batched.verdict, batched.note, batched.t_star) == (alone.verdict, alone.note, alone.t_star)
+    assert batched.history.tobytes() == alone.history.tobytes()
+    assert [t for t, _ in batched.snapshots] == [t for t, _ in alone.snapshots]
+    for (_, ub), (_, ua) in zip(batched.snapshots, alone.snapshots):
+        assert ub.tobytes() == ua.tobytes()
+    assert batched.final.values.tobytes() == alone.final.values.tobytes()
+    for name in ("threshold", "min_value", "rejected_error", "rejected_nonfinite", "factor_sets", "solves"):
+        assert getattr(batched, name) == getattr(alone, name), name
+
+
+# runs whose attempts are not finite: u^2 overflows at once, or, with the
+# blow-up threshold at 1 (the LDL^T branch), S b overflows inside the solve
+# where the symmetrizer of H^3 reaches sinh(20) while u^1.001 stays finite
+OVERFLOWS = {"reaction": (2.0, bump_profile(1e200, 1.5)), "solve": (1.001, power_tail_profile(1e300, 0.01))}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["euclidean", "hyperbolic"]),
+    N=st.integers(8, 60),
+    forcing=st.sampled_from([Forcing.one(), Forcing.exponential(1.0), Forcing.power_law(0.5)]),
+    adaptive=st.booleans(),
+    threshold=st.sampled_from([None, 1e300, 1.0]),
+    runs=st.lists(
+        st.tuples(st.one_of(st.just(2.0), st.floats(1.1, 3.5)), st.floats(0.0, 30.0)), min_size=1, max_size=5
+    ),
+    overflow=st.sampled_from(sorted(OVERFLOWS)),
+    at=st.integers(0, 5),
+)
+@example(
+    kind="hyperbolic", N=60, forcing=Forcing.one(), adaptive=True, threshold=1.0,
+    runs=[(2.0, 0.5), (2.5, 3.0)], overflow="solve", at=1,
+)
+def test_batched_runs_equal_their_runs_alone(kind, N, forcing, adaptive, threshold, runs, overflow, at):
+    M = make_euclidean(3) if kind == "euclidean" else make_hyperbolic(3, 1.0)
+    g = RadialGrid(20.0, N)
+    cells = [(p, bump_profile(amplitude, 1.5)) for p, amplitude in runs]
+    cells.insert(min(at, len(cells)), OVERFLOWS[overflow])
+    u0s = [make_u0(g, profile) for _, profile in cells]
+    ps = [p for p, _ in cells]
+    if adaptive:
+        ctl = EvolutionControls(t_end=3.0, rel_tol=1e-4, blowup_threshold=threshold)
+    else:
+        ctl = EvolutionControls(t_end=3.0, dt_init=0.05, dt_max=0.05, rel_tol=0.0, blowup_threshold=threshold)
+    batch = solve_batch(M, 20.0, u0s, forcing, ps, ctl, n_snapshots=5)
+    alone = [solve_on_ball(M, 20.0, u0, forcing, p, ctl, n_snapshots=5) for u0, p in zip(u0s, ps)]
+    for batched, single in zip(batch, alone):
+        assert_same_outcome(batched, single)
+    # the overflowing run ends at once, beside runs that go on
+    overflowed = batch[min(at, len(runs))]
+    assert overflowed.rejected_nonfinite >= 1 or overflow == "solve"
+    assert all(out.solves == (6 if adaptive else 1) * (len(out.history) - 1 + out.rejected_error + out.rejected_nonfinite)
+               for out in batch)
+
+
+def test_batch_refuses_runs_on_different_grids(hyp3):
+    u0 = make_u0(RadialGrid(5.0, 49), bump_profile(1.0, 1.0))
+    other = make_u0(RadialGrid(5.0, 24), bump_profile(1.0, 1.0))
+    with pytest.raises(ValueError, match="one grid"):
+        solve_batch(hyp3, 5.0, [u0, other], Forcing.one(), [2.0, 2.0], EvolutionControls(t_end=1.0))
+    with pytest.raises(ValueError, match="one exponent per run"):
+        solve_batch(hyp3, 5.0, [u0, u0], Forcing.one(), [2.0], EvolutionControls(t_end=1.0))
 
 
 def test_comparison_sandwich_small(hyp3):

@@ -46,24 +46,26 @@ share the manifold, the ball, the forcing, the controls and the solver
 branch, each with its own data and p: an attempt stacks the six blocks
 of every run still going in (row, run) order, so substep i solves the
 leading (6 - i) K blocks in one call and evaluates the reaction once on
-them, u^p with each run's own scalar p.  dt, factors, controller,
-history and verdict stay per run: the runs whose dt moved are factored
-afresh in one call and their blocks replace theirs in the stack's
-factors, and a run that ends leaves the stack.  Each run's arithmetic
-is the one it does alone, bit for bit, while its values are finite;
-inf * 0 at a block boundary is nan, so an attempt that comes out
-non-finite in the stack is made again by its run alone.  solve_on_ball
-is the batch of one.
+them, u^p with each run's own scalar p.  dt, controller, history and
+verdict stay per run, and a run that ends leaves the stack.  The stack
+is factored whole, in one call with each run's blocks at its own dt,
+when it is new or has just lost a run and whenever any run's dt moves.
+Elimination never crosses a block boundary, so each run's blocks get
+the factors they get alone, and each run's arithmetic is the one it
+does alone, bit for bit, while its values are finite; inf * 0 at a
+block boundary is nan, so an attempt that comes out non-finite in the
+stack is made again by its run alone.  solve_on_ball is the batch of
+one.
 
-The factors are reused while dt stays put; dt moves after a rejection,
-after a threshold crossing, at the clamp of the last step to the
-horizon, and when the controller rescales it.  As in RADAU5's strategy
-(Hairer & Wanner, Solving ODEs II, IV.8), an accepted step whose
-controller proposes growth by a factor between 1 and 1.2 keeps dt as it
-is, so that its factors serve the next step too; every step still
-passes the tolerance test.  With err the estimate over the tolerance,
-a rejected step scales dt by 0.9 err^(-1/6); an accepted one by the
-smaller of that and Gustafsson's predictive factor
+The factors are reused while dt stays put (in a batch, every run's dt);
+dt moves after a rejection, after a threshold crossing, at the clamp of
+the last step to the horizon, and when the controller rescales it.  As
+in RADAU5's strategy (Hairer & Wanner, Solving ODEs II, IV.8), an
+accepted step whose controller proposes growth by a factor between 1
+and 1.2 keeps dt as it is, so that its factors serve the next step too;
+every step still passes the tolerance test.  With err the estimate over
+the tolerance, a rejected step scales dt by 0.9 err^(-1/6); an accepted
+one by the smaller of that and Gustafsson's predictive factor
 0.9 (dt/dt_acc) (err_acc/err^2)^(1/6), where dt_acc and
 err_acc = max(err, 0.01) belong to the previous accepted step (ACM TOMS
 20, 1994; the controller of RADAU5).  The second factor reads the trend
@@ -188,7 +190,7 @@ class RunOutcome:
     min_value: float  # min of u over u0 and every accepted step
     rejected_error: int  # attempts rejected by the error test
     rejected_nonfinite: int  # attempts rejected for non-finite values
-    factor_sets: int  # factorizations of the IMEX band, one per new dt
+    factor_sets: int  # the run's new step sizes, each factored with the stack it runs in
     solves: int  # banded solves: 6 per adaptive attempt, 1 per fixed step
     note: str = ""
 
@@ -263,35 +265,6 @@ def _imex_parts(band, rows: int, s, runs: int):
         return out
 
     return factor, column
-
-
-def _merge(old, new, changed, rows: int, n: int):
-    """Factors of a stacked band whose runs ``changed`` take their blocks from ``new``.
-
-    old factors the band of K runs, new the stacked band of the runs
-    that the boolean mask ``changed`` selects.  Each factor array holds
-    one entry per row of its band, short by the trailing entries that
-    would couple across a block boundary (one for off-diagonals, two for
-    LU's second superdiagonal), which are zero; ``factor_banded`` borders
-    a band of two rows with one more.  Pivot rows are absolute and
-    1-based, so they move as offsets.
-    """
-    size, size_new = rows * changed.size * n, rows * np.count_nonzero(changed) * n
-    merged = []
-    for a, b in zip(old, new):
-        full, part = np.zeros(size, a.dtype), np.zeros(size_new, a.dtype)
-        full[: a.size] = a
-        kept = size_new - (size - a.size)
-        part[:kept] = b[:kept]
-        pivots = a.dtype.kind == "i"
-        if pivots:
-            full -= np.arange(1, size + 1, dtype=a.dtype)
-            part -= np.arange(1, size_new + 1, dtype=a.dtype)
-        full.reshape(rows, -1, n)[:, changed] = part.reshape(rows, -1, n)
-        if pivots:
-            full += np.arange(1, size + 1, dtype=a.dtype)
-        merged.append(full[: a.size])
-    return tuple(merged)
 
 
 # divisors of the Aitken-Neville rule per new column k + 1, rows _ROWS, ..., k + 1
@@ -456,13 +429,14 @@ def _lockstep(band, runs, forcing: Forcing, controls: EvolutionControls, reactio
 
     The runs share the band and its symmetrizer s (None: the LU
     branch); reaction, if given, replaces the power reaction of the one
-    run.  A run's dt, factors, controller, history and verdict are its
-    own: a run whose dt moved gets its blocks factored afresh, in one
-    call for all such runs, and a run that ends leaves the stack.
+    run.  A run's dt, controller, history and verdict are its own, and a
+    run that ends leaves the stack.  The whole stack is factored in one
+    call when it is new or has just lost a run, and whenever any run's
+    dt differs from the dt its blocks were last factored at; each run
+    counts in factor_sets only its own new step sizes.
     """
     adaptive = controls.rel_tol > 0.0
     rows = _ROWS if adaptive else 1
-    n = band[1].size
     factor, column = _imex_parts(band, rows, s, len(runs))
 
     def react(v, times, live):
@@ -501,15 +475,12 @@ def _lockstep(band, runs, forcing: Forcing, controls: EvolutionControls, reactio
                 U = U[np.logical_not(ending)]
                 factors = None
             dts = np.array([run.dt for run in live])
-            stale = np.array([run.dt != run.factors_dt for run in live])
-            for run, new_dt in zip(live, stale):
-                if new_dt:
-                    run.factors_dt = run.dt
-                    run.factor_sets += 1
-            if factors is None or stale.all():
+            stale = [run for run in live if run.dt != run.factors_dt]
+            for run in stale:
+                run.factors_dt = run.dt
+                run.factor_sets += 1
+            if factors is None or stale:
                 factors = factor(dts)
-            elif stale.any():
-                factors = _merge(factors, factor(dts[stale]), stale, rows, n)
 
             u_new, est, s_new = attempt(live, U, dts, factors)
             if len(live) > 1:
@@ -595,9 +566,10 @@ def solve_batch(
     ``solve_on_ball`` returns for its run alone.  Every attempt stacks
     the IMEX blocks of all runs still going, so substep i of an attempt
     is one banded solve and one reaction evaluation for all of them,
-    while dt, factors, controller, history, counters and verdict stay
-    per run.  Runs whose data put them on different solver branches
-    (LDL^T or LU, by their blow-up thresholds) go in separate stacks.
+    while dt, controller, history, counters and verdict stay per run;
+    the whole stack is factored afresh whenever any run's dt moves.
+    Runs whose data put them on different solver branches (LDL^T or LU,
+    by their blow-up thresholds) go in separate stacks.
     """
     return _solve(M, R, list(u0s), forcing, list(ps), controls, None, n_snapshots)
 

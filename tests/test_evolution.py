@@ -659,6 +659,16 @@ OVERFLOWS = {"reaction": (2.0, bump_profile(1e200, 1.5)), "solve": (1.001, power
     kind="hyperbolic", N=60, forcing=Forcing.one(), adaptive=True, threshold=1.0,
     runs=[(2.0, 0.5), (2.5, 3.0)], overflow="solve", at=1,
 )
+# a run near blow-up, whose dt moves every attempt, beside a decaying run
+# whose dt holds, on the LDL^T branch (threshold 1) and on the LU branch
+@example(
+    kind="hyperbolic", N=60, forcing=Forcing.one(), adaptive=True, threshold=1.0,
+    runs=[(2.0, 5.0), (2.0, 0.5)], overflow="reaction", at=2,
+)
+@example(
+    kind="hyperbolic", N=60, forcing=Forcing.one(), adaptive=True, threshold=1e300,
+    runs=[(2.0, 5.0), (2.0, 0.5)], overflow="reaction", at=2,
+)
 def test_batched_runs_equal_their_runs_alone(kind, N, forcing, adaptive, threshold, runs, overflow, at):
     M = make_euclidean(3) if kind == "euclidean" else make_hyperbolic(3, 1.0)
     g = RadialGrid(20.0, N)
@@ -679,6 +689,43 @@ def test_batched_runs_equal_their_runs_alone(kind, N, forcing, adaptive, thresho
     assert overflowed.rejected_nonfinite >= 1 or overflow == "solve"
     assert all(out.solves == (6 if adaptive else 1) * (len(out.history) - 1 + out.rejected_error + out.rejected_nonfinite)
                for out in batch)
+
+
+@pytest.mark.parametrize("threshold", [pytest.param(1.0, id="ldlt"), pytest.param(1e300, id="lu")])
+def test_a_moving_dt_refactors_the_whole_stack(hyp3, monkeypatch, threshold):
+    g = RadialGrid(20.0, 60)
+    u0s = [make_u0(g, bump_profile(amplitude, 1.5)) for amplitude in (5.0, 0.5)]
+    ctl = EvolutionControls(t_end=3.0, rel_tol=1e-4, blowup_threshold=threshold)
+    alone = [solve_on_ball(hyp3, 20.0, u0, Forcing.one(), 2.0, ctl, n_snapshots=5) for u0 in u0s]
+    calls = []
+    factor, solve = curvedheat.evolution.factor_banded, curvedheat.evolution.solve_banded
+
+    def spied_factor(sub, diag, sup, s):
+        assert (s is not None) == (threshold == 1.0)
+        calls.append(("factor", diag.size))
+        return factor(sub, diag, sup, s)
+
+    def spied_solve(factors, b):
+        calls.append(("solve", b.size))
+        return solve(factors, b)
+
+    monkeypatch.setattr(curvedheat.evolution, "factor_banded", spied_factor)
+    monkeypatch.setattr(curvedheat.evolution, "solve_banded", spied_solve)
+    batch = solve_batch(hyp3, 20.0, u0s, Forcing.one(), [2.0, 2.0], ctl, n_snapshots=5)
+    for batched, single in zip(batch, alone):
+        assert_same_outcome(batched, single)
+    near_blowup, decaying = batch
+    assert near_blowup.verdict != VERDICT_GLOBAL and decaying.verdict == VERDICT_GLOBAL
+    # substep 0 of an attempt solves every block of the stack it runs on,
+    # so each factorization covers the blocks of all the runs still going
+    factored = [size for what, size in calls if what == "factor"]
+    assert [after for before, after in zip(calls, calls[1:]) if before[0] == "factor"] == [
+        ("solve", size) for size in factored
+    ]
+    # while both ran, the near-blow-up run's dt moved on every attempt and
+    # the decaying run's dt held on most of them
+    both = factored.count(2 * 6 * (g.N + 1))
+    assert decaying.factor_sets < both == len(decaying.history) - 1
 
 
 def test_batch_refuses_runs_on_different_grids(hyp3):

@@ -27,16 +27,14 @@ def line_plot(path, series, *, title="", xlabel="", ylabel="", logy=False, width
     ml, mr, mt, mb = 64, 16, 28, 44
     pw, ph = width - ml - mr, height - mt - mb
 
-    pts = []
+    # each series' plotted points: finite y (positive y as log10 y under logy)
+    kept = []
     for xs, ys, _ in series:
-        for x, y in zip(xs, ys):
-            if logy:
-                if y > 0 and math.isfinite(y):
-                    pts.append((float(x), math.log10(y)))
-            elif math.isfinite(y):
-                pts.append((float(x), float(y)))
-    if not pts:
-        pts = [(0.0, 0.0), (1.0, 1.0)]
+        if logy:
+            kept.append([(float(x), math.log10(y)) for x, y in zip(xs, ys) if y > 0 and math.isfinite(y)])
+        else:
+            kept.append([(float(x), float(y)) for x, y in zip(xs, ys) if math.isfinite(y)])
+    pts = [pt for points in kept for pt in points] or [(0.0, 0.0), (1.0, 1.0)]
     x_lo = min(p[0] for p in pts)
     x_hi = max(p[0] for p in pts)
     y_lo = min(p[1] for p in pts)
@@ -78,17 +76,9 @@ def line_plot(path, series, *, title="", xlabel="", ylabel="", logy=False, width
         f'<text x="14" y="{mt + ph // 2}" text-anchor="middle" font-size="11" '
         f'transform="rotate(-90 14 {mt + ph // 2})">{ylabel}</text>'
     )
-    for i, (xs, ys, label) in enumerate(series):
+    for i, ((_, _, label), points) in enumerate(zip(series, kept)):
         color = PALETTE[i % len(PALETTE)]
-        coords = []
-        for x, y in zip(xs, ys):
-            if logy:
-                if not (y > 0 and math.isfinite(y)):
-                    continue
-                y = math.log10(y)
-            elif not math.isfinite(y):
-                continue
-            coords.append(f"{_fmt(sx(float(x)))},{_fmt(sy(float(y)))}")
+        coords = [f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in points]
         if coords:
             out.append(
                 f'<polyline points="{" ".join(coords)}" fill="none" stroke="{color}" stroke-width="1.5"/>'

@@ -262,6 +262,64 @@ def test_simulate_command_reproducible(tmp_path):
     assert "envelope_pass,true" in summary
 
 
+# lambda = 50 lies far above the spectral bottom of H^3, so the amplitude
+# limit it gives certifies nothing: the p = 2 run blows up at t* = 0.068,
+# before the first snapshot at t = 5/32
+WRONG_CERTIFICATE = """\
+[manifold]
+kind = hyperbolic
+n = 3
+k = 1.0
+
+[forcing]
+kind = one
+
+[problem]
+p = 2.0
+lambda_policy = explicit
+lambda = 50
+
+[barrier]
+kind = exp
+alpha = 1.0
+beta = 1.0
+
+[u0]
+kind = scaled-barrier
+factor = 0.5
+
+[grid]
+R = 10
+N = 199
+
+[controls]
+t_end = 5
+
+[sweep]
+axis = p
+values = 2 2.5
+"""
+
+
+def test_strict_fails_on_a_failed_envelope_in_simulate_and_sweep(tmp_path):
+    cfg = write_cfg(tmp_path, WRONG_CERTIFICATE)
+    assert main(["barrier", "--config", str(cfg), "--out", str(tmp_path / "bar"), "--strict"]) == 1
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw"), "--strict"]) == 1
+    header, *rows = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
+    header = header.split(",")
+    assert len(rows) == 2
+    for row in rows:
+        cell = dict(zip(header, row.split(",")))
+        assert cell["envelope_pass"] == "false"
+        one = write_cfg(tmp_path, WRONG_CERTIFICATE.replace("p = 2.0", f"p = {cell['p']}"), f"p{cell['p']}.cfg")
+        out = tmp_path / f"sim{cell['p']}"
+        assert main(["simulate", "--config", str(one), "--out", str(out), "--strict"]) == 1
+        lines = (out / "run_summary.csv").read_text().splitlines()[1:]
+        summary = dict(line.split(",", 1) for line in lines)
+        assert set(header) <= set(summary)
+        assert {key: summary[key] for key in header} == cell
+
+
 def test_sweep_command(tmp_path):
     cfg = write_cfg(tmp_path, TINY_SWEEP)
     out = tmp_path / "sw"

@@ -36,7 +36,7 @@ from curvedheat import (
 )
 from curvedheat.config import parse_config, preset_text
 from curvedheat.evolution import _extrapolate, _imex_parts, _symmetrizer
-from curvedheat.experiments import _solve_single_ball, build_manifold
+from curvedheat.experiments import _initial_field, build_manifold
 from curvedheat.operators import laplacian_tridiag, log_symmetrizer
 
 
@@ -309,13 +309,17 @@ def test_threshold_crossing_cut_off_by_the_horizon_is_undecided(fraction):
     # but dt never collapsed
     cfg = parse_config(preset_text("exp-forcing-hyperbolic")).sweep.configs[0]
     M = build_manifold(cfg)
-    full, *_ = _solve_single_ball(cfg, M)
+    u0, *_ = _initial_field(cfg, M)
+
+    def run(controls):
+        return solve_on_ball(M, cfg.grid.R, u0, cfg.forcing, cfg.p, controls, n_snapshots=cfg.snapshots)
+
+    full = run(cfg.controls)
     assert full.verdict == VERDICT_BLOWUP
     crossing = full.history[np.argmax(full.history[:, 1] >= full.threshold)]
     assert crossing[0] == full.t_star
     t_end = full.t_star + fraction * crossing[2]
-    cut = replace(cfg, controls=replace(cfg.controls, t_end=t_end))
-    out, *_ = _solve_single_ball(cut, M)
+    out = run(replace(cfg.controls, t_end=t_end))
     assert out.history[-1, 0] == t_end
     assert out.history[-1, 1] > out.threshold
     assert out.verdict == VERDICT_UNDECIDED
@@ -787,6 +791,43 @@ def test_running_minimum_does_not_depend_on_snapshots(hyp3):
     cmps = [compare_with_envelope(out, v.eval(g.nodes), env) for out in (coarse, fine)]
     assert cmps[0].min_value == cmps[1].min_value == fine.min_value
     assert not cmps[0].passed
+
+
+def test_envelope_upper_side_does_not_depend_on_snapshots(hyp3):
+    # a reaction that quadruples u on one fixed step and quarters it on
+    # the next: u is above the envelope at the accepted step t = 0.31 alone
+    def spike(u, t):
+        if 0.295 <= t < 0.305:
+            return 300.0 * u
+        if 0.305 <= t < 0.315:
+            return -75.0 * u
+        return np.zeros_like(u)
+
+    v = ExpBarrier(1.0, 1.0)
+    env = time_envelope(Forcing.one(), 1.0, 2.0, v.sup)
+    g = RadialGrid(10.0, 100)
+    wt = env.ctilde * v.eval(g.nodes)
+    ctl = EvolutionControls(t_end=1.0, dt_init=0.01, dt_max=0.01, rel_tol=0.0)
+    coarse, fine = (
+        solve_on_ball(
+            hyp3, 10.0, make_u0(g, barrier_profile(v, env.ctilde)), Forcing.one(), 2.0, ctl,
+            reaction=spike, n_snapshots=n,
+        )
+        for n in (5, 200)
+    )
+
+    def snapshot_excess(out):
+        return max(float(np.max(u - math.exp(-env.lam * t) * float(env.growth(t)) * wt)) for t, u in out.snapshots)
+
+    # only the fine sampling sees the rise
+    assert snapshot_excess(coarse) <= 0.0 < snapshot_excess(fine)
+    t, sup, _ = coarse.history[np.argmax(coarse.history[:, 1])]
+    assert t == pytest.approx(0.31)
+    cmps = [compare_with_envelope(out, v.eval(g.nodes), env) for out in (coarse, fine)]
+    assert not cmps[0].passed and not cmps[1].passed
+    peak = math.exp(-env.lam * t) * float(env.growth(t)) * float(np.max(wt))
+    assert cmps[0].max_violation == pytest.approx(sup - peak, rel=1e-12)
+    assert cmps[0].max_violation > cmps[0].tol
 
 
 def test_comparison_negative_control(hyp3):

@@ -42,20 +42,22 @@ never crosses a block boundary.  The table is then filled column by
 column over the rows.
 
 Runs go in lockstep the same way.  solve_batch advances K runs that
-share the manifold, the ball, the forcing, the controls and the solver
-branch, each with its own data and p: an attempt stacks the six blocks
-of every run still going in (row, run) order, so substep i solves the
-leading (6 - i) K blocks in one call and evaluates the reaction once on
-them, u^p with each run's own scalar p.  dt, controller, history and
-verdict stay per run, and a run that ends leaves the stack.  The stack
-is factored whole, in one call with each run's blocks at its own dt,
-when it is new or has just lost a run and whenever any run's dt moves.
-Elimination never crosses a block boundary, so each run's blocks get
-the factors they get alone, and each run's arithmetic is the one it
-does alone, bit for bit, while its values are finite; inf * 0 at a
-block boundary is nan, so an attempt that comes out non-finite in the
-stack is made again by its run alone.  solve_on_ball is the batch of
-one.
+share the manifold, the node spacing, the forcing, the controls and the
+solver branch, each with its own data, p and ball: an attempt stacks
+the six blocks of every run still going in (row, run) order, so substep
+i solves the leading (6 - i) K blocks in one call and evaluates the
+reaction once on them, u^p with each run's own scalar p.  A block spans
+the largest ball; a run on a smaller ball B_rho has the couplings of
+its boundary node N_rho + 1 cut and zero data beyond it, so its leading
+block is B_rho's own band.  dt, controller, history and verdict stay
+per run (an exhaustion ladder shares one error test).  The stack is
+factored whole, in one call with each run's blocks at its own dt, when
+it is new or has just lost a run and whenever any run's dt moves; a run
+that ends leaves it.  Elimination never crosses a block boundary or a
+cut, so each run's arithmetic is the one it does alone, bit for bit,
+while its values are finite; inf * 0 at a block boundary is nan, so an
+attempt that comes out non-finite in the stack is made again by its run
+alone.  solve_on_ball is the batch of one.
 
 The factors are reused while dt stays put (in a batch, every run's dt);
 dt moves after a rejection, after a threshold crossing, at the clamp of
@@ -89,6 +91,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -215,15 +218,15 @@ class EnvelopeComparison:
     passed: bool
 
 
-def _imex_parts(band, rows: int, s, runs: int):
-    """Return factor(dts) and column(U, ts, dts, factors, react), the lockstep IMEX rows of several runs.
+def _imex_parts(band, rows: int, s):
+    """Return factor(dts, ids) and column(U, ts, dts, factors, react), the lockstep IMEX rows of several runs.
 
-    band is (sub, diag, sup) of Delta_h on the n unknowns.  factor(dts)
-    stacks the matrices I - (dt/j)*Delta_h for j = rows, ..., 1 and the
-    step sizes dts of up to ``runs`` runs, in (row, run) order, into one
-    block-diagonal tridiagonal band (zero couplings between the blocks)
-    and returns its factors: LDL^T of the band symmetrized by s, the
-    symmetrizer of one block (1 at its pole), or LU when s is None.
+    Row k of each of band = (sub, diag, sup), of shape (K, n), is Delta_h
+    on the n unknowns of run k.  factor(dts, ids) stacks the matrices
+    I - (dt/j)*Delta_h for j = rows, ..., 1 of the runs ids at their step
+    sizes dts, in (row, run) order, into one block-diagonal tridiagonal
+    band (zero couplings between the blocks) and returns its factors:
+    LDL^T of the band symmetrized by the rows s[ids], or LU if s is None.
     column(U, ts, dts, factors, react) advances row j of run k by j
     substeps of dts[k]/j from U[k] at time ts[k], all rows of all runs
     in lockstep: substep i solves the leading (rows - i) K blocks, the
@@ -234,20 +237,24 @@ def _imex_parts(band, rows: int, s, runs: int):
     result is row j = rows - a of run k.
     """
     sub, diag, sup = band
-    n = diag.size
+    n = diag.shape[1]
     substeps = np.arange(rows, 0, -1)[:, None]
-    s_tiled = None if s is None else np.tile(s, rows * runs)
 
     def lengths(dts):
         return (dts / substeps)[:, :, None]
 
-    def factor(dts):
+    @lru_cache(maxsize=2)  # built per stack, not per factorization; 2: the stack and a run retaken alone
+    def stacked(ids):
+        ids = list(ids)
+        return sub[ids], diag[ids], sup[ids], None if s is None else np.tile(s[ids], (rows, 1)).ravel()
+
+    def factor(dts, ids):
+        sub_k, diag_k, sup_k, s_band = stacked(tuple(ids))
         h = lengths(dts)
-        band_sub, band_sup = (-h * sub).ravel(), (-h * sup).ravel()
+        band_sub, band_sup = (-h * sub_k).ravel(), (-h * sup_k).ravel()
         band_sub[::n] = 0.0
         band_sup[n - 1 :: n] = 0.0
-        s_band = None if s is None else s_tiled[: band_sub.size]
-        return factor_banded(band_sub, (1.0 - h * diag).ravel(), band_sup, s_band)
+        return factor_banded(band_sub, (1.0 - h * diag_k).ravel(), band_sup, s_band)
 
     def column(U, ts, dts, factors, react):
         k = ts.size
@@ -290,8 +297,9 @@ def _step_factor(est: float, tol: float) -> float:
 class _Run:
     """One run's state in the lockstep engine, and its step controller."""
 
-    def __init__(self, u0: RadialField, p: float, controls: EvolutionControls, n_snapshots: int):
+    def __init__(self, u0: RadialField, p: float, controls: EvolutionControls, n_snapshots: int, n: int):
         vals = u0.values
+        self.grid = u0.grid
         self.p = p
         self.controls = controls
         self.s = sup_norm(u0)  # sup norm of u
@@ -299,7 +307,7 @@ class _Run:
             self.threshold = controls.blowup_threshold
         else:
             self.threshold = 1e8 * self.s if self.s > 0.0 else math.inf
-        self.u = vals[:-1].copy()
+        self.u = np.concatenate((vals[:-1], np.zeros(n + 1 - vals.size)))  # zero beyond the run's own unknowns
         self.low = float(np.min(vals))  # running minimum of u
         self.t = 0.0
         self.dt = controls.dt_init
@@ -333,18 +341,17 @@ class _Run:
         self.dt = min(self.dt, controls.dt_max, remaining)
         return False
 
-    def advance(self, u_new, est: float, s_new: float, low: float, rows: int) -> bool:
+    def advance(self, u_new, est: float, tol: float, s_new: float, low: float, rows: int) -> bool:
         """Accept or reject the attempt of step dt from (t, u); return whether it was accepted.
 
         u_new is the attempt's value, low its minimum and s_new its sup
-        norm; est estimates its local error (adaptive runs only).
+        norm; est estimates its local error and tol bounds it (adaptive only).
         """
         controls = self.controls
         adaptive = rows > 1
         self.solves += rows
         dt = self.dt
         if adaptive:
-            tol = controls.rel_tol * max(s_new, self.s, 1e-300)
             # est is nan or inf when any trial is, so it doubles as the finiteness test
             finite = math.isfinite(est)
             accept = finite and est <= tol
@@ -399,7 +406,8 @@ class _Run:
         return accept
 
     def _take_snapshots(self, t_old, u_old):
-        t_new, u_new = self.t, self.u
+        m = self.grid.N + 1
+        t_new, u_new, u_old = self.t, self.u[:m], u_old[:m]
         while self.next_sample < self.sample_times.size and self.sample_times[self.next_sample] <= t_new + 1e-14:
             ts = self.sample_times[self.next_sample]
             w = 0.0 if t_new == t_old else (ts - t_old) / (t_new - t_old)
@@ -407,13 +415,13 @@ class _Run:
             self.snapshots.append((float(ts), np.concatenate((ui, [0.0]))))
             self.next_sample += 1
 
-    def outcome(self, grid: RadialGrid) -> RunOutcome:
+    def outcome(self) -> RunOutcome:
         return RunOutcome(
             verdict=self.verdict,
             t_star=self.t_cross if self.verdict == VERDICT_BLOWUP else None,
             history=np.asarray(self.history),
             snapshots=self.snapshots,
-            final=RadialField(grid, np.concatenate((self.u, [0.0]))),
+            final=RadialField(self.grid, np.concatenate((self.u[: self.grid.N + 1], [0.0]))),
             threshold=self.threshold,
             min_value=self.low,
             rejected_error=self.rejected_error,
@@ -424,93 +432,94 @@ class _Run:
         )
 
 
-def _lockstep(band, runs, forcing: Forcing, controls: EvolutionControls, reaction, s):
+def _lockstep(band, runs, forcing: Forcing, controls: EvolutionControls, reaction, s, ladder: bool):
     """Advance ``runs`` to their verdicts in lockstep, every attempt one stacked column.
 
-    The runs share the band and its symmetrizer s (None: the LU
-    branch); reaction, if given, replaces the power reaction of the one
-    run.  A run's dt, controller, history and verdict are its own, and a
-    run that ends leaves the stack.  The whole stack is factored in one
-    call when it is new or has just lost a run, and whenever any run's
-    dt differs from the dt its blocks were last factored at; each run
-    counts in factor_sets only its own new step sizes.
+    Run k goes on row k of the band rows and of the symmetrizer rows s
+    (None: the LU branch); reaction, if given, replaces the power
+    reaction of the one run.  A run's dt, controller, history and
+    verdict are its own (on a ladder every error test reads the runs'
+    largest estimate and tolerance), and a run that ends leaves the
+    stack.  The whole stack is factored in one call when it is new or
+    has just lost a run, and whenever any run's dt differs from the dt
+    its blocks were last factored at; a run's factor_sets counts its own
+    new step sizes.
     """
     adaptive = controls.rel_tol > 0.0
     rows = _ROWS if adaptive else 1
-    factor, column = _imex_parts(band, rows, s, len(runs))
+    factor, column = _imex_parts(band, rows, s)
 
-    def react(v, times, live):
+    def react(v, times, going):
         if reaction is not None:
             return reaction(v[:, 0], times[:, 0])[:, None]
         pos = np.maximum(v, 0.0)
-        if len(live) == 1:
-            pos = pos ** live[0].p
-        else:
-            # one scalar exponent per run keeps numpy's special cases,
-            # such as squaring at p = 2, that an array of exponents loses
-            for k, run in enumerate(live):
-                pos[:, k] = pos[:, k] ** run.p
+        # one scalar exponent per run keeps numpy's special cases, such
+        # as squaring at p = 2, that an array of exponents loses
+        for k, run in enumerate(going):
+            pos[:, k] **= run.p
         return np.multiply(forcing.h(times), pos, out=pos)
 
-    def attempt(live, U, dts, factors):
-        """(value, local error estimate, sup norm) of each run's attempt."""
-        col = column(U, np.array([run.t for run in live]), dts, factors, lambda v, times: react(v, times, live))
+    def attempt(going, U, dts, factors):
+        """(value, local error estimate, sup norm) of each run's attempt; the estimate is nan at a fixed step."""
+        col = column(U, np.array([run.t for run in going]), dts, factors, lambda v, times: react(v, times, going))
         if not adaptive:
             u_new = col[0]
-            return u_new, None, np.max(np.abs(u_new), axis=1)
+            return u_new, np.full(len(going), np.nan), np.max(np.abs(u_new), axis=1)
         u_new, below = _extrapolate(col)
         return u_new, np.max(np.abs(u_new - below), axis=1), np.max(np.abs(u_new), axis=1)
 
-    live = list(runs)
-    U = np.stack([run.u for run in live])
+    live = list(range(len(runs)))  # the ids of the runs still going
+    U = np.stack([run.u for run in runs])
     factors = None
     # overflow to inf, and nan from inf - inf, are outcomes the step controller handles
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(_MAX_STEPS):
-            ending = [run.verdict is not None or run.reach_horizon() for run in live]
+            ending = [runs[k].verdict is not None or runs[k].reach_horizon() for k in live]
             if any(ending):
-                live = [run for run, end in zip(live, ending) if not end]
+                live = [k for k, end in zip(live, ending) if not end]
                 if not live:
                     break
                 U = U[np.logical_not(ending)]
                 factors = None
-            dts = np.array([run.dt for run in live])
-            stale = [run for run in live if run.dt != run.factors_dt]
+            going = [runs[k] for k in live]
+            dts = np.array([run.dt for run in going])
+            stale = [run for run in going if run.dt != run.factors_dt]
             for run in stale:
                 run.factors_dt = run.dt
                 run.factor_sets += 1
             if factors is None or stale:
-                factors = factor(dts)
+                factors = factor(dts, live)
 
-            u_new, est, s_new = attempt(live, U, dts, factors)
-            if len(live) > 1:
+            u_new, est, s_new = attempt(going, U, dts, factors)
+            if len(going) > 1:
                 # the stacked solve carries a non-finite value into the
                 # other runs' blocks (inf * 0 across a block boundary), so
                 # a run whose attempt is not finite takes it again alone
-                for k in np.flatnonzero(~np.isfinite(s_new if est is None else est)):
+                for k in np.flatnonzero(~np.isfinite(est if adaptive else s_new)):
                     one = slice(k, k + 1)
-                    u_k, est_k, s_k = attempt(live[one], U[one], dts[one], factor(dts[one]))
-                    u_new[k], s_new[k] = u_k[0], s_k[0]
-                    if est is not None:
-                        est[k] = est_k[0]
+                    u_new[k], est[k], s_new[k] = (
+                        x[0] for x in attempt(going[one], U[one], dts[one], factor(dts[one], live[one]))
+                    )
             low = np.min(u_new, axis=1)
+            tol = controls.rel_tol * np.maximum(np.maximum(s_new, [run.s for run in going]), 1e-300)
+            if ladder:
+                # the ladder is one state: one error test, and with it one dt, for all its balls
+                est[:], tol[:] = np.max(est), np.max(tol)
             accepted = [
-                run.advance(u_new[k], None if est is None else float(est[k]), float(s_new[k]), float(low[k]), rows)
-                for k, run in enumerate(live)
+                run.advance(u_new[k], float(est[k]), float(tol[k]), float(s_new[k]), float(low[k]), rows)
+                for k, run in enumerate(going)
             ]
             U = np.where(np.array(accepted)[:, None], u_new, U)
         else:
-            for run in live:
-                if run.verdict is None:
-                    run.verdict = VERDICT_UNDECIDED
-                    run.note = f"step budget ({_MAX_STEPS}) exhausted at t = {run.t:.6g}"
+            for k in live:
+                if runs[k].verdict is None:
+                    runs[k].verdict = VERDICT_UNDECIDED
+                    runs[k].note = f"step budget ({_MAX_STEPS}) exhausted at t = {runs[k].t:.6g}"
 
 
-def _check_run(grid: RadialGrid, R: float, u0: RadialField, p: float):
-    if u0.grid != grid:
-        raise ValueError("the runs of a batch must share one grid")
-    if abs(grid.R - R) > 1e-9 * max(1.0, R):
-        raise ValueError(f"u0 lives on a grid with R = {grid.R}, not {R}")
+def _check_run(grid: RadialGrid, u0: RadialField, p: float):
+    if abs(u0.grid.dr - grid.dr) > 1e-9 * grid.dr:
+        raise ValueError(f"the runs of a batch must share one node spacing, got dr = {u0.grid.dr} and {grid.dr}")
     if not p > 1:
         raise ValueError(f"reaction exponent must satisfy p > 1, got {p}")
     vals = u0.values
@@ -522,36 +531,42 @@ def _check_run(grid: RadialGrid, R: float, u0: RadialField, p: float):
         raise ValueError("u0 must vanish at the Dirichlet boundary node")
 
 
-def _symmetrizer(band, threshold: float):
-    """s of the band's LDL^T branch, or None (the LU branch) where S b may overflow below the threshold."""
-    log_s = log_symmetrizer(band[0], band[2])
+def _symmetrizer(log_s, cut: int, threshold: float):
+    """s of a run on the first ``cut`` unknowns of log_s's band (1 beyond), or None (the LU branch) where S b may overflow below the threshold."""
+    own = log_s[:cut]
     # nan or inf where a coupling is one-sided, which fails the test too
-    span = log_s.max() - log_s.min()
-    if span <= _LOG_FLOAT_MAX - math.log(max(threshold, 1.0)) - _SOLVE_HEADROOM:
-        return np.exp(log_s)
+    if own.max() - own.min() <= _LOG_FLOAT_MAX - math.log(max(threshold, 1.0)) - _SOLVE_HEADROOM:
+        return np.concatenate((np.exp(own), np.ones(log_s.size - cut)))
     return None
 
 
-def _solve(M, R, u0s, forcing, ps, controls, reaction, n_snapshots) -> list:
-    """The outcomes of the runs (u0, p), evolved in lockstep per solver branch."""
+def _solve(M, u0s, forcing, ps, controls, reaction, n_snapshots, ladder=False) -> list:
+    """The outcomes of the runs (u0, p), in lockstep per solver branch on the largest ball's band, each cut at its ball."""
     if not u0s or len(u0s) != len(ps):
         raise ValueError(f"need one exponent per run and at least one run, got {len(u0s)} runs and {len(ps)} exponents")
-    grid = u0s[0].grid
+    grid = max((u0.grid for u0 in u0s), key=lambda g: g.N)
     for u0, p in zip(u0s, ps):
-        _check_run(grid, R, u0, p)
-    runs = [_Run(u0, p, controls, n_snapshots) for u0, p in zip(u0s, ps)]
+        _check_run(grid, u0, p)
+    runs = [_Run(u0, p, controls, n_snapshots, grid.N + 1) for u0, p in zip(u0s, ps)]
     band = laplacian_tridiag(M, grid)
-    branches = [_symmetrizer(band, run.threshold) for run in runs]
+    log_s = log_symmetrizer(band[0], band[2])
+    sub, _, sup = band = [np.tile(x, (len(runs), 1)) for x in band]
+    for k, run in enumerate(runs):
+        m = run.grid.N + 1  # the run's boundary node
+        sub[k, m : m + 1] = sup[k, m - 1] = 0.0
+    branches = [_symmetrizer(log_s, run.grid.N + 1, run.threshold) for run in runs]
+    if ladder and any(s is None for s in branches):
+        branches = [None] * len(runs)  # one stack, so one step sequence
     for lu in (False, True):
         group = [k for k, s in enumerate(branches) if (s is None) == lu]
         if group:
-            _lockstep(band, [runs[k] for k in group], forcing, controls, reaction, branches[group[0]])
-    return [run.outcome(grid) for run in runs]
+            s = None if lu else np.stack([branches[k] for k in group])
+            _lockstep([x[group] for x in band], [runs[k] for k in group], forcing, controls, reaction, s, ladder)
+    return [run.outcome() for run in runs]
 
 
 def solve_batch(
     M: ModelManifold,
-    R: float,
     u0s,
     forcing: Forcing,
     ps,
@@ -561,17 +576,18 @@ def solve_batch(
 ) -> list:
     """Evolve each u0 of ``u0s`` with its reaction exponent in ``ps``, all in lockstep.
 
-    The runs share the manifold, the ball (one grid for every u0), the
-    forcing and the controls; each outcome is bit for bit the one
-    ``solve_on_ball`` returns for its run alone.  Every attempt stacks
-    the IMEX blocks of all runs still going, so substep i of an attempt
+    The runs share the manifold, the node spacing, the forcing and the
+    controls; each runs on its own ball (its u0's grid) as a cut of the
+    largest ball's band, and where the spacings agree bit for bit its
+    outcome is the one ``solve_on_ball`` returns for it alone.  Every
+    attempt stacks the IMEX blocks of all runs still going, so substep i
     is one banded solve and one reaction evaluation for all of them,
     while dt, controller, history, counters and verdict stay per run;
     the whole stack is factored afresh whenever any run's dt moves.
-    Runs whose data put them on different solver branches (LDL^T or LU,
-    by their blow-up thresholds) go in separate stacks.
+    Runs on different solver branches (LDL^T or LU, by their blow-up
+    thresholds) go in separate stacks.
     """
-    return _solve(M, R, list(u0s), forcing, list(ps), controls, None, n_snapshots)
+    return _solve(M, list(u0s), forcing, list(ps), controls, None, n_snapshots)
 
 
 def solve_on_ball(
@@ -623,7 +639,9 @@ def solve_on_ball(
         snapshots, and the final field.  It is ``solve_batch``'s batch
         of one.
     """
-    return _solve(M, R, [u0], forcing, [p], controls, reaction, n_snapshots)[0]
+    if abs(u0.grid.R - R) > 1e-9 * max(1.0, R):
+        raise ValueError(f"u0 lives on a grid with R = {u0.grid.R}, not {R}")
+    return _solve(M, [u0], forcing, [p], controls, reaction, n_snapshots)[0]
 
 
 def nested_grids(R_list, dr: float) -> list:
@@ -646,45 +664,41 @@ def nested_grids(R_list, dr: float) -> list:
 
 def exhaustion_solve(
     M: ModelManifold,
+    u0: RadialField,
     R_list,
-    u0_profile,
     forcing: Forcing,
     p: float,
     controls: EvolutionControls,
-    dr: float,
     *,
     n_snapshots: int = 26,
 ) -> ExhaustionReport:
     """Solve on nested balls sharing one node spacing and compare them.
 
-    ``u0_profile`` maps node radii to data values; each ball uses its
-    restriction with the boundary node zeroed (Dirichlet truncation).
-    Solutions on larger balls should dominate smaller ones at shared
-    nodes and sampled times, up to 1e-3 of the largest data sup; the
-    report carries the worst violation and the shrinking truncation gaps.
+    u0 is the data on the largest ball, the last of R_list; each smaller
+    ball takes its restriction with the boundary node zeroed (Dirichlet
+    truncation).  The balls run in one stack (see solve_batch) under one
+    error test, the ladder's largest estimate against its largest
+    tolerance, so they share one step sequence until a ball crosses its
+    blow-up threshold.  Solutions on larger balls should dominate
+    smaller ones at shared nodes and sampled times, up to 1e-3 of the
+    largest data sup; the report carries the worst violation and the
+    shrinking truncation gaps.
     """
-    grids = nested_grids(R_list, dr)
+    grids = nested_grids(R_list, u0.grid.dr)
+    if grids[-1] != u0.grid:
+        raise ValueError(f"u0 lives on the ball of radius {u0.grid.R:g}, not on the largest of R_list")
+    u0s = [RadialField(grid, np.append(u0.values[: grid.N + 1], 0.0)) for grid in grids]
+    outcomes = _solve(M, u0s, forcing, [p] * len(grids), controls, None, n_snapshots, ladder=True)
     radii = [grid.R for grid in grids]
-    outcomes = []
-    for grid in grids:
-        vals = np.asarray(u0_profile(grid.nodes), dtype=float)
-        vals = vals.copy()
-        vals[-1] = 0.0
-        u0 = RadialField(grid, vals)
-        outcomes.append(
-            solve_on_ball(M, grid.R, u0, forcing, p, controls, n_snapshots=n_snapshots)
-        )
 
-    tol = 1e-3 * max(sup_norm(RadialField(o.final.grid, o.snapshots[0][1])) for o in outcomes) + 1e-12
+    tol = 1e-3 * sup_norm(u0s[-1]) + 1e-12
 
     gaps = []
     worst = 0.0
     for small, big in zip(outcomes, outcomes[1:]):
-        n_shared = small.final.grid.N + 2
-        n_times = min(len(small.snapshots), len(big.snapshots))
         gap = 0.0
-        for (ts, us), (tb, ub) in zip(small.snapshots[:n_times], big.snapshots[:n_times]):
-            diff = us - ub[:n_shared]
+        for (_, us), (_, ub) in zip(small.snapshots, big.snapshots):
+            diff = us - ub[: us.size]
             worst = max(worst, float(np.max(diff)))
             gap = max(gap, float(np.max(np.abs(diff))))
         gaps.append(gap)

@@ -338,36 +338,24 @@ def run_barrier(cfg: ExperimentConfig, out_dir: Path):
     return check.passed, lines
 
 
-def _build_u0_profile(cfg: ExperimentConfig, M: ModelManifold):
-    """Returns (profile callable, barrier, lam, envelope, meta)."""
+def _initial_field(cfg: ExperimentConfig, M: ModelManifold, grid: RadialGrid):
+    """The configured data on ``grid``, zero at its boundary node; returns (u0, barrier, lam, envelope, meta)."""
     u0 = cfg.u0
+    barrier = lam = envelope = None
+    meta = {}
     if u0.kind == "zero":
-        return (lambda r: np.zeros_like(np.asarray(r, dtype=float))), None, None, None, {}
-    if u0.kind == "bump":
-        amp = u0.amplitude if u0.amplitude is not None else 1.0
-        return bump_profile(amp, u0.width), None, None, None, {}
-    if u0.kind == "power-tail":
-        amp = u0.amplitude if u0.amplitude is not None else 1.0
-        return power_tail_profile(amp, u0.alpha), None, None, None, {}
-    # scaled barrier
-    barrier, lam, meta = build_barrier(cfg, M)
-    ctilde, limit = scaled_barrier_data(cfg, cfg.forcing, lam, cfg.p, barrier)
-    envelope = None
-    if limit is not None:
-        envelope = time_envelope(cfg.forcing, lam, cfg.p, barrier.sup, ctilde=ctilde)
-    meta = dict(meta)
-    meta.update({"ctilde": ctilde, "amplitude_limit": limit})
-    return barrier_profile(barrier, ctilde), barrier, lam, envelope, meta
-
-
-def _initial_field(cfg: ExperimentConfig, M: ModelManifold):
-    """The configured data on the configured ball.
-
-    Returns (u0, barrier, lam, envelope, meta) as _build_u0_profile, with
-    the data field in place of its profile.
-    """
-    profile, barrier, lam, envelope, meta = _build_u0_profile(cfg, M)
-    grid = RadialGrid(cfg.grid.R, cfg.grid.N)
+        profile = np.zeros_like
+    elif u0.kind == "bump":
+        profile = bump_profile(1.0 if u0.amplitude is None else u0.amplitude, u0.width)
+    elif u0.kind == "power-tail":
+        profile = power_tail_profile(1.0 if u0.amplitude is None else u0.amplitude, u0.alpha)
+    else:  # scaled barrier
+        barrier, lam, meta = build_barrier(cfg, M)
+        ctilde, limit = scaled_barrier_data(cfg, cfg.forcing, lam, cfg.p, barrier)
+        if limit is not None:
+            envelope = time_envelope(cfg.forcing, lam, cfg.p, barrier.sup, ctilde=ctilde)
+        meta = dict(meta, ctilde=ctilde, amplitude_limit=limit)
+        profile = barrier_profile(barrier, ctilde)
     vals = np.asarray(profile(grid.nodes), dtype=float)
     vals[-1] = 0.0
     return RadialField(grid, vals), barrier, lam, envelope, meta
@@ -387,11 +375,10 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path):
         if cfg.grid.dr is None:
             raise ConfigError("[grid] exhaustion runs need a shared grid spacing: set dr")
         # eigen takes any spacing; nested balls need radii that are multiples of it
-        _admissible("grid", nested_grids, cfg.grid.R_list, cfg.grid.dr)
-        profile, *data = _build_u0_profile(cfg, M)
+        grids = _admissible("grid", nested_grids, cfg.grid.R_list, cfg.grid.dr)
+        u0, *data = _initial_field(cfg, M, grids[-1])
         report = exhaustion_solve(
-            M, cfg.grid.R_list, profile, cfg.forcing, cfg.p, cfg.controls, cfg.grid.dr,
-            n_snapshots=cfg.snapshots,
+            M, u0, cfg.grid.R_list, cfg.forcing, cfg.p, cfg.controls, n_snapshots=cfg.snapshots
         )
         records = [_sweep_cell(cfg, outcome, *data) for outcome in report.outcomes]
         rows = []
@@ -423,7 +410,7 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path):
         ok = report.monotone_ok and all(record["envelope_pass"] is not False for record in records)
         return ok, lines
 
-    u0, *data = _initial_field(cfg, M)
+    u0, *data = _initial_field(cfg, M, RadialGrid(cfg.grid.R, cfg.grid.N))
     outcome = solve_on_ball(
         M, u0.grid.R, u0, cfg.forcing, cfg.p, cfg.controls, n_snapshots=cfg.snapshots
     )
@@ -494,10 +481,9 @@ def _sweep_batch(cfgs):
     """The records of sweep cells that differ only in their data and p, their runs in lockstep."""
     base = cfgs[0]
     M = build_manifold(base)
-    cells = [_initial_field(cfg, M) for cfg in cfgs]
+    cells = [_initial_field(cfg, M, RadialGrid(cfg.grid.R, cfg.grid.N)) for cfg in cfgs]
     outcomes = solve_batch(
-        M, base.grid.R, [u0 for u0, *_ in cells], base.forcing, [cfg.p for cfg in cfgs],
-        base.controls, n_snapshots=base.snapshots,
+        M, [u0 for u0, *_ in cells], base.forcing, [cfg.p for cfg in cfgs], base.controls, n_snapshots=base.snapshots
     )
     return [_sweep_cell(cfg, outcome, *rest) for cfg, outcome, (_, *rest) in zip(cfgs, outcomes, cells)]
 

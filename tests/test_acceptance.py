@@ -166,9 +166,11 @@ def test_criterion_5_comparison_sandwich(hyp3):
     limit = amplitude_limit(Forcing.one(), lam, p, v.sup)
     env = time_envelope(Forcing.one(), lam, p, v.sup, ctilde=0.5 * limit)
     ctl = EvolutionControls(t_end=50.0, dt_init=2e-3, dt_max=2e-3, rel_tol=0.0)
+    grid = RadialGrid(40.0, 799)
+    u0 = barrier_profile(v, env.ctilde)(grid.nodes)
+    u0[-1] = 0.0
     rep = exhaustion_solve(
-        hyp3, [10.0, 20.0, 40.0], barrier_profile(v, env.ctilde),
-        Forcing.one(), p, ctl, dr=0.05, n_snapshots=26,
+        hyp3, RadialField(grid, u0), [10.0, 20.0, 40.0], Forcing.one(), p, ctl, n_snapshots=26
     )
     u0_sup = env.ctilde * v.sup
     tol = 1e-3 * u0_sup

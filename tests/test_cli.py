@@ -471,6 +471,51 @@ def test_exhaustion_through_cli(tmp_path):
     assert (out / "history_R10.csv").exists()
 
 
+# bump data on nested balls of H^3 at 101 snapshots: balls that take
+# their own adaptive steps fail the nesting check on interpolation error
+# (2.663e-3 against tol 5e-4)
+BUMP_LADDER = """\
+[manifold]
+kind = hyperbolic
+n = 3
+k = 1.0
+
+[forcing]
+kind = one
+
+[problem]
+p = 2.0
+
+[u0]
+kind = bump
+amplitude = 0.5
+width = 2.0
+
+[grid]
+R = 20
+N = 399
+R_list = 5 10 20
+dr = 0.05
+
+[controls]
+t_end = 20
+rel_tol = 1e-5
+snapshots = 101
+"""
+
+
+def test_exhaustion_ladder_shares_one_step_sequence(tmp_path):
+    cfg = write_cfg(tmp_path, BUMP_LADDER)
+    out = tmp_path / "ladder"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--strict"]) == 0
+    steps = [
+        [line.split(",")[::2] for line in (out / f"history_R{R}.csv").read_text().splitlines()]
+        for R in (5, 10, 20)
+    ]
+    assert steps[0][0] == ["t", "dt"] and len(steps[0]) > 2
+    assert steps[0] == steps[1] == steps[2]
+
+
 GEOMETRY_BASE = "[manifold]\nkind = hyperbolic\nn = 3\nk = 1.0\n\n[grid]\nR = 10\nN = 100\n\n"
 
 

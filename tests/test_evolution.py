@@ -309,7 +309,7 @@ def test_threshold_crossing_cut_off_by_the_horizon_is_undecided(fraction):
     # but dt never collapsed
     cfg = parse_config(preset_text("exp-forcing-hyperbolic")).sweep.configs[0]
     M = build_manifold(cfg)
-    u0, *_ = _initial_field(cfg, M)
+    u0, *_ = _initial_field(cfg, M, RadialGrid(cfg.grid.R, cfg.grid.N))
 
     def run(controls):
         return solve_on_ball(M, cfg.grid.R, u0, cfg.forcing, cfg.p, controls, n_snapshots=cfg.snapshots)
@@ -400,12 +400,12 @@ def test_lockstep_attempt_equals_row_by_row_table(model, R, N, forcing, p, t, dt
     M = make_euclidean(n) if kind == "euclidean" else make_hyperbolic(n, 1.0)
     g = RadialGrid(R, N)
     u = 3.0 * np.random.default_rng(seed).random(N + 1)
-    band = laplacian_tridiag(M, g)
-    s = _symmetrizer(band, 3e8)
+    sub, diag, sup = laplacian_tridiag(M, g)
+    s = _symmetrizer(log_symmetrizer(sub, sup), N + 1, 3e8)
     assert s is not None  # LDL^T
-    factor, column = _imex_parts(band, 6, s, 1)
+    factor, column = _imex_parts((sub[None], diag[None], sup[None]), 6, s[None])
     dts = np.array([dt])
-    factors = factor(dts)
+    factors = factor(dts, [0])
     with np.errstate(over="ignore", invalid="ignore"):
         top, below = _extrapolate(column(u[None], np.array([t]), dts, factors, power_reaction(forcing, p)))
         want_top, want_below = row_by_row_attempt(M, g, forcing, p, u, t, dt)
@@ -622,7 +622,8 @@ def test_fixed_step_ldlt_run_stays_nonnegative_exactly(model, R, N, dt, p, forci
     vals[rng.integers(N + 1)] = 1.0
     vals[-1] = 0.0
     threshold = 1e8  # solve_on_ball's default, 1e8 sup u0
-    assert _symmetrizer(laplacian_tridiag(M, g), threshold) is not None  # LDL^T
+    sub, _, sup = laplacian_tridiag(M, g)
+    assert _symmetrizer(log_symmetrizer(sub, sup), N + 1, threshold) is not None  # LDL^T
     ctl = EvolutionControls(t_end=10.0 * dt, dt_init=dt, dt_min=1e-3 * dt, dt_max=dt, rel_tol=0.0)
     out = solve_on_ball(M, R, RadialField(g, vals), forcing, p, ctl, n_snapshots=3)
     assert out.min_value >= 0.0
@@ -684,7 +685,7 @@ def test_batched_runs_equal_their_runs_alone(kind, N, forcing, adaptive, thresho
         ctl = EvolutionControls(t_end=3.0, rel_tol=1e-4, blowup_threshold=threshold)
     else:
         ctl = EvolutionControls(t_end=3.0, dt_init=0.05, dt_max=0.05, rel_tol=0.0, blowup_threshold=threshold)
-    batch = solve_batch(M, 20.0, u0s, forcing, ps, ctl, n_snapshots=5)
+    batch = solve_batch(M, u0s, forcing, ps, ctl, n_snapshots=5)
     alone = [solve_on_ball(M, 20.0, u0, forcing, p, ctl, n_snapshots=5) for u0, p in zip(u0s, ps)]
     for batched, single in zip(batch, alone):
         assert_same_outcome(batched, single)
@@ -715,7 +716,7 @@ def test_a_moving_dt_refactors_the_whole_stack(hyp3, monkeypatch, threshold):
 
     monkeypatch.setattr(curvedheat.evolution, "factor_banded", spied_factor)
     monkeypatch.setattr(curvedheat.evolution, "solve_banded", spied_solve)
-    batch = solve_batch(hyp3, 20.0, u0s, Forcing.one(), [2.0, 2.0], ctl, n_snapshots=5)
+    batch = solve_batch(hyp3, u0s, Forcing.one(), [2.0, 2.0], ctl, n_snapshots=5)
     for batched, single in zip(batch, alone):
         assert_same_outcome(batched, single)
     near_blowup, decaying = batch
@@ -732,13 +733,46 @@ def test_a_moving_dt_refactors_the_whole_stack(hyp3, monkeypatch, threshold):
     assert decaying.factor_sets < both == len(decaying.history) - 1
 
 
-def test_batch_refuses_runs_on_different_grids(hyp3):
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["euclidean", "hyperbolic"]),
+    forcing=st.sampled_from([Forcing.one(), Forcing.exponential(1.0)]),
+    adaptive=st.booleans(),
+    threshold=st.sampled_from([None, 1e300]),
+    runs=st.lists(
+        st.tuples(st.integers(1, 60), st.one_of(st.just(2.0), st.floats(1.1, 3.5)), st.floats(0.0, 6.0)),
+        min_size=2, max_size=5,
+    ),
+)
+# one run on a ball of a single interior node beside a larger one, and a
+# run near blow-up on the LU branch beside a decaying run on a larger ball
+@example(kind="hyperbolic", forcing=Forcing.one(), adaptive=True, threshold=None, runs=[(1, 2.0, 1.0), (40, 2.0, 0.5)])
+@example(kind="euclidean", forcing=Forcing.one(), adaptive=True, threshold=1e300, runs=[(20, 2.0, 5.0), (60, 2.0, 0.5)])
+def test_nested_balls_in_one_stack_equal_their_balls_alone(kind, forcing, adaptive, threshold, runs):
+    # each run goes on the band of the largest ball cut at its own
+    # boundary node; at one spacing (a power of 2 here, so every ball's
+    # dr is the same float) its outcome is bit for bit its run alone
+    M = make_euclidean(3) if kind == "euclidean" else make_hyperbolic(3, 1.0)
+    dr = 0.25
+    u0s = [make_u0(RadialGrid((N + 1) * dr, N), bump_profile(amplitude, 1.5)) for N, _, amplitude in runs]
+    ps = [p for _, p, _ in runs]
+    if adaptive:
+        ctl = EvolutionControls(t_end=3.0, rel_tol=1e-4, blowup_threshold=threshold)
+    else:
+        ctl = EvolutionControls(t_end=3.0, dt_init=0.05, dt_max=0.05, rel_tol=0.0, blowup_threshold=threshold)
+    batch = solve_batch(M, u0s, forcing, ps, ctl, n_snapshots=5)
+    for u0, p, batched in zip(u0s, ps, batch):
+        assert batched.final.grid == u0.grid
+        assert_same_outcome(batched, solve_on_ball(M, u0.grid.R, u0, forcing, p, ctl, n_snapshots=5))
+
+
+def test_batch_refuses_runs_on_different_node_spacings(hyp3):
     u0 = make_u0(RadialGrid(5.0, 49), bump_profile(1.0, 1.0))
     other = make_u0(RadialGrid(5.0, 24), bump_profile(1.0, 1.0))
-    with pytest.raises(ValueError, match="one grid"):
-        solve_batch(hyp3, 5.0, [u0, other], Forcing.one(), [2.0, 2.0], EvolutionControls(t_end=1.0))
+    with pytest.raises(ValueError, match="one node spacing"):
+        solve_batch(hyp3, [u0, other], Forcing.one(), [2.0, 2.0], EvolutionControls(t_end=1.0))
     with pytest.raises(ValueError, match="one exponent per run"):
-        solve_batch(hyp3, 5.0, [u0, u0], Forcing.one(), [2.0], EvolutionControls(t_end=1.0))
+        solve_batch(hyp3, [u0, u0], Forcing.one(), [2.0], EvolutionControls(t_end=1.0))
 
 
 def test_comparison_sandwich_small(hyp3):
@@ -847,9 +881,8 @@ def test_comparison_negative_control(hyp3):
 def test_exhaustion_nesting_and_gaps(hyp3):
     v = ExpBarrier(1.0, 1.0)
     ctl = EvolutionControls(t_end=10.0, dt_init=2e-3, dt_max=2e-3, rel_tol=0.0)
-    rep = exhaustion_solve(
-        hyp3, [5.0, 10.0, 20.0], barrier_profile(v, 0.5), Forcing.one(), 2.0, ctl, dr=0.05
-    )
+    u0 = make_u0(RadialGrid(20.0, 399), barrier_profile(v, 0.5))
+    rep = exhaustion_solve(hyp3, u0, [5.0, 10.0, 20.0], Forcing.one(), 2.0, ctl)
     assert rep.monotone_ok
     assert all(o.verdict == VERDICT_GLOBAL for o in rep.outcomes)
     assert rep.gaps[0] > rep.gaps[1]
@@ -857,29 +890,37 @@ def test_exhaustion_nesting_and_gaps(hyp3):
 
 def test_exhaustion_zero_data(hyp3):
     ctl = EvolutionControls(t_end=1.0)
-    rep = exhaustion_solve(
-        hyp3, [5.0, 10.0], lambda r: np.zeros_like(np.asarray(r, float)),
-        Forcing.one(), 2.0, ctl, dr=0.1,
-    )
+    u0 = RadialField(RadialGrid(10.0, 99), np.zeros(101))
+    rep = exhaustion_solve(hyp3, u0, [5.0, 10.0], Forcing.one(), 2.0, ctl)
     assert rep.max_violation == 0.0
     assert all(sup_norm(o.final) == 0.0 for o in rep.outcomes)
 
 
 def test_exhaustion_blowup_times_nonincreasing(euclid3):
     ctl = EvolutionControls(t_end=60.0)
-    rep = exhaustion_solve(
-        euclid3, [5.0, 10.0, 20.0], bump_profile(3.0, 2.0), Forcing.one(), 1.5, ctl,
-        dr=0.05,
-    )
+    u0 = make_u0(RadialGrid(20.0, 399), bump_profile(3.0, 2.0))
+    rep = exhaustion_solve(euclid3, u0, [5.0, 10.0, 20.0], Forcing.one(), 1.5, ctl)
     assert all(o.verdict == VERDICT_BLOWUP for o in rep.outcomes)
     assert rep.blowup_nonincreasing
+
+
+def test_exhaustion_ladder_over_both_solver_branches_shares_one_step_sequence():
+    # the symmetrizer of H^7 with k = 4 spans about 12 R nats: alone, B_5
+    # takes the LDL^T branch and B_60 the LU branch; the ladder runs both
+    # in one stack, on LU
+    M = make_hyperbolic(7, 4.0)
+    u0 = make_u0(RadialGrid(60.0, 239), bump_profile(0.5, 1.0))
+    rep = exhaustion_solve(M, u0, [5.0, 60.0], Forcing.one(), 2.0, EvolutionControls(t_end=1.0))
+    small, big = rep.outcomes
+    assert small.history[:, [0, 2]].tobytes() == big.history[:, [0, 2]].tobytes()
+    assert rep.monotone_ok
 
 
 def test_exhaustion_requires_commensurate_radii(hyp3):
     with pytest.raises(ValueError):
         exhaustion_solve(
-            hyp3, [6.0, 10.0], bump_profile(0.1, 1.0), Forcing.one(), 2.0,
-            EvolutionControls(t_end=1.0), dr=0.3,
+            hyp3, make_u0(RadialGrid(10.0, 32), bump_profile(0.1, 1.0)), [6.0, 10.0], Forcing.one(), 2.0,
+            EvolutionControls(t_end=1.0),
         )
 
 

@@ -50,6 +50,26 @@ BARRIER_NEEDS = {
     "glued": ("alpha", "beta", "r0", "r1", "r2"),
 }
 U0_KINDS = ("scaled-barrier", "bump", "power-tail", "zero")
+# the keys each kind reads when a sweep cell runs; a sweep axis must set a
+# key that the cell's run reads (``_sweep_reads``)
+KIND_READS = {
+    "manifold": {
+        "euclidean": ("n",), "hyperbolic": ("n", "k"), "gamma": ("n", "c0", "gamma", "r_max", "dr"),
+    },
+    "forcing": {"one": (), "power": ("q",), "exp": ("sigma",)},
+    "barrier": {
+        "exp": ("alpha", "beta"),
+        "exp-linear": ("beta_policy",),
+        "exp-slow": ("c_lower",),
+        "exp-fast": ("alpha", "c_lower"),
+        "power-tail": ("alpha", "c_lower", "lambda_fraction"),
+        "glued": ("alpha", "beta", "r0", "r1", "r2"),
+    },
+    "u0": {
+        "scaled-barrier": ("factor", "amplitude"), "bump": ("amplitude", "width"),
+        "power-tail": ("amplitude", "alpha"), "zero": (),
+    },
+}
 LAMBDA_POLICIES = ("mckean", "eigen", "explicit")
 
 
@@ -440,7 +460,33 @@ def _sweep(sections) -> SweepSpec:
             raise ConfigError(f"[sweep] cell {label} builds the same config as cell {seen[built]}")
         seen[built] = label
         configs.append(cfg)
+    for cfg in configs:
+        reads = _sweep_reads(cfg)
+        for name, (section, option) in keys.items():
+            if (section, option) not in reads:
+                read = sorted(key for sec, key in reads if sec == section)
+                raise ConfigError(
+                    f"[sweep] axis {name!r}: a sweep run of this config never reads "
+                    f"{section}.{option} (of [{section}] it reads {', '.join(read) or 'no key'})"
+                )
     return replace(spec, configs=tuple(configs))
+
+
+def _sweep_reads(cfg) -> set:
+    """The (section, lowercased key) pairs that a sweep run of ``cfg`` reads."""
+    reads = {("problem", "p"), ("grid", "r"), ("grid", "n"), *(("controls", key) for key in KEYS["controls"])}
+    kinds = {"manifold": cfg.manifold.kind, "forcing": cfg.forcing.kind, "u0": cfg.u0.kind}
+    if cfg.u0.kind == "scaled-barrier":  # the only data built from the barrier
+        kinds["barrier"] = cfg.barrier.kind
+        if cfg.barrier.kind != "power-tail":  # power-tail takes a fraction of its own lambda
+            reads.add(("problem", "lambda_policy"))
+            if cfg.lambda_policy == "explicit":
+                reads.add(("problem", "lambda"))
+    for section, kind in kinds.items():
+        reads.update((section, key) for key in KIND_READS[section][kind])
+    if cfg.u0.amplitude is not None:
+        reads.discard(("u0", "factor"))  # an amplitude overrides the factor
+    return reads
 
 
 PRESETS = {

@@ -122,39 +122,27 @@ class HyperbolicWarping(WarpingFunction):
         return np.full_like(np.asarray(r, dtype=float), -(self.k**2))
 
 
-class _CubicHermite:
-    """Piecewise-cubic Hermite interpolant through (x_i, y_i) with slopes m_i.
-
-    Each piece is stored as its Taylor coefficients at the left node and
-    evaluated by Horner's rule; points beyond the ends use the end pieces.
-    """
-
-    def __init__(self, x, y, m):
-        dx = np.diff(x)
-        s = np.diff(y) / dx
-        self.x = x
-        self.c = np.stack((
-            y[:-1],
-            m[:-1],
-            (3.0 * s - 2.0 * m[:-1] - m[1:]) / dx,
-            (m[:-1] + m[1:] - 2.0 * s) / dx**2,
-        ))
-
-    def __call__(self, r):
-        i = np.clip(np.searchsorted(self.x, r, side="right") - 1, 0, self.x.size - 2)
-        t = r - self.x[i]
-        c0, c1, c2, c3 = self.c[:, i]
-        return c0 + t * (c1 + t * (c2 + t * c3))
+def _hermite(t, dx, y0, y1, m0, m1):
+    # cubic through (0, y0) and (dx, y1) with slopes m0, m1: Taylor
+    # coefficients at the left node, evaluated by Horner's rule
+    s = (y1 - y0) / dx
+    c2 = (3.0 * s - 2.0 * m0 - m1) / dx
+    c3 = (m0 + m1 - 2.0 * s) / dx**2
+    return y0 + t * (m0 + t * (c2 + t * c3))
 
 
 class TabulatedWarping(WarpingFunction):
-    """Jacobi-equation warping function stored as (r, log psi, psi'/psi) nodes.
+    """Jacobi-equation warping function stored as log psi and psi'/psi on a uniform grid.
 
+    The table holds only the spacing ``dr`` and the two node arrays
+    ``log_psi`` and psi'/psi at r_i = i dr, i = 1..n; ``r`` forms those
+    radii on demand and ``r_max = n dr``.  The pole is node 0.
     Interpolation acts on the pole-regular quantities g = r psi'/psi and
     h = log(psi/r), both smooth down to r = 0 with g(0) = 1, h(0) = 0,
     so evaluation close to the pole loses no accuracy.  Each is a
-    piecewise-cubic Hermite interpolant whose node slopes come from the
-    Jacobi equation the table solves: h' = psi'/psi - 1/r and
+    piecewise-cubic Hermite interpolant, formed for every point from its
+    two bracketing nodes, whose node slopes come from the Jacobi
+    equation the table solves: h' = psi'/psi - 1/r and
     g' = psi'/psi + r (psi''/psi - (psi'/psi)^2), both 0 at the pole.
     psi''/psi is that equation's coefficient, c0 (1 + r^gamma) (c0 at
     gamma = 0), in closed form.
@@ -163,34 +151,27 @@ class TabulatedWarping(WarpingFunction):
 
     kind = "tabulated"
 
-    def __init__(self, r, log_psi, ratio1, c0, gamma):
-        r = np.asarray(r, dtype=float)
-        if r.ndim != 1 or r.size < 4:
-            raise ValueError("need at least 4 table nodes")
-        if r[0] <= 0 or np.any(np.diff(r) <= 0):
-            raise ValueError("table radii must be positive and increasing")
-        self.r = r
+    def __init__(self, dr, log_psi, ratio1, c0, gamma):
         self.log_psi = np.asarray(log_psi, dtype=float)
         self._ratio1 = np.asarray(ratio1, dtype=float)
+        if self.log_psi.ndim != 1 or self.log_psi.size < 4:
+            raise ValueError("need at least 4 table nodes")
+        if self._ratio1.shape != self.log_psi.shape:
+            raise ValueError("log psi and psi'/psi need one value per node")
+        if not dr > 0:
+            raise ValueError(f"table spacing dr must be positive, got {dr}")
+        self.dr = float(dr)
         self.c0 = c0
         self.gamma = gamma
-        self.r_max = float(r[-1])
+        self.r_max = self.dr * self.log_psi.size
         # class-A normalization: psi ~ r at the pole
-        if abs(r[0] * self._ratio1[0] - 1.0) > 0.05:
+        if abs(self.dr * self._ratio1[0] - 1.0) > 0.05:
             raise ValueError("table is not normalized to psi'(0) = 1")
-        s = self._ratio1
-        q = _jacobi_coefficient(r, c0, gamma)
-        r_full = np.concatenate(([0.0], r))
-        self._g = _CubicHermite(
-            r_full,
-            np.concatenate(([1.0], r * s)),
-            np.concatenate(([0.0], s + r * (q - s * s))),
-        )
-        self._h = _CubicHermite(
-            r_full,
-            np.concatenate(([0.0], self.log_psi - np.log(r))),
-            np.concatenate(([0.0], s - 1.0 / r)),
-        )
+
+    @property
+    def r(self):
+        """The node radii i dr, i = 1..n (the pole, node 0, is not tabulated)."""
+        return self.dr * np.arange(1, self.log_psi.size + 1)
 
     def _check_range(self, r):
         r = np.asarray(r, dtype=float)
@@ -198,21 +179,52 @@ class TabulatedWarping(WarpingFunction):
             raise ValueError(f"radius outside the tabulated range [0, {self.r_max}]")
         return r
 
+    def _node(self, j):
+        """g, g', h and h' at the nodes j >= 0; node 0 is the pole."""
+        k = np.maximum(j, 1)
+        x = self.dr * k
+        s = self._ratio1[k - 1]
+        q = _jacobi_coefficient(x, self.c0, self.gamma)
+        pole = j == 0
+        return (
+            np.where(pole, 1.0, x * s),
+            np.where(pole, 0.0, s + x * (q - s * s)),
+            np.where(pole, 0.0, self.log_psi[k - 1] - np.log(x)),
+            np.where(pole, 0.0, s - 1.0 / x),
+        )
+
+    def _left_node(self, r):
+        """The last node at or below r; r_max takes the left node of the end piece."""
+        # r/dr can round across a node, so the estimate moves by one where it does
+        dr, n = self.dr, self.log_psi.size
+        i = np.clip(np.floor(r / dr), 0, n).astype(np.intp)
+        return np.clip(i + (r >= dr * (i + 1)) - (r < dr * i), 0, n - 1)
+
+    def _g_h(self, r):
+        """g and h at r, each the cubic through the two nodes that bracket r."""
+        dr = self.dr
+        i = self._left_node(r)
+        # dx is the nodes' own spacing, which rounding sets apart from dr
+        t, dx = r - dr * i, dr * (i + 1) - dr * i
+        g0, dg0, h0, dh0 = self._node(i)
+        g1, dg1, h1, dh1 = self._node(i + 1)
+        return _hermite(t, dx, g0, g1, dg0, dg1), _hermite(t, dx, h0, h1, dh0, dh1)
+
     def log_eval(self, r):
         r = self._check_range(r)
-        return np.log(r) + self._h(r)
+        return np.log(r) + self._g_h(r)[1]
 
     def ratio1(self, r):
         r = self._check_range(r)
-        return self._g(r) / r
+        return self._g_h(r)[0] / r
 
     def ratio2(self, r):
         return _jacobi_coefficient(self._check_range(r), self.c0, self.gamma)
 
     def sphere_ratio(self, r):
         r = self._check_range(r)
-        g = self._g(r)
-        return (np.exp(-2.0 * self._h(r)) - g * g) / (r * r)
+        g, h = self._g_h(r)
+        return (np.exp(-2.0 * h) - g * g) / (r * r)
 
 
 @dataclass(frozen=True)
@@ -290,22 +302,45 @@ def gamma_table_nodes(c0: float, gamma: float, r_max: float, dr: float) -> int:
     return n_steps
 
 
+_CHUNK = 64  # RK4 steps chained into one transfer matrix
+_BLOCK = 64 * _CHUNK  # steps formed at once, so no temporary grows with the table
+
+
+def _rk4_increment(p, v, q0, qm, qe, dr):
+    """Change of (psi, psi') over one classical RK4 step of psi'' = q psi.
+
+    q0, qm and qe are q at the step's start r, at r + dr/2 and at r + dr.
+    """
+    k1p = v
+    k1v = q0 * p
+    k2p = v + 0.5 * dr * k1v
+    k2v = qm * (p + 0.5 * dr * k1p)
+    k3p = v + 0.5 * dr * k2v
+    k3v = qm * (p + 0.5 * dr * k2p)
+    k4p = v + dr * k3v
+    k4v = qe * (p + dr * k3p)
+    return dr * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0, dr * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0
+
+
 def make_gamma_model(n: int, c0: float, gamma: float, r_max: float, dr: float) -> ModelManifold:
     """Model with radial curvature exactly -c0 (1 + r^gamma).
 
-    Integrates the Jacobi equation psi'' = c0 (1 + r^gamma) psi with a
-    classical fixed-step RK4 sweep, started from the series
-    psi = r + c0 r^3/6 (+ the r^{gamma+3} correction) at r = dr.  The
-    state is renormalized whenever it grows large and only log psi,
-    psi'/psi, psi''/psi are tabulated, so no overflow occurs even though
-    psi grows like exp(C r^{1+gamma/2}).
+    Integrates the Jacobi equation psi'' = c0 (1 + r^gamma) psi with
+    classical fixed-step RK4, started from the series
+    psi = r + c0 r^3/6 (+ the r^{gamma+3} correction) at r = dr, into
+    the node arrays of a ``TabulatedWarping``.  The equation is linear,
+    so a step is a 2x2 transfer matrix I + E, E being the RK4 increment
+    of (psi, psi') = (1, 0) and (0, 1); E is kept apart from I, so the
+    matrices lose no more to rounding than the step's own arithmetic.
+    The matrices are formed in blocks of ``_BLOCK`` steps and chained in
+    runs of ``_CHUNK``, all chunks of a block at once; a short loop then
+    carries the solution from chunk to chunk, renormalized to psi = 1
+    at each chunk start with log psi carried apart.  Only log psi and
+    psi'/psi are tabulated, so nothing overflows although psi grows like
+    exp(C r^{1+gamma/2}): ``gamma_table_nodes`` holds dr sqrt(q) below
+    0.5, so psi grows by at most e^32 within a chunk.
     """
-    n_steps = gamma_table_nodes(c0, gamma, r_max, dr)
-
-    def q_at(r):
-        if gamma > 0:
-            return c0 * (1.0 + r**gamma)
-        return c0
+    n_nodes = gamma_table_nodes(c0, gamma, r_max, dr)
 
     # series start at r = dr
     r = dr
@@ -315,41 +350,49 @@ def make_gamma_model(n: int, c0: float, gamma: float, r_max: float, dr: float) -
         p += c0 * r ** (gamma + 3.0) / ((gamma + 2.0) * (gamma + 3.0))
         v += c0 * r ** (gamma + 2.0) / (gamma + 2.0)
 
-    radii = np.empty(n_steps)
-    log_psi = np.empty(n_steps)
-    ratio1 = np.empty(n_steps)
-    scale = 0.0  # accumulated log of the renormalization factor
+    log_psi = np.empty(n_nodes)
+    ratio1 = np.empty(n_nodes)
+    log_scale = log_psi[0] = math.log(p)
+    v = ratio1[0] = v / p
+    # node j (radius (j+1) dr) is reached by the step that starts at r = j dr
+    for first in range(1, n_nodes, _BLOCK):
+        count = min(_BLOCK, n_nodes - first)
+        chunks = -(-count // _CHUNK)
+        # column m holds the steps of chunk m; the last chunk may run past the table
+        r = dr * (first + np.arange(chunks * _CHUNK).reshape(chunks, _CHUNK).T)
+        q0, qm, qe = (_jacobi_coefficient(x, c0, gamma) for x in (r, r + 0.5 * dr, r + dr))
+        a, c = _rk4_increment(1.0, 0.0, q0, qm, qe, dr)
+        b, d = _rk4_increment(0.0, 1.0, q0, qm, qe, dr)
+        # row k becomes P - I, P the product of its chunk's first k + 1 step matrices
+        for k in range(1, _CHUNK):
+            a[k], b[k], c[k], d[k] = (
+                (a[k] + a[k - 1]) + (a[k] * a[k - 1] + b[k] * c[k - 1]),
+                (b[k] + b[k - 1]) + (a[k] * b[k - 1] + b[k] * d[k - 1]),
+                (c[k] + c[k - 1]) + (c[k] * a[k - 1] + d[k] * c[k - 1]),
+                (d[k] + d[k - 1]) + (c[k] * b[k - 1] + d[k] * d[k - 1]),
+            )
+        # chunk m starts from psi = 1, psi'/psi = start_v[m] and log psi = start_log[m]
+        start_log, start_v = np.empty((2, chunks))
+        ends = zip(a[-1].tolist(), b[-1].tolist(), c[-1].tolist(), d[-1].tolist())
+        for m, (am, bm, cm, dm) in enumerate(ends):
+            start_log[m], start_v[m] = log_scale, v
+            growth = am + bm * v  # psi - 1 at the chunk's end
+            if not (growth > -1.0 and math.isfinite(growth)):
+                r_end = dr * (first + _CHUNK * (m + 1))
+                raise ArithmeticError(f"Jacobi integration failed at r = {r_end:.6g}")
+            log_scale += math.log1p(growth)
+            v = (cm + v + dm * v) / (1.0 + growth)
+        growth = a + b * start_v
+        with np.errstate(divide="ignore", invalid="ignore"):
+            block_log_psi = (start_log + np.log1p(growth)).T.ravel()[:count]
+            block_ratio1 = ((c + start_v + d * start_v) / (1.0 + growth)).T.ravel()[:count]
+        bad = ~(np.isfinite(block_log_psi) & np.isfinite(block_ratio1))
+        if bad.any():
+            raise ArithmeticError(f"Jacobi integration failed at r = {dr * (first + 1 + np.argmax(bad)):.6g}")
+        log_psi[first : first + count] = block_log_psi
+        ratio1[first : first + count] = block_ratio1
 
-    def record(i, r, p, v, scale):
-        if not (p > 0.0 and math.isfinite(p) and math.isfinite(v)):
-            raise ArithmeticError(f"Jacobi integration failed at r = {r:.6g}")
-        radii[i] = r
-        log_psi[i] = math.log(p) + scale
-        ratio1[i] = v / p
-
-    record(0, r, p, v, scale)
-    for i in range(1, n_steps):
-        # RK4 on (psi, psi') for the linear equation psi'' = q(r) psi
-        k1p = v
-        k1v = q_at(r) * p
-        qm = q_at(r + 0.5 * dr)
-        k2p = v + 0.5 * dr * k1v
-        k2v = qm * (p + 0.5 * dr * k1p)
-        k3p = v + 0.5 * dr * k2v
-        k3v = qm * (p + 0.5 * dr * k2p)
-        qe = q_at(r + dr)
-        k4p = v + dr * k3v
-        k4v = qe * (p + dr * k3p)
-        p += dr * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
-        v += dr * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0
-        r = dr * (i + 1)
-        if p > 1e150:
-            v /= p
-            scale += math.log(p)
-            p = 1.0
-        record(i, r, p, v, scale)
-
-    return ModelManifold(n, TabulatedWarping(radii, log_psi, ratio1, c0, gamma))
+    return ModelManifold(n, TabulatedWarping(dr, log_psi, ratio1, c0, gamma))
 
 
 def _positive_radii(r):

@@ -634,6 +634,23 @@ GEOMETRY_BASE = "[manifold]\nkind = hyperbolic\nn = 3\nk = 1.0\n\n[grid]\nR = 10
             GEOMETRY_BASE + "[sweep]\naxis = p\nvalues = 2\naxis2 = amplitude\nvalues2 =\n",
             "[sweep] values2 lists no numbers",
         ),
+        (
+            PRESETS["exp-forcing-hyperbolic"].replace(
+                "axis = p\nstart = 1.1\nstop = 3.0\ncount = 20", "axis = barrier.alpha\nvalues = 1 2"
+            ),
+            "[sweep] axis 'barrier.alpha': a sweep run of this config never reads barrier.alpha "
+            "(of [barrier] it reads beta_policy)",
+        ),
+        (
+            PRESETS["power-tail-gamma3"].replace("axis = p\nvalues = 1.5 2 3", "axis = u0.alpha\nvalues = 1 2"),
+            "[sweep] axis 'u0.alpha': a sweep run of this config never reads u0.alpha "
+            "(of [u0] it reads amplitude, factor)",
+        ),
+        (
+            GEOMETRY_BASE + "[sweep]\naxis = check.nodes\nvalues = 100 200\n",
+            "[sweep] axis 'check.nodes': a sweep run of this config never reads check.nodes "
+            "(of [check] it reads no key)",
+        ),
     ],
     ids=["sigma", "q", "t_end", "dt-order", "c_lower-text", "c_lower-sign", "sweep-sigma",
          "gamma-dr", "k-zero", "grid-R", "grid-N", "u0-width", "explicit-lambda", "exp-alpha",
@@ -645,7 +662,8 @@ GEOMETRY_BASE = "[manifold]\nkind = hyperbolic\nn = 3\nk = 1.0\n\n[grid]\nR = 10
          "sweep-amplitude2", "sweep-scaled-amplitude", "sweep-axis2", "R_list-decreasing",
          "R_list-negative", "R_list-beyond-r_max", "grid-dr", "snapshots-negative", "snapshots-zero",
          "snapshots-one", "sweep-gamma", "sweep-duplicate-cell", "sweep-axis-in-sweep",
-         "sweep-axis-unknown", "sweep-values-empty", "sweep-values2-empty"],
+         "sweep-axis-unknown", "sweep-values-empty", "sweep-values2-empty", "sweep-axis-unread-by-kind",
+         "sweep-axis-unread-by-data", "sweep-axis-unread-section"],
 )
 def test_inadmissible_config_values_are_config_errors(tmp_path, capsys, text, hypothesis):
     cfg = write_cfg(tmp_path, text)

@@ -14,6 +14,7 @@ from curvedheat import (
     save_warping_csv,
     sphere_curvature,
 )
+from curvedheat.geometry import gamma_table_nodes
 
 
 def test_euclidean_definitions(euclid3):
@@ -246,3 +247,104 @@ def test_interpolant_is_regular_at_the_pole(gamma0_k17):
     with np.errstate(divide="ignore"):
         assert psi.log_eval(0.0) == -np.inf  # psi(0) = 0
 
+
+def _reference_table(c0, gamma, r_max, dr):
+    """The table as a scalar RK4 loop: radii, log psi and psi'/psi at r = dr, 2 dr, ...
+
+    One step at a time on (psi, psi') with q at r, r + dr/2 and r + dr,
+    renormalized once psi passes 1e150.
+    """
+    n_nodes = gamma_table_nodes(c0, gamma, r_max, dr)
+
+    def q_at(r):
+        return c0 * (1.0 + r**gamma) if gamma > 0 else c0
+
+    r = dr
+    p = r + c0 * r**3 / 6.0
+    v = 1.0 + c0 * r**2 / 2.0
+    if gamma > 0:
+        p += c0 * r ** (gamma + 3.0) / ((gamma + 2.0) * (gamma + 3.0))
+        v += c0 * r ** (gamma + 2.0) / (gamma + 2.0)
+    radii, log_psi, ratio1 = np.empty((3, n_nodes))
+    scale = 0.0
+    radii[0], log_psi[0], ratio1[0] = r, math.log(p), v / p
+    for i in range(1, n_nodes):
+        k1p = v
+        k1v = q_at(r) * p
+        qm = q_at(r + 0.5 * dr)
+        k2p = v + 0.5 * dr * k1v
+        k2v = qm * (p + 0.5 * dr * k1p)
+        k3p = v + 0.5 * dr * k2v
+        k3v = qm * (p + 0.5 * dr * k2p)
+        qe = q_at(r + dr)
+        k4p = v + dr * k3v
+        k4v = qe * (p + dr * k3p)
+        p += dr * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
+        v += dr * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0
+        r = dr * (i + 1)
+        if p > 1e150:
+            v /= p
+            scale += math.log(p)
+            p = 1.0
+        radii[i], log_psi[i], ratio1[i] = r, math.log(p) + scale, v / p
+    return radii, log_psi, ratio1
+
+
+@pytest.mark.parametrize(
+    "c0, gamma, r_max, dr",
+    [
+        (1.0, 3.0, 18.0, 1e-3),  # the power-tail-gamma3 preset's table
+        (1.0, 3.0, 25.0, 1e-3),  # log psi reaches 1,248: the loop renormalizes 3 times
+        (1.0, 0.0, 10.0, 1e-3),
+        (0.5, 2.0, 25.0, 2e-3),
+        (1.0, 3.0, 0.004, 1e-3),  # 4 nodes
+        (1.0, 2.0, 8.23, 1e-3),  # 8,229 steps: two full blocks and a part chunk
+    ],
+)
+def test_gamma_table_matches_the_scalar_rk4_loop(c0, gamma, r_max, dr):
+    # measured: |d log psi| <= 4.5e-13 and |d(psi'/psi)| / (psi'/psi) <= 3.1e-15
+    radii, log_psi, ratio1 = _reference_table(c0, gamma, r_max, dr)
+    psi = make_gamma_model(3, c0, gamma, r_max, dr).psi
+    assert np.array_equal(psi.r, radii)
+    assert psi.r_max == radii[-1]
+    assert np.max(np.abs(psi.log_psi - log_psi)) <= 1e-12
+    assert np.max(np.abs(psi._ratio1 / ratio1 - 1.0)) <= 1e-14
+
+
+def _array_bytes(obj, seen):
+    """Bytes of the distinct array buffers that obj holds, itself or through the objects it keeps."""
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        if isinstance(obj.base, np.ndarray):
+            return _array_bytes(obj.base, seen)
+        return obj.nbytes
+    if isinstance(obj, dict):
+        items = obj.values()
+    elif isinstance(obj, (list, tuple, set)):
+        items = obj
+    elif hasattr(obj, "__dict__"):
+        items = vars(obj).values()
+    else:
+        return 0
+    return sum(_array_bytes(item, seen) for item in items)
+
+
+def test_gamma_table_holds_two_node_arrays():
+    psi = make_gamma_model(3, 1.0, 3.0, 18.0, 1e-3).psi
+    n = psi.log_psi.size
+    assert n == 18_000
+    assert _array_bytes(psi, set()) == 2 * 8 * n
+
+
+def test_gamma_table_piece_is_the_one_searchsorted_picks(gamma3):
+    # r/dr rounds below the node index at 173 of this table's 30,000 nodes
+    psi = gamma3.psi
+    x = np.concatenate(([0.0], psi.r))
+    r = np.concatenate((x, np.nextafter(x[1:], 0.0), np.nextafter(x, np.inf), 0.5 * (x[:-1] + x[1:])))
+    r = r[r <= psi.r_max]
+    expected = np.clip(np.searchsorted(x, r, side="right") - 1, 0, x.size - 2)
+    assert np.array_equal(psi._left_node(r), expected)
+    assert psi._left_node(psi.r_max) == x.size - 2
+    assert psi._left_node(0.0) == 0

@@ -59,22 +59,20 @@ while its values are finite; inf * 0 at a block boundary is nan, so an
 attempt that comes out non-finite in the stack is made again by its run
 alone.  solve_on_ball is the batch of one.
 
-The factors are reused while dt stays put (in a batch, every run's dt);
-dt moves after a rejection, after a threshold crossing, at the clamp of
-the last step to the horizon, and when the controller rescales it.  As
-in RADAU5's strategy (Hairer & Wanner, Solving ODEs II, IV.8), an
-accepted step whose controller proposes growth by a factor between 1
-and 1.2 keeps dt as it is, so that its factors serve the next step too;
-every step still passes the tolerance test.  With err the estimate over
-the tolerance, a rejected step scales dt by 0.9 err^(-1/6); an accepted
-one by the smaller of that and Gustafsson's predictive factor
-0.9 (dt/dt_acc) (err_acc/err^2)^(1/6), where dt_acc and
-err_acc = max(err, 0.01) belong to the previous accepted step (ACM TOMS
-20, 1994; the controller of RADAU5).  The second factor reads the trend
-of err: where it grows from step to step, as before blow-up, dt shrinks
-ahead of it instead of every accepted step being followed by a
-rejected attempt.  A fixed-step run factors once, and once more if its
-last step is clamped.
+With err the estimate over the tolerance, a rejected step proposes dt
+scaled by 0.9 err^(-1/6); an accepted one the smaller of that and
+Gustafsson's predictive factor 0.9 (dt/dt_acc) (err_acc/err^2)^(1/6),
+where dt_acc and err_acc = max(err, 0.01) belong to the previous
+accepted step (ACM TOMS 20, 1994; the controller of RADAU5).  The
+second factor reads the trend of err: where it grows from step to
+step, as before blow-up, dt shrinks ahead of it instead of every
+accepted step being followed by a rejected attempt.  The new dt is the
+largest level dt_max 2^(-j/8), j >= 0 an integer, at or below the
+proposal.  A level is computed from j alone, so equal levels are equal
+floats, whose factors serve every step taken at them, and a proposal
+moved by rounding keeps its level.  dt also moves at a threshold
+crossing (halved) and at the clamp of the last step to the horizon; a
+fixed-step run factors once, and once more if its last step is clamped.
 
 Near blow-up the explicit reaction drives the estimator up, dt
 collapses, and that collapse doubles as the detector: a blow-up verdict
@@ -134,13 +132,9 @@ VERDICT_UNDECIDED = "undecided"
 _MAX_STEPS = 2_000_000
 # rows of the extrapolation table of an adaptive step; row j takes j substeps
 _ROWS = 6
-# an accepted step whose controller proposes growth by a factor in
-# [1, _DT_HOLD] keeps dt, and with it the factors of its IMEX matrices.
-# The band stays for accuracy more than speed: at 1.0 (no band) the
-# power-tail-gamma3 run takes 280 steps instead of 328 in about the same
-# wall time, and its late-time decay rate misses lambda1 by 8.890e-6
-# relative instead of 5.388e-6
-_DT_HOLD = 1.2
+# an adaptive dt is a level dt_max 2^(-j/_LEVELS), j >= 0 an integer
+_LEVELS = 8
+_LEVEL_FACTORS = tuple(2.0 ** (-i / _LEVELS) for i in range(_LEVELS))
 # the IMEX band is solved in its symmetric form when S b stays finite for
 # every |b| below the blow-up threshold: log s may span at most
 # _LOG_FLOAT_MAX - log(threshold) - _SOLVE_HEADROOM, where the headroom
@@ -156,10 +150,8 @@ class EvolutionControls:
     rel_tol bounds, relative to the sup norm, the estimated local error
     of T65, the fifth-order entry below the accepted sixth-order T66;
     rel_tol = 0 disables adaptivity and runs IMEX Euler at the fixed
-    step dt_init.  An adaptive dt moves only when the controller asks
-    for a factor below 1 or above 1.2 (the dead band of Hairer & Wanner,
-    Solving ODEs II, IV.8, which lets the factors of the IMEX
-    matrices serve consecutive steps).
+    step dt_init.  An adaptive run attempts dt_init first, then the largest
+    level dt_max 2^(-j/8), j >= 0, at or below the controller's proposal.
     """
 
     t_end: float
@@ -287,11 +279,23 @@ def _extrapolate(col):
     return col[0], below[0]
 
 
+def _level_at(j: int, dt_max: float) -> float:
+    """Level j, ldexp of dt_max times a factor: level j + _LEVELS is exactly half of level j."""
+    return math.ldexp(dt_max * _LEVEL_FACTORS[j % _LEVELS], -(j // _LEVELS))
+
+
+def _level(x: float, dt_max: float) -> float:
+    """The largest level at or below x > 0, which is dt_max when x >= dt_max."""
+    # from one level above log2's estimate, which rounding may put one level off
+    j = max(0, math.ceil(-_LEVELS * math.log2(x / dt_max)) - 1)
+    while _level_at(j, dt_max) > x:
+        j += 1
+    return _level_at(j, dt_max)
+
+
 def _step_factor(est: float, tol: float) -> float:
     """dt multiplier for a local error est ~ dt^_ROWS against the target tol."""
-    if est == 0.0:
-        return 5.0
-    return min(5.0, max(0.2, 0.9 * (tol / est) ** (1.0 / _ROWS)))
+    return 5.0 if est == 0.0 else min(5.0, max(0.2, 0.9 * (tol / est) ** (1.0 / _ROWS)))
 
 
 class _Run:
@@ -368,26 +372,22 @@ class _Run:
             if self.s >= self.threshold and self.t_cross is None:
                 self.t_cross = self.t
             if self.t_cross is not None:
-                # threshold crossed: force the step size down so the
-                # dt-collapse half of the blow-up verdict is reached
+                # threshold crossed: halve dt toward the dt-collapse half of the blow-up verdict
                 dt = 0.5 * dt
             elif adaptive:
                 grow = _step_factor(est, tol)
                 err = est / tol
                 if self.dt_acc is not None and err > 0.0:
-                    # Gustafsson's predictive control (Hairer & Wanner II,
-                    # IV.8): an error growing from step to step, as near
-                    # blow-up, shrinks dt before a rejection does
+                    # Gustafsson's predictive factor: an error growing from step to step shrinks dt
                     grow = min(grow, max(0.2, 0.9 * (dt / self.dt_acc) * (self.err_acc / err / err) ** (1.0 / _ROWS)))
                 self.dt_acc, self.err_acc = dt, max(1e-2, err)
-                if not 1.0 <= grow <= _DT_HOLD:
-                    dt = dt * grow
+                dt = _level(dt * grow, controls.dt_max)
         elif not finite:
             self.rejected_nonfinite += 1
             dt = 0.25 * dt
         else:
             self.rejected_error += 1
-            dt = dt * _step_factor(est, tol)
+            dt = _level(dt * _step_factor(est, tol), controls.dt_max)
         self.dt = dt
 
         if dt < controls.dt_min:

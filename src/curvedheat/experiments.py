@@ -63,13 +63,17 @@ VERDICT_COLORS = {
 }
 
 # the keys of a run's record (``_sweep_cell``) that each table prints, in order
+# the work a run did: its counters and the range of its accepted step sizes
+WORK_KEYS = (
+    "steps", "rejected_error", "rejected_nonfinite", "factor_sets", "solves", "dt_accepted_min", "dt_accepted_max",
+)
 SWEEP_KEYS = (
     "verdict", "t_star", "sup_final", "ctilde", "amplitude_limit", "envelope_pass",
-    "dr", "dt_init", "horizon",
+    "dr", "dt_init", "horizon", *WORK_KEYS,
 )
 SUMMARY_KEYS = (
     "verdict", "t_star", "threshold", "sup_final", "dr", "dt_init", "rel_tol", "horizon",
-    "forcing", "p", "note",
+    "forcing", "p", *WORK_KEYS, "note",
 )
 ENVELOPE_SUMMARY_KEYS = (
     "lambda", "ctilde", "amplitude_limit", "envelope_violation", "envelope_tol", "envelope_pass",
@@ -448,6 +452,7 @@ def _sweep_cell(cfg: ExperimentConfig, outcome, barrier, lam, envelope, meta):
     the sweep; perfbench's tracer wraps the function by it.
     """
     grid = outcome.final.grid
+    dts = outcome.history[1:, 2]  # the accepted steps
     record = {
         "verdict": outcome.verdict,
         "t_star": outcome.t_star,
@@ -460,6 +465,13 @@ def _sweep_cell(cfg: ExperimentConfig, outcome, barrier, lam, envelope, meta):
         "horizon": cfg.controls.t_end,
         "forcing": cfg.forcing.label(),
         "p": cfg.p,
+        "steps": dts.size,
+        "rejected_error": outcome.rejected_error,
+        "rejected_nonfinite": outcome.rejected_nonfinite,
+        "factor_sets": outcome.factor_sets,
+        "solves": outcome.solves,
+        "dt_accepted_min": float(dts.min()) if dts.size else None,
+        "dt_accepted_max": float(dts.max()) if dts.size else None,
         "lambda": lam,
         "ctilde": meta.get("ctilde"),
         "amplitude_limit": meta.get("amplitude_limit"),

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from curvedheat import experiments
 from curvedheat.cli import main
 from curvedheat.config import (
     KEYS,
@@ -301,7 +302,10 @@ values = 2 2.5
 """
 
 
-def test_strict_fails_on_a_failed_envelope_in_simulate_and_sweep(tmp_path):
+def test_strict_fails_on_a_failed_envelope_in_simulate_and_sweep(tmp_path, monkeypatch):
+    outcomes = []
+    solve = experiments.solve_on_ball
+    monkeypatch.setattr(experiments, "solve_on_ball", lambda *args, **kw: outcomes.append(solve(*args, **kw)) or outcomes[-1])
     cfg = write_cfg(tmp_path, WRONG_CERTIFICATE)
     assert main(["barrier", "--config", str(cfg), "--out", str(tmp_path / "bar"), "--strict"]) == 1
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw"), "--strict"]) == 1
@@ -318,6 +322,11 @@ def test_strict_fails_on_a_failed_envelope_in_simulate_and_sweep(tmp_path):
         summary = dict(line.split(",", 1) for line in lines)
         assert set(header) <= set(summary)
         assert {key: summary[key] for key in header} == cell
+        run, dts = outcomes[-1], outcomes[-1].history[1:, 2]
+        assert {key: float(summary[key]) for key in experiments.WORK_KEYS} == {
+            "steps": len(dts), "rejected_error": run.rejected_error, "rejected_nonfinite": run.rejected_nonfinite,
+            "factor_sets": run.factor_sets, "solves": run.solves, "dt_accepted_min": dts.min(), "dt_accepted_max": dts.max(),
+        }
 
 
 def test_sweep_command(tmp_path):

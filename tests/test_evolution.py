@@ -35,8 +35,9 @@ from curvedheat import (
     time_envelope,
 )
 from curvedheat.config import parse_config, preset_text
-from curvedheat.evolution import _extrapolate, _imex_parts, _symmetrizer
+from curvedheat.evolution import _extrapolate, _imex_parts, _level, _level_at, _symmetrizer
 from curvedheat.experiments import _initial_field, build_manifold
+from curvedheat.geometry import ModelManifold, TabulatedWarping
 from curvedheat.operators import laplacian_tridiag, log_symmetrizer
 
 
@@ -563,6 +564,75 @@ def test_adaptive_run_reuses_factors_across_steps(hyp3, monkeypatch):
     # the outcome's counters account for every attempt and factorization
     assert attempts == len(out.history) - 1 + out.rejected_error + out.rejected_nonfinite
     assert out.factor_sets == factor_sets
+
+
+def is_level(dt, dt_max):
+    j = round(-8 * math.log2(dt / dt_max))
+    return j >= 0 and _level_at(j, dt_max) == dt
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.floats(1e-15, 1e3), dt_max=st.floats(1e-3, 1e3), j=st.integers(0, 400), e=st.integers(-60, 60))
+@example(x=_level_at(13, 0.25), dt_max=0.25, j=13, e=-2)  # a proposal on a level keeps it
+@example(x=math.nextafter(_level_at(13, 0.25), 0.0), dt_max=0.25, j=13, e=-2)  # one ulp below it takes the next
+def test_level_is_the_largest_level_at_or_below_the_proposal(x, dt_max, j, e):
+    dt = _level(x, dt_max)
+    if x >= dt_max:
+        assert dt == dt_max
+    else:
+        assert is_level(dt, dt_max) and dt <= x
+        assert _level_at(round(-8 * math.log2(dt / dt_max)) - 1, dt_max) > x
+    # every level is its own level; levels halve exactly every 8 indices and scale exactly with dt_max
+    assert _level(_level_at(j, dt_max), dt_max) == _level_at(j, dt_max)
+    assert _level_at(j + 8, dt_max) == _level_at(j, dt_max) / 2
+    assert _level_at(j, math.ldexp(dt_max, e)) == math.ldexp(_level_at(j, dt_max), e)
+    assert _level(math.ldexp(x, e), math.ldexp(dt_max, e)) == math.ldexp(dt, e)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(["euclidean", "hyperbolic"]),
+    amplitude=st.floats(0.1, 8.0),
+    p=st.floats(1.2, 3.0),
+    dt_init=st.floats(1e-5, 0.2),
+    t_end=st.floats(0.5, 20.0),
+)
+@example(kind="euclidean", amplitude=3.0, p=1.5, dt_init=1e-3, t_end=20.0)  # blow-up, dt halved past the threshold
+def test_adaptive_steps_are_levels_and_fixed_steps_keep_dt_init(kind, amplitude, p, dt_init, t_end):
+    M = make_euclidean(3) if kind == "euclidean" else make_hyperbolic(3, 1.0)
+    g = RadialGrid(10.0, 40)
+    u0 = make_u0(g, bump_profile(amplitude, 2.0))
+    ctl = EvolutionControls(t_end=t_end, dt_init=dt_init, rel_tol=1e-4)
+    out = solve_on_ball(M, 10.0, u0, Forcing.one(), p, ctl, n_snapshots=3)
+    t, sup, dt = out.history[1:].T
+    if sup[0] < out.threshold:
+        # the first accepted step may take dt_init, and the last one may be clamped to the horizon
+        clamped = t[-1] >= t_end * (1 - 1e-12)
+        assert all(is_level(x, ctl.dt_max) for x in dt[1 : dt.size - clamped])
+    # 20 steps of dt_init and a last one clamped to the horizon
+    fixed = replace(ctl, t_end=20.5 * dt_init, dt_max=dt_init, rel_tol=0.0)
+    out = solve_on_ball(M, 10.0, u0, Forcing.one(), p, fixed, n_snapshots=3)
+    if out.t_star is None:
+        assert np.all(out.history[1:-1, 2] == dt_init) and out.history[-1, 2] < dt_init
+
+
+def test_rounding_level_changes_leave_the_step_sequence_bit_identical():
+    # a one-ulp change to the warping table or to the data moves est = |T66 - T65|
+    # by rounding; the levels absorb it
+    cfg = parse_config(preset_text("power-tail-gamma3"))
+    M = build_manifold(cfg)
+    u0, *_ = _initial_field(cfg, M, RadialGrid(cfg.grid.R, cfg.grid.N))
+    psi = M.psi
+    table_up = ModelManifold(M.n, TabulatedWarping(psi.dr, np.nextafter(psi.log_psi, np.inf), psi._ratio1, psi.c0, psi.gamma))
+    data_up = RadialField(u0.grid, np.append(np.nextafter(u0.values[:-1], np.inf), 0.0))
+    runs = [
+        solve_on_ball(model, cfg.grid.R, data, cfg.forcing, cfg.p, cfg.controls, n_snapshots=cfg.snapshots)
+        for model, data in ((M, u0), (table_up, u0), (M, data_up))
+    ]
+    assert runs[0].verdict == VERDICT_GLOBAL
+    for run in runs[1:]:
+        assert run.history[:, 2].tobytes() == runs[0].history[:, 2].tobytes()
+        assert np.allclose(run.history[:, 1], runs[0].history[:, 1], rtol=1e-8, atol=0.0)
 
 
 @pytest.mark.parametrize(

@@ -23,8 +23,9 @@ Three families are constructed here:
 ``verify_supersolution`` evaluates the residual w'' + F w' + lam w with
 exact derivatives and the model's exact drift at every grid node (the
 discrete residual (Delta_h + lam) C phi on the phi-branch of a glued
-barrier), plus the one-sided derivative sign at kinks; a positive
-residual is a FAIL verdict, never an exception.
+barrier), plus the one-sided derivative sign at kinks; a residual
+above a few rounding units of the sum of its terms' magnitudes is a
+FAIL verdict, never an exception.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forcing import Forcing
-from .geometry import ModelManifold
-from .operators import RadialField, RadialGrid, apply_laplacian, apply_laplacian_analytic
+from .geometry import ModelManifold, drift
+from .operators import RadialField, RadialGrid, apply_laplacian, laplacian_tridiag
 from .spectral import RadialSolution, positive_radial_solution
 
 __all__ = [
@@ -178,14 +179,15 @@ class GluedBarrier:
 class SupersolutionCheck:
     """Outcome of a residual verification; a FAIL is a verdict, not an error."""
 
-    max_residual: float
+    max_residual: float  # the largest residual, at worst_r
     worst_r: float
+    max_relative: float  # the largest residual over the sum of its terms' magnitudes
     kink_ok: bool
-    tol: float
+    tol: float  # the bound on max_relative, a few rounding units
 
     @property
     def passed(self) -> bool:
-        return self.max_residual <= self.tol and self.kink_ok
+        return self.max_relative <= self.tol and self.kink_ok
 
 
 def exp_rate_window(n: int, k: float, lam: float):
@@ -344,19 +346,27 @@ def glued_barrier(M: ModelManifold, lam, alpha, beta, r0, r1, r2, R_max, N) -> G
     return GluedBarrier(c, phi, v, r0, r1, r2, lam, use_v, values)
 
 
-def _residual(M, w, lam, r):
-    """w'' + F w' + lam w from the closed-form eval/deriv1/deriv2 of w."""
-    return apply_laplacian_analytic(M, w, r) + lam * w.eval(r)
+# a node passes when its residual is at most RESIDUAL_TOL times the sum of
+# the magnitudes of its terms: the rounding of that sum, with a margin
+RESIDUAL_TOL = 8 * np.finfo(float).eps
+
+
+def _terms(M, w, lam, r):
+    """w'' + F w' + lam w from the closed-form eval/deriv1/deriv2 of w, and the sum of its terms' magnitudes."""
+    d2, fd1, lw = w.deriv2(r), drift(M, r) * w.deriv1(r), lam * w.eval(r)
+    return d2 + fd1 + lw, np.abs(d2) + np.abs(fd1) + np.abs(lw)
 
 
 def verify_supersolution(M: ModelManifold, barrier, lam: float, grid: RadialGrid) -> SupersolutionCheck:
     """Max of w'' + F w' + lam w over the grid (pole excluded), kinks checked.
 
     Derivatives are exact and closed-form and the drift is the model's
-    exact one, so there is no discretization slack in the residual: it
-    passes at 1e-10 and below.  The phi-branch of a glued barrier has no
-    closed form; its residual is (Delta_h + lam) C phi recomputed from
-    the band on the rows 1..N (the Dirichlet node carries no equation).  At kinks the weak-supersolution
+    exact one, so there is no discretization slack in the residual: a
+    node passes when it is at most ``RESIDUAL_TOL`` (|w''| + |F w'| + lam w),
+    a verdict that is the same at every scale of the problem.  The phi-branch
+    of a glued barrier has no closed form; its residual is (Delta_h + lam) C phi
+    recomputed from the band on the rows 1..N (the Dirichlet node carries no
+    equation), against the magnitudes of the band's terms.  At kinks the weak-supersolution
     sign w'(r+) <= w'(r-) is checked one-sidedly, with phi's slope from
     central differences of its node values.
     """
@@ -364,7 +374,7 @@ def verify_supersolution(M: ModelManifold, barrier, lam: float, grid: RadialGrid
     kink_ok = True
 
     if isinstance(barrier, (ExpBarrier, PowerBarrier)):
-        res = _residual(M, barrier, lam, r_all)
+        res, size = _terms(M, barrier, lam, r_all)
         if isinstance(barrier, PowerBarrier) and grid.nodes[0] <= barrier.r0 <= grid.nodes[-1]:
             a, r0, b_cap = barrier.alpha, barrier.r0, barrier.b
             kink_ok = (-a * r0 ** (-a - 1.0)) <= -b_cap + 1e-12 * abs(b_cap)
@@ -379,10 +389,15 @@ def verify_supersolution(M: ModelManifold, barrier, lam: float, grid: RadialGrid
         cphi = RadialField(grid, barrier.c * barrier.phi.field.values)
         res_phi = apply_laplacian(M, cphi).values[1:] + lam * cphi.values[1:]
         res_phi[-1] = 0.0  # the Dirichlet node carries no equation
+        # |sub phi| + |diag phi| + |sup phi| + lam phi on each row, with sub, sup >= 0 >= diag
+        sub, diag, sup = laplacian_tridiag(M, grid)
+        v = np.abs(cphi.values)
+        size_phi = np.append(sub[1:] * v[:-2] - diag[1:] * v[1:-1] + sup[1:] * v[2:] + abs(lam) * v[1:-1], 0.0)
         p = cphi.values[1:]
         dp = np.gradient(cphi.values, grid.dr)[1:]
-        res_v = _residual(M, barrier.v, lam, r_all)
+        res_v, size_v = _terms(M, barrier.v, lam, r_all)
         res = np.where(use_v, res_v, res_phi)
+        size = np.where(use_v, size_v, size_phi)
         # branch switches: min-kinks; require the outgoing slope <= incoming
         switches = np.flatnonzero(use_v[:-1] != use_v[1:])
         for j in switches:
@@ -405,8 +420,11 @@ def verify_supersolution(M: ModelManifold, barrier, lam: float, grid: RadialGrid
         raise TypeError(f"unknown barrier type {type(barrier).__name__}")
 
     i = int(np.argmax(res))
+    # a residual whose terms are all zero is zero itself
+    relative = np.divide(res, size, out=np.zeros_like(res), where=size > 0)
     return SupersolutionCheck(
-        max_residual=float(res[i]), worst_r=float(r_all[i]), kink_ok=bool(kink_ok), tol=1e-10
+        max_residual=float(res[i]), worst_r=float(r_all[i]), max_relative=float(relative.max()),
+        kink_ok=bool(kink_ok), tol=RESIDUAL_TOL,
     )
 
 

@@ -35,40 +35,29 @@ __all__ = [
     "CheckSpec",
     "ExperimentConfig",
     "KEYS",
+    "KINDS",
     "parse_config",
     "PRESETS",
     "preset_text",
 ]
 
-MANIFOLD_KINDS = ("euclidean", "hyperbolic", "gamma")
-BARRIER_KINDS = ("exp", "exp-linear", "exp-slow", "exp-fast", "power-tail", "glued")
-# the [barrier] keys each kind reads and has no default for
-BARRIER_NEEDS = {
-    "exp": ("alpha", "beta"),
-    "exp-fast": ("alpha",),
-    "power-tail": ("alpha",),
-    "glued": ("alpha", "beta", "r0", "r1", "r2"),
-}
-U0_KINDS = ("scaled-barrier", "bump", "power-tail", "zero")
-# the keys each kind reads when a sweep cell runs; a sweep axis must set a
-# key that the cell's run reads (``_sweep_reads``)
-KIND_READS = {
-    "manifold": {
-        "euclidean": ("n",), "hyperbolic": ("n", "k"), "gamma": ("n", "c0", "gamma", "r_max", "dr"),
-    },
-    "forcing": {"one": (), "power": ("q",), "exp": ("sigma",)},
-    "barrier": {
-        "exp": ("alpha", "beta"),
-        "exp-linear": ("beta_policy",),
-        "exp-slow": ("c_lower",),
-        "exp-fast": ("alpha", "c_lower"),
-        "power-tail": ("alpha", "c_lower", "lambda_fraction"),
-        "glued": ("alpha", "beta", "r0", "r1", "r2"),
-    },
-    "u0": {
-        "scaled-barrier": ("factor", "amplitude"), "bump": ("amplitude", "width"),
-        "power-tail": ("amplitude", "alpha"), "zero": (),
-    },
+# Each section with a kind: the kind it takes when it names none (None: it must
+# name one) and, for each kind, the keys it needs (no default) and the optional
+# keys it reads.  ``_kind`` refuses any other key: no command would read it.
+KINDS = {
+    "manifold": (None, {
+        "euclidean": (("n",), ()), "hyperbolic": (("n",), ("k",)), "gamma": (("n",), ("c0", "gamma", "r_max", "dr")),
+    }),
+    "forcing": ("one", {"one": ((), ()), "power": (("q",), ()), "exp": (("sigma",), ())}),
+    "barrier": ("exp-linear", {
+        "exp": (("alpha", "beta"), ()), "exp-linear": ((), ("beta_policy",)), "exp-slow": ((), ("c_lower",)),
+        "exp-fast": (("alpha",), ("c_lower",)), "power-tail": (("alpha",), ("c_lower", "lambda_fraction")),
+        "glued": (("alpha", "beta", "r0", "r1", "r2"), ()),
+    }),
+    "u0": ("scaled-barrier", {
+        "scaled-barrier": ((), ("factor", "amplitude")), "bump": ((), ("amplitude", "width")),
+        "power-tail": ((), ("amplitude", "alpha")), "zero": ((), ()),
+    }),
 }
 LAMBDA_POLICIES = ("mckean", "eigen", "explicit")
 
@@ -91,9 +80,22 @@ class ManifoldSpec:
             gamma_table_nodes(self.c0, self.gamma, self.r_max, self.dr)
 
 
+def pinch_constant(manifold: ManifoldSpec) -> float | None:
+    """Curvature pinching constant k of the model (K <= -k^2), if any."""
+    if manifold.kind == "hyperbolic":
+        return manifold.k
+    if manifold.kind == "gamma":
+        return math.sqrt(manifold.c0)
+    return None
+
+
+def divergence_gamma(manifold: ManifoldSpec) -> float:
+    return manifold.gamma if manifold.kind == "gamma" else 0.0
+
+
 @dataclass(frozen=True)
 class BarrierSpec:
-    kind: str = "exp-linear"
+    kind: str
     alpha: float | None = None
     beta: float | None = None
     beta_policy: str = "mid"  # lo | mid | hi, for exp-linear
@@ -106,7 +108,7 @@ class BarrierSpec:
 
 @dataclass(frozen=True)
 class U0Spec:
-    kind: str = "scaled-barrier"
+    kind: str
     factor: float = 0.5  # x amplitude limit, when one exists
     amplitude: float | None = None  # absolute override
     width: float = 2.0  # bump
@@ -164,11 +166,11 @@ class SweepSpec:
 
 @dataclass(frozen=True, kw_only=True)
 class CheckSpec:
-    """Curvature-check targets; k and gamma left None follow the model."""
+    """Curvature-check targets; ``_build`` takes k, c0, gamma and r_max from the model and ball."""
 
-    k: float | None = None
+    k: float
     c0: float
-    gamma: float | None = None
+    gamma: float
     r_min: float = 0.1
     r_max: float
     nodes: int = 400
@@ -269,7 +271,6 @@ KEYS = {
 }
 
 
-
 def _section(sections, name):
     """The keys ``name`` sets, converted; a key outside ``KEYS[name]`` is a ConfigError."""
     schema = KEYS[name]
@@ -291,6 +292,23 @@ def _required(values, name, key):
     if key not in values:
         raise ConfigError(f"[{name}] missing required key '{key}'")
     return values[key]
+
+
+def _kind(name, values):
+    """Section ``name``'s ``values`` with its kind set: a kind of ``KINDS``, every key it needs, none it does not read."""
+    default, kinds = KINDS[name]
+    kind = values.get("kind", default)
+    if kind not in kinds:
+        raise ConfigError(f"[{name}] kind must be one of {' | '.join(kinds)}, got {kind!r}")
+    needs, reads = kinds[kind]
+    missing = [key for key in needs if key not in values]
+    if missing:
+        raise ConfigError(f"{name} kind {kind} needs explicit {', '.join(missing)}")
+    unread = [key for key in values if key not in ("kind", *needs, *reads)]
+    if unread:
+        listed = ", ".join(needs + reads) or "no other key"
+        raise ConfigError(f"[{name}] kind {kind} does not read {', '.join(map(repr, unread))}; it reads {listed}")
+    return {**values, "kind": kind}
 
 
 ALIASES = {"p": "problem.p", "sigma": "forcing.sigma", "amplitude": "u0.amplitude"}
@@ -332,25 +350,13 @@ def _build(sections) -> ExperimentConfig:
     """The config of ``sections``, option texts by section name; [sweep] is not read."""
     sec = {name: _section(sections, name) for name in KEYS if name != "sweep"}
 
-    man = sec["manifold"]
-    kind = _required(man, "manifold", "kind")
-    if kind not in MANIFOLD_KINDS:
-        raise ConfigError(f"manifold kind must be one of {MANIFOLD_KINDS}, got {kind!r}")
-    _required(man, "manifold", "n")
-    manifold = _admissible("manifold", ManifoldSpec, **man)
+    manifold = _admissible("manifold", ManifoldSpec, **_kind("manifold", sec["manifold"]))
     if manifold.n < 2:
         raise ConfigError(f"dimension must be >= 2, got {manifold.n}")
 
-    fo = sec["forcing"]
-    fkind = fo.get("kind", "one")
-    if fkind == "one":
-        forcing = Forcing.one()
-    elif fkind == "power":
-        forcing = _admissible("forcing", Forcing.power_law, _required(fo, "forcing", "q"))
-    elif fkind == "exp":
-        forcing = _admissible("forcing", Forcing.exponential, _required(fo, "forcing", "sigma"))
-    else:
-        raise ConfigError(f"forcing kind must be one | power | exp, got {fkind!r}")
+    fo = _kind("forcing", sec["forcing"])
+    build = {"one": Forcing.one, "power": Forcing.power_law, "exp": Forcing.exponential}[fo.pop("kind")]
+    forcing = _admissible("forcing", build, **fo)
 
     pr = sec["problem"]
     p = pr.get("p", 2.0)
@@ -363,12 +369,8 @@ def _build(sections) -> ExperimentConfig:
     if lambda_policy == "explicit" and lambda_value is None:
         raise ConfigError("lambda_policy = explicit needs a 'lambda' value")
 
-    barrier = BarrierSpec(**sec["barrier"])
-    bkind = barrier.kind
-    if bkind not in BARRIER_KINDS:
-        raise ConfigError(f"barrier kind must be one of {BARRIER_KINDS}, got {bkind!r}")
-    if barrier.beta_policy not in ("lo", "mid", "hi"):
-        raise ConfigError(f"beta_policy must be lo | mid | hi, got {barrier.beta_policy!r}")
+    # the checks across sections come before the keys the kind needs
+    bkind = sec["barrier"].get("kind", KINDS["barrier"][0])
     if bkind == "power-tail" and manifold.kind == "gamma" and manifold.gamma <= 2:
         raise ConfigError(
             f"power-tail barrier needs curvature divergence exponent gamma > 2, "
@@ -379,15 +381,13 @@ def _build(sections) -> ExperimentConfig:
             f"barrier kind {bkind!r} needs a divergent-curvature (gamma) model, "
             f"got manifold kind {manifold.kind!r}"
         )
-    missing = [key for key in BARRIER_NEEDS.get(bkind, ()) if getattr(barrier, key) is None]
-    if missing:
-        raise ConfigError(f"barrier kind {bkind} needs explicit {', '.join(missing)}")
+    barrier = BarrierSpec(**_kind("barrier", sec["barrier"]))
+    if barrier.beta_policy not in ("lo", "mid", "hi"):
+        raise ConfigError(f"beta_policy must be lo | mid | hi, got {barrier.beta_policy!r}")
     if bkind in ("exp", "glued"):
         _admissible("barrier", ExpBarrier, barrier.alpha, barrier.beta)
 
-    u0 = _admissible("u0", U0Spec, **sec["u0"])
-    if u0.kind not in U0_KINDS:
-        raise ConfigError(f"u0 kind must be one of {U0_KINDS}, got {u0.kind!r}")
+    u0 = _admissible("u0", U0Spec, **_kind("u0", sec["u0"]))
     if u0.kind == "bump":
         _admissible("u0", bump_profile, 1.0, u0.width)
     elif u0.kind == "power-tail":
@@ -409,7 +409,9 @@ def _build(sections) -> ExperimentConfig:
         raise ConfigError(f"[controls] snapshots must be >= 2, got {snapshots}")
     controls = _admissible("controls", EvolutionControls, **co)
 
-    ck = {"c0": manifold.c0, "r_max": grid.R, **sec["check"]}
+    # the targets the model meets: flat space and H^n are checked at c0 = 1, gamma = 0
+    k, c0 = pinch_constant(manifold), manifold.c0 if manifold.kind == "gamma" else 1.0
+    ck = {"k": 1.0 if k is None else k, "c0": c0, "gamma": divergence_gamma(manifold), "r_max": grid.R, **sec["check"]}
     check = _admissible("check", CheckSpec, **ck)
 
     return ExperimentConfig(
@@ -463,29 +465,26 @@ def _sweep(sections) -> SweepSpec:
     for cfg in configs:
         reads = _sweep_reads(cfg)
         for name, (section, option) in keys.items():
-            if (section, option) not in reads:
-                read = sorted(key for sec, key in reads if sec == section)
+            if option not in reads.get(section, (option,)):
                 raise ConfigError(
                     f"[sweep] axis {name!r}: a sweep run of this config never reads "
-                    f"{section}.{option} (of [{section}] it reads {', '.join(read) or 'no key'})"
+                    f"{section}.{option} (of [{section}] it reads {', '.join(reads[section]) or 'no key'})"
                 )
     return replace(spec, configs=tuple(configs))
 
 
-def _sweep_reads(cfg) -> set:
-    """The (section, lowercased key) pairs that a sweep run of ``cfg`` reads."""
-    reads = {("problem", "p"), ("grid", "r"), ("grid", "n"), *(("controls", key) for key in KEYS["controls"])}
-    kinds = {"manifold": cfg.manifold.kind, "forcing": cfg.forcing.kind, "u0": cfg.u0.kind}
-    if cfg.u0.kind == "scaled-barrier":  # the only data built from the barrier
-        kinds["barrier"] = cfg.barrier.kind
-        if cfg.barrier.kind != "power-tail":  # power-tail takes a fraction of its own lambda
-            reads.add(("problem", "lambda_policy"))
-            if cfg.lambda_policy == "explicit":
-                reads.add(("problem", "lambda"))
-    for section, kind in kinds.items():
-        reads.update((section, key) for key in KIND_READS[section][kind])
+def _sweep_reads(cfg) -> dict:
+    """The lowercased keys that a sweep run of ``cfg`` reads of each section that it does not read whole.
+
+    ``_build`` has refused every key that its kind does not read, so the rules left are of whole sections.
+    """
+    reads = {"check": (), "grid": ("n", "r"), "problem": ("p",)}
+    if cfg.u0.kind != "scaled-barrier":  # the only data built from the barrier
+        return {**reads, "barrier": ()}
+    if cfg.barrier.kind != "power-tail":  # power-tail takes a fraction of its own lambda
+        reads["problem"] = ("p", "lambda_policy") + (("lambda",) if cfg.lambda_policy == "explicit" else ())
     if cfg.u0.amplitude is not None:
-        reads.discard(("u0", "factor"))  # an amplitude overrides the factor
+        reads["u0"] = ("amplitude",)  # an amplitude overrides the factor
     return reads
 
 

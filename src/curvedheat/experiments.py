@@ -9,8 +9,6 @@ orders, fixed float formatting, no wall-clock content.
 
 from __future__ import annotations
 
-import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +26,7 @@ from .barriers import (
     time_envelope,
     verify_supersolution,
 )
-from .config import ExperimentConfig, _admissible
+from .config import ExperimentConfig, _admissible, divergence_gamma, pinch_constant
 from .errors import ConfigError
 from .evolution import (
     barrier_profile,
@@ -112,25 +110,12 @@ def build_manifold(cfg: ExperimentConfig) -> ModelManifold:
     return make_gamma_model(m.n, m.c0, m.gamma, m.r_max, m.dr)
 
 
-def pinch_constant(cfg: ExperimentConfig) -> float | None:
-    """Curvature pinching constant k of the configured model, if any."""
-    if cfg.manifold.kind == "hyperbolic":
-        return cfg.manifold.k
-    if cfg.manifold.kind == "gamma":
-        return math.sqrt(cfg.manifold.c0)
-    return None
-
-
-def divergence_gamma(cfg: ExperimentConfig) -> float:
-    return cfg.manifold.gamma if cfg.manifold.kind == "gamma" else 0.0
-
-
 def resolve_lambda(cfg: ExperimentConfig, M: ModelManifold):
     """Spectral parameter per policy; returns (lam, provenance)."""
     if cfg.lambda_policy == "explicit":
         return cfg.lambda_value, "explicit"
     if cfg.lambda_policy == "mckean":
-        k = pinch_constant(cfg)
+        k = pinch_constant(cfg.manifold)
         if k is None:
             raise ConfigError(
                 "lambda_policy = mckean needs a pinched-curvature model "
@@ -145,7 +130,7 @@ def build_barrier(cfg: ExperimentConfig, M: ModelManifold):
     """Construct the configured barrier; returns (barrier, lam, meta)."""
     spec = cfg.barrier
     n = cfg.manifold.n
-    gamma = divergence_gamma(cfg)
+    gamma = divergence_gamma(cfg.manifold)
     grid = RadialGrid(cfg.grid.R, cfg.grid.N)
 
     def measured_c():
@@ -158,7 +143,7 @@ def build_barrier(cfg: ExperimentConfig, M: ModelManifold):
         return ExpBarrier(spec.alpha, spec.beta), lam, {"lambda_origin": origin}
 
     if spec.kind == "exp-linear":
-        k = pinch_constant(cfg)
+        k = pinch_constant(cfg.manifold)
         if k is None:
             raise ConfigError(
                 "exp-linear barrier needs a pinched-curvature model: the rate window "
@@ -191,7 +176,7 @@ def build_barrier(cfg: ExperimentConfig, M: ModelManifold):
         }
 
     if spec.kind == "power-tail":
-        k = pinch_constant(cfg)
+        k = pinch_constant(cfg.manifold)
         c, c_origin = measured_c()
         barrier, lam_star = _admissible("barrier", power_tail_barrier, n, k, c, gamma, spec.alpha)
         lam = spec.lambda_fraction * lam_star
@@ -207,8 +192,6 @@ def build_barrier(cfg: ExperimentConfig, M: ModelManifold):
             M, lam, spec.alpha, spec.beta, spec.r0, spec.r1, spec.r2, cfg.grid.R, cfg.grid.N,
         )
         return barrier, lam, {"lambda_origin": origin, "c": barrier.c}
-
-    raise ConfigError(f"unknown barrier kind {spec.kind!r}")
 
 
 def scaled_barrier_data(cfg: ExperimentConfig, forcing: Forcing, lam: float, p: float, barrier):
@@ -230,10 +213,6 @@ def scaled_barrier_data(cfg: ExperimentConfig, forcing: Forcing, lam: float, p: 
 def run_geometry(cfg: ExperimentConfig, out_dir: Path):
     M = build_manifold(cfg)
     check = cfg.check
-    if check.k is None:
-        check = replace(check, k=pinch_constant(cfg) or cfg.manifold.k)
-    if check.gamma is None:
-        check = replace(check, gamma=divergence_gamma(cfg))
     r = np.linspace(check.r_min, check.r_max, check.nodes)
     report = check_curvature_bounds(M, check.k, check.c0, check.gamma, r)
     floor = drift_lower_constant(M, r, check.gamma)
@@ -278,7 +257,7 @@ def run_eigen(cfg: ExperimentConfig, out_dir: Path):
     dr = cfg.grid.R / (cfg.grid.N + 1) if cfg.grid.dr is None else cfg.grid.dr
     report = _admissible("grid", lambda1_estimate, M, radii, dr_target=dr)
     save_eigen_csv(report.estimates, out_dir / "eigen.csv")
-    k = pinch_constant(cfg)
+    k = pinch_constant(cfg.manifold)
     lower = mckean_bound(cfg.manifold.n, k) if k is not None else 0.0
     rows = [
         ("limit", report.limit),

@@ -1,4 +1,8 @@
 import concurrent.futures
+import configparser
+import importlib.util
+import io
+import inspect
 import json
 import os
 import re
@@ -14,17 +18,22 @@ from curvedheat import experiments
 from curvedheat.cli import main
 from curvedheat.config import (
     KEYS,
+    KINDS,
     PRESETS,
     BarrierSpec,
     CheckSpec,
     GridSpec,
     ManifoldSpec,
     U0Spec,
+    divergence_gamma,
     parse_config,
+    pinch_constant,
     preset_text,
 )
 from curvedheat.errors import ConfigError
 from curvedheat.evolution import EvolutionControls
+from curvedheat.forcing import Forcing
+from curvedheat.operators import RadialGrid
 
 HYPERBOLIC_SIM = """\
 [manifold]
@@ -302,6 +311,49 @@ values = 2 2.5
 """
 
 
+def scale(text, e):
+    """Config ``text`` on H^3 or R^3 under the parabolic scaling by mu = 2^e.
+
+    If u solves the problem on the model of curvature -k^2, then
+    u(mu r, mu^2 t) times mu^(2/(p-1)) solves it on curvature -(mu k)^2,
+    so k -> mu k, R -> R/mu, an explicit lambda -> mu^2 lambda and
+    beta -> mu beta (alpha = 1): the keys that the barrier command reads,
+    each mapped exactly in floating point.  gamma models are not closed
+    under this map (their curvature c0 (1 + r^gamma) has two scales), nor
+    is power-law forcing.
+    """
+    mu = 2.0**e
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    cp.optionxform = str  # keep the case of R and N
+    cp.read_string(text)
+    assert cp["manifold"]["kind"] in ("hyperbolic", "euclidean")
+    assert float(cp["barrier"].get("alpha", 1.0)) == 1.0
+    for section, key, factor in (
+        ("manifold", "k", mu), ("grid", "R", 1 / mu), ("problem", "lambda", mu * mu), ("barrier", "beta", mu),
+    ):
+        if cp.has_option(section, key):
+            cp[section][key] = repr(float(cp[section][key]) * factor)
+    out = io.StringIO()
+    cp.write(out)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "text, verdict",
+    [(WRONG_CERTIFICATE, "FAIL"), (PRESETS["exp-forcing-hyperbolic"], "PASS"), (PRESETS["fujita-euclidean"], "FAIL")],
+    ids=["wrong-certificate", "exp-forcing-hyperbolic", "fujita-euclidean"],
+)
+@pytest.mark.parametrize("e", [-20, -10, 0, 10, 20])
+def test_barrier_verdict_is_scale_invariant(tmp_path, capsys, text, verdict, e):
+    # the residual tolerance is relative to the residual's terms, which
+    # all scale by mu^2; an absolute one passes the wrong certificate at e = -20
+    cfg = write_cfg(tmp_path, scale(text, e))
+    code = main(["barrier", "--config", str(cfg), "--out", str(tmp_path / "bar"), "--strict"])
+    line = capsys.readouterr().out.splitlines()[1]
+    assert line.endswith(f"-> {verdict}")
+    assert code == {"PASS": 0, "FAIL": 1}[verdict]
+
+
 def test_strict_fails_on_a_failed_envelope_in_simulate_and_sweep(tmp_path, monkeypatch):
     outcomes = []
     solve = experiments.solve_on_ball
@@ -528,6 +580,101 @@ def test_exhaustion_ladder_shares_one_step_sequence(tmp_path):
 GEOMETRY_BASE = "[manifold]\nkind = hyperbolic\nn = 3\nk = 1.0\n\n[grid]\nR = 10\nN = 100\n\n"
 
 
+def with_key(text, section, line):
+    """Config ``text`` with ``line`` added to its [section]."""
+    assert f"[{section}]\n" in text
+    return text.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+
+
+class ReadRecorder:
+    """Wraps a spec and records the name of every attribute read from it."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.read = set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self.spec, name)
+
+
+GAMMA3_BASE = GEOMETRY_BASE.replace("kind = hyperbolic\nn = 3\nk = 1.0", "kind = gamma\nn = 3\ngamma = 3.0\nr_max = 12")
+# a config of each kind of each section whose reader runs through
+KIND_CONFIGS = {
+    "manifold": {
+        "euclidean": "[manifold]\nkind = euclidean\nn = 3\n\n[grid]\nR = 8\nN = 100\n",
+        "hyperbolic": GEOMETRY_BASE,
+        "gamma": "[manifold]\nkind = gamma\nn = 3\nc0 = 1.0\ngamma = 2.0\nr_max = 8\ndr = 0.001\n\n[grid]\nR = 8\nN = 100\n",
+    },
+    "barrier": {
+        "exp": GEOMETRY_BASE + "[barrier]\nkind = exp\nalpha = 1\nbeta = 1\n",
+        "exp-linear": GEOMETRY_BASE + "[barrier]\nkind = exp-linear\nbeta_policy = lo\n",
+        "exp-slow": GAMMA3_BASE + "[barrier]\nkind = exp-slow\nc_lower = 1\n\n[problem]\nlambda_policy = explicit\nlambda = 0.1\n",
+        "exp-fast": GEOMETRY_BASE + "[barrier]\nkind = exp-fast\nalpha = 1\n\n[problem]\nlambda_policy = explicit\nlambda = 0.2\n",
+        "power-tail": GAMMA3_BASE + "[barrier]\nkind = power-tail\nalpha = 1\nlambda_fraction = 0.5\n",
+        "glued": GEOMETRY_BASE + "[barrier]\nkind = glued\nalpha = 1\nbeta = 1\nr0 = 4\nr1 = 3\nr2 = 6\n",
+    },
+    "u0": {
+        "scaled-barrier": HYPERBOLIC_SIM,
+        "bump": GEOMETRY_BASE + "[u0]\nkind = bump\nwidth = 3\n",
+        "power-tail": GEOMETRY_BASE + "[u0]\nkind = power-tail\nalpha = 2\n",
+        "zero": GEOMETRY_BASE + "[u0]\nkind = zero\n",
+    },
+}
+
+
+def kind_keys(section, kind):
+    needs, reads = KINDS[section][1][kind]
+    return set(needs + reads)
+
+
+@pytest.mark.parametrize(
+    "section, kind", [(section, kind) for section, kinds in KIND_CONFIGS.items() for kind in kinds]
+)
+def test_kind_table_lists_the_keys_the_readers_read(tmp_path, section, kind):
+    # every reader of the section, run on a spec that records its reads
+    cfg = parse_config(KIND_CONFIGS[section][kind])
+    spec = ReadRecorder(getattr(cfg, section))
+    cfg = replace(cfg, **{section: spec})
+    M = experiments.build_manifold(cfg)
+    if section == "manifold":
+        pinch_constant(spec), divergence_gamma(spec)
+        experiments.run_geometry(cfg, tmp_path)
+    elif section == "barrier":
+        experiments.build_barrier(cfg, M)
+    else:
+        experiments._initial_field(cfg, M, RadialGrid(cfg.grid.R, cfg.grid.N))
+    assert spec.read - {"kind"} == kind_keys(section, kind)
+
+
+def test_kind_table_covers_every_kind_and_key():
+    assert {section: set(kinds) for section, (_, kinds) in KINDS.items() if section != "forcing"} == {
+        section: set(kinds) for section, kinds in KIND_CONFIGS.items()
+    }
+    for section, (_, kinds) in KINDS.items():
+        for kind in kinds:
+            assert kind_keys(section, kind) <= set(KEYS[section]) - {"kind"}, (section, kind)
+    # a forcing is built by its constructor, which takes the keys its kind needs
+    constructors = {"one": Forcing.one, "power": Forcing.power_law, "exp": Forcing.exponential}
+    assert set(KINDS["forcing"][1]) == set(constructors)
+    for kind, build in constructors.items():
+        assert set(inspect.signature(build).parameters) == kind_keys("forcing", kind)
+        needs, _ = KINDS["forcing"][1][kind]
+        assert parse_config(GEOMETRY_BASE + f"[forcing]\nkind = {kind}\n" + "".join(f"{key} = 1\n" for key in needs)).forcing == build(*[1.0] * len(needs))
+
+
+def test_benchmark_configs_parse():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for workload in workloads.WORKLOADS:
+        for seed in (0, 7):
+            for text in workloads.make_inputs(workload, seed)["configs"].values():
+                parse_config(text)
+
+
 @pytest.mark.parametrize(
     "text, hypothesis",
     [
@@ -628,7 +775,7 @@ GEOMETRY_BASE = "[manifold]\nkind = hyperbolic\nn = 3\nk = 1.0\n\n[grid]\nR = 10
         ),
         (
             GEOMETRY_BASE + "[sweep]\naxis = sigma\nvalues = 0.5 1\n",
-            "[sweep] cell sigma = 1 builds the same config as cell sigma = 0.5",
+            "[sweep] cell sigma = 0.5: [forcing] kind one does not read 'sigma'",
         ),
         (
             GEOMETRY_BASE + "[sweep]\naxis = sweep.count\nvalues = 1 2\n",
@@ -647,19 +794,33 @@ GEOMETRY_BASE = "[manifold]\nkind = hyperbolic\nn = 3\nk = 1.0\n\n[grid]\nR = 10
             PRESETS["exp-forcing-hyperbolic"].replace(
                 "axis = p\nstart = 1.1\nstop = 3.0\ncount = 20", "axis = barrier.alpha\nvalues = 1 2"
             ),
-            "[sweep] axis 'barrier.alpha': a sweep run of this config never reads barrier.alpha "
-            "(of [barrier] it reads beta_policy)",
+            "[sweep] cell barrier.alpha = 1: [barrier] kind exp-linear does not read 'alpha'",
         ),
         (
             PRESETS["power-tail-gamma3"].replace("axis = p\nvalues = 1.5 2 3", "axis = u0.alpha\nvalues = 1 2"),
-            "[sweep] axis 'u0.alpha': a sweep run of this config never reads u0.alpha "
-            "(of [u0] it reads amplitude, factor)",
+            "[sweep] cell u0.alpha = 1: [u0] kind scaled-barrier does not read 'alpha'",
         ),
         (
             GEOMETRY_BASE + "[sweep]\naxis = check.nodes\nvalues = 100 200\n",
             "[sweep] axis 'check.nodes': a sweep run of this config never reads check.nodes "
             "(of [check] it reads no key)",
         ),
+        (
+            GEOMETRY_BASE + "[sweep]\naxis = amplitude\nvalues = 1 1\n",
+            "[sweep] cell amplitude = 1 builds the same config as cell amplitude = 1",
+        ),
+        # keys that no command reads under the config's kinds
+        (with_key(PRESETS["exp-forcing-hyperbolic"], "barrier", "alpha = 7"),
+         "[barrier] kind exp-linear does not read 'alpha'"),
+        (with_key(PRESETS["exp-forcing-hyperbolic"], "barrier", "r0 = 3"),
+         "[barrier] kind exp-linear does not read 'r0'"),
+        (with_key(PRESETS["exp-forcing-hyperbolic"], "u0", "width = 9"),
+         "[u0] kind scaled-barrier does not read 'width'"),
+        (with_key(PRESETS["exp-forcing-hyperbolic"], "u0", "alpha = 4"),
+         "[u0] kind scaled-barrier does not read 'alpha'"),
+        (with_key(PRESETS["exp-forcing-hyperbolic"], "forcing", "q = 2"), "[forcing] kind exp does not read 'q'"),
+        (with_key(PRESETS["fujita-euclidean"], "manifold", "k = 1.0"), "[manifold] kind euclidean does not read 'k'"),
+        (with_key(GEOMETRY_BASE, "manifold", "c0 = 1.0"), "[manifold] kind hyperbolic does not read 'c0'"),
     ],
     ids=["sigma", "q", "t_end", "dt-order", "c_lower-text", "c_lower-sign", "sweep-sigma",
          "gamma-dr", "k-zero", "grid-R", "grid-N", "u0-width", "explicit-lambda", "exp-alpha",
@@ -672,7 +833,9 @@ GEOMETRY_BASE = "[manifold]\nkind = hyperbolic\nn = 3\nk = 1.0\n\n[grid]\nR = 10
          "R_list-negative", "R_list-beyond-r_max", "grid-dr", "snapshots-negative", "snapshots-zero",
          "snapshots-one", "sweep-gamma", "sweep-duplicate-cell", "sweep-axis-in-sweep",
          "sweep-axis-unknown", "sweep-values-empty", "sweep-values2-empty", "sweep-axis-unread-by-kind",
-         "sweep-axis-unread-by-data", "sweep-axis-unread-section"],
+         "sweep-axis-unread-by-data", "sweep-axis-unread-section", "sweep-repeated-value",
+         "unread-barrier-alpha", "unread-barrier-r0", "unread-u0-width", "unread-u0-alpha", "unread-forcing-q",
+         "unread-manifold-k", "unread-manifold-c0"],
 )
 def test_inadmissible_config_values_are_config_errors(tmp_path, capsys, text, hypothesis):
     cfg = write_cfg(tmp_path, text)

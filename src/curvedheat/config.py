@@ -35,7 +35,6 @@ __all__ = [
     "CheckSpec",
     "ExperimentConfig",
     "KEYS",
-    "KINDS",
     "parse_config",
     "PRESETS",
     "preset_text",
@@ -410,8 +409,9 @@ def _build(sections) -> ExperimentConfig:
     controls = _admissible("controls", EvolutionControls, **co)
 
     # the targets the model meets: flat space and H^n are checked at c0 = 1, gamma = 0
-    k, c0 = pinch_constant(manifold), manifold.c0 if manifold.kind == "gamma" else 1.0
-    ck = {"k": 1.0 if k is None else k, "c0": c0, "gamma": divergence_gamma(manifold), "r_max": grid.R, **sec["check"]}
+    k = pinch_constant(manifold)
+    ck = {"k": 1.0 if k is None else k, "c0": manifold.c0 if manifold.kind == "gamma" else 1.0,
+          "gamma": divergence_gamma(manifold), "r_max": grid.R, **sec["check"]}
     check = _admissible("check", CheckSpec, **ck)
 
     return ExperimentConfig(

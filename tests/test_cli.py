@@ -638,7 +638,8 @@ def test_kind_table_lists_the_keys_the_readers_read(tmp_path, section, kind):
     cfg = replace(cfg, **{section: spec})
     M = experiments.build_manifold(cfg)
     if section == "manifold":
-        pinch_constant(spec), divergence_gamma(spec)
+        pinch_constant(spec)
+        divergence_gamma(spec)
         experiments.run_geometry(cfg, tmp_path)
     elif section == "barrier":
         experiments.build_barrier(cfg, M)
@@ -660,7 +661,8 @@ def test_kind_table_covers_every_kind_and_key():
     for kind, build in constructors.items():
         assert set(inspect.signature(build).parameters) == kind_keys("forcing", kind)
         needs, _ = KINDS["forcing"][1][kind]
-        assert parse_config(GEOMETRY_BASE + f"[forcing]\nkind = {kind}\n" + "".join(f"{key} = 1\n" for key in needs)).forcing == build(*[1.0] * len(needs))
+        text = GEOMETRY_BASE + f"[forcing]\nkind = {kind}\n" + "".join(f"{key} = 1\n" for key in needs)
+        assert parse_config(text).forcing == build(*[1.0] * len(needs))
 
 
 def test_benchmark_configs_parse():

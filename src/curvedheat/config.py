@@ -40,25 +40,28 @@ __all__ = [
     "preset_text",
 ]
 
-# Each section with a kind: the kind it takes when it names none (None: it must
-# name one) and, for each kind, the keys it needs (no default) and the optional
-# keys it reads.  ``_kind`` refuses any other key: no command would read it.
+# Each section with a kind: the key that names its kind, the kind it takes when
+# it names none (None: it must name one) and, for each kind, the keys it needs
+# (no default) and the optional keys it reads.  ``_kind`` refuses any other
+# key: no command would read it.
 KINDS = {
-    "manifold": (None, {
+    "manifold": ("kind", None, {
         "euclidean": (("n",), ()), "hyperbolic": (("n",), ("k",)), "gamma": (("n",), ("c0", "gamma", "r_max", "dr")),
     }),
-    "forcing": ("one", {"one": ((), ()), "power": (("q",), ()), "exp": (("sigma",), ())}),
-    "barrier": ("exp-linear", {
+    "forcing": ("kind", "one", {"one": ((), ()), "power": (("q",), ()), "exp": (("sigma",), ())}),
+    "problem": ("lambda_policy", "mckean", {
+        "mckean": ((), ("p",)), "eigen": ((), ("p",)), "explicit": (("lambda",), ("p",)),
+    }),
+    "barrier": ("kind", "exp-linear", {
         "exp": (("alpha", "beta"), ()), "exp-linear": ((), ("beta_policy",)), "exp-slow": ((), ("c_lower",)),
         "exp-fast": (("alpha",), ("c_lower",)), "power-tail": (("alpha",), ("c_lower", "lambda_fraction")),
         "glued": (("alpha", "beta", "r0", "r1", "r2"), ()),
     }),
-    "u0": ("scaled-barrier", {
+    "u0": ("kind", "scaled-barrier", {
         "scaled-barrier": ((), ("factor", "amplitude")), "bump": ((), ("amplitude", "width")),
         "power-tail": ((), ("amplitude", "alpha")), "zero": ((), ()),
     }),
 }
-LAMBDA_POLICIES = ("mckean", "eigen", "explicit")
 
 
 @dataclass(frozen=True)
@@ -192,7 +195,6 @@ class ExperimentConfig:
     u0: U0Spec
     grid: GridSpec
     controls: EvolutionControls
-    snapshots: int
     check: CheckSpec
     sweep: SweepSpec | None = None
 
@@ -237,7 +239,7 @@ def _floats(text):
 # The schema: every section a config may have, every key it accepts and
 # the key's converter.  The keys of manifold, barrier, u0, grid and check
 # are the fields of their spec; controls are EvolutionControls' fields
-# (blowup_threshold excepted) plus snapshots.
+# (blowup_threshold excepted).
 KEYS = {
     "manifold": {
         "kind": str, "n": int, "k": _finite, "c0": _finite, "gamma": _finite,
@@ -295,19 +297,19 @@ def _required(values, name, key):
 
 def _kind(name, values):
     """Section ``name``'s ``values`` with its kind set: a kind of ``KINDS``, every key it needs, none it does not read."""
-    default, kinds = KINDS[name]
-    kind = values.get("kind", default)
+    selector, default, kinds = KINDS[name]
+    kind = values.get(selector, default)
     if kind not in kinds:
-        raise ConfigError(f"[{name}] kind must be one of {' | '.join(kinds)}, got {kind!r}")
+        raise ConfigError(f"[{name}] {selector} must be one of {' | '.join(kinds)}, got {kind!r}")
     needs, reads = kinds[kind]
     missing = [key for key in needs if key not in values]
     if missing:
-        raise ConfigError(f"{name} kind {kind} needs explicit {', '.join(missing)}")
-    unread = [key for key in values if key not in ("kind", *needs, *reads)]
+        raise ConfigError(f"{name} {selector} {kind} needs explicit {', '.join(missing)}")
+    unread = [key for key in values if key not in (selector, *needs, *reads)]
     if unread:
         listed = ", ".join(needs + reads) or "no other key"
-        raise ConfigError(f"[{name}] kind {kind} does not read {', '.join(map(repr, unread))}; it reads {listed}")
-    return {**values, "kind": kind}
+        raise ConfigError(f"[{name}] {selector} {kind} does not read {', '.join(map(repr, unread))}; it reads {listed}")
+    return {**values, selector: kind}
 
 
 ALIASES = {"p": "problem.p", "sigma": "forcing.sigma", "amplitude": "u0.amplitude"}
@@ -357,19 +359,8 @@ def _build(sections) -> ExperimentConfig:
     build = {"one": Forcing.one, "power": Forcing.power_law, "exp": Forcing.exponential}[fo.pop("kind")]
     forcing = _admissible("forcing", build, **fo)
 
-    pr = sec["problem"]
-    p = pr.get("p", 2.0)
-    if not p > 1:
-        raise ConfigError(f"[problem] reaction exponent must satisfy p > 1, got {p}")
-    lambda_policy = pr.get("lambda_policy", "mckean")
-    if lambda_policy not in LAMBDA_POLICIES:
-        raise ConfigError(f"lambda_policy must be one of {LAMBDA_POLICIES}, got {lambda_policy!r}")
-    lambda_value = pr.get("lambda")
-    if lambda_policy == "explicit" and lambda_value is None:
-        raise ConfigError("lambda_policy = explicit needs a 'lambda' value")
-
-    # the checks across sections come before the keys the kind needs
-    bkind = sec["barrier"].get("kind", KINDS["barrier"][0])
+    # the checks across sections come before the keys each kind needs
+    bkind = sec["barrier"].get("kind", KINDS["barrier"][1])
     if bkind == "power-tail" and manifold.kind == "gamma" and manifold.gamma <= 2:
         raise ConfigError(
             f"power-tail barrier needs curvature divergence exponent gamma > 2, "
@@ -380,6 +371,16 @@ def _build(sections) -> ExperimentConfig:
             f"barrier kind {bkind!r} needs a divergent-curvature (gamma) model, "
             f"got manifold kind {manifold.kind!r}"
         )
+    unread = [key for key in ("lambda_policy", "lambda") if key in sec["problem"]]
+    if bkind == "power-tail" and unread:
+        raise ConfigError(
+            f"[problem] barrier kind power-tail does not read {', '.join(map(repr, unread))}: "
+            "its lambda is lambda_fraction x lambda*"
+        )
+    pr = _kind("problem", sec["problem"])
+    p = pr.get("p", 2.0)
+    if not p > 1:
+        raise ConfigError(f"[problem] reaction exponent must satisfy p > 1, got {p}")
     barrier = BarrierSpec(**_kind("barrier", sec["barrier"]))
     if barrier.beta_policy not in ("lo", "mid", "hi"):
         raise ConfigError(f"beta_policy must be lo | mid | hi, got {barrier.beta_policy!r}")
@@ -400,13 +401,7 @@ def _build(sections) -> ExperimentConfig:
                     f"[grid] radius {R:g} exceeds the tabulated warping range r_max = {manifold.r_max:g}"
                 )
 
-    co = {"t_end": 50.0, **sec["controls"]}
-    snapshots = co.pop("snapshots", 33)
-    # the envelope's upper bound and the exhaustion nesting check read the
-    # snapshots; fewer than 2 keep t = 0 alone
-    if snapshots < 2:
-        raise ConfigError(f"[controls] snapshots must be >= 2, got {snapshots}")
-    controls = _admissible("controls", EvolutionControls, **co)
+    controls = _admissible("controls", EvolutionControls, **{"t_end": 50.0, **sec["controls"]})
 
     # the targets the model meets: flat space and H^n are checked at c0 = 1, gamma = 0
     k = pinch_constant(manifold)
@@ -418,13 +413,12 @@ def _build(sections) -> ExperimentConfig:
         manifold=manifold,
         forcing=forcing,
         p=p,
-        lambda_policy=lambda_policy,
-        lambda_value=lambda_value,
+        lambda_policy=pr["lambda_policy"],
+        lambda_value=pr.get("lambda"),
         barrier=barrier,
         u0=u0,
         grid=grid,
         controls=controls,
-        snapshots=snapshots,
         check=check,
     )
 
@@ -478,11 +472,9 @@ def _sweep_reads(cfg) -> dict:
 
     ``_build`` has refused every key that its kind does not read, so the rules left are of whole sections.
     """
-    reads = {"check": (), "grid": ("n", "r"), "problem": ("p",)}
-    if cfg.u0.kind != "scaled-barrier":  # the only data built from the barrier
-        return {**reads, "barrier": ()}
-    if cfg.barrier.kind != "power-tail":  # power-tail takes a fraction of its own lambda
-        reads["problem"] = ("p", "lambda_policy") + (("lambda",) if cfg.lambda_policy == "explicit" else ())
+    reads = {"check": (), "grid": ("n", "r")}
+    if cfg.u0.kind != "scaled-barrier":  # the only data built from the barrier and its lambda
+        return {**reads, "barrier": (), "problem": ("p",)}
     if cfg.u0.amplitude is not None:
         reads["u0"] = ("amplitude",)  # an amplitude overrides the factor
     return reads
@@ -544,7 +536,6 @@ kind = one
 
 [problem]
 p = 2.0
-lambda_policy = mckean
 
 [barrier]
 kind = power-tail

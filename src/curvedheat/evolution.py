@@ -130,6 +130,9 @@ VERDICT_BLOWUP = "blow-up"
 VERDICT_UNDECIDED = "undecided"
 
 _MAX_STEPS = 2_000_000
+# the share of t_end within which a run reads its time as the horizon, and
+# two blow-up times as one
+_TIME_RESOLUTION = 1e-12
 # rows of the extrapolation table of an adaptive step; row j takes j substeps
 _ROWS = 6
 # an adaptive dt is a level dt_max 2^(-j/_LEVELS), j >= 0 an integer
@@ -152,6 +155,9 @@ class EvolutionControls:
     rel_tol = 0 disables adaptivity and runs IMEX Euler at the fixed
     step dt_init.  An adaptive run attempts dt_init first, then the largest
     level dt_max 2^(-j/8), j >= 0, at or below the controller's proposal.
+    A run samples its field at ``snapshots`` equispaced times of [0, t_end]
+    by linear interpolation in t, so runs with different step sequences
+    stay comparable.
     """
 
     t_end: float
@@ -159,6 +165,7 @@ class EvolutionControls:
     dt_min: float = 1e-12
     dt_max: float = 0.25
     rel_tol: float = 1e-5
+    snapshots: int = 33
     blowup_threshold: float | None = None  # default: 1e8 * ||u0||_inf
 
     def __post_init__(self):
@@ -170,6 +177,10 @@ class EvolutionControls:
             )
         if not self.rel_tol >= 0:
             raise ValueError(f"rel_tol must be >= 0, got {self.rel_tol}")
+        # the envelope's upper bound and the exhaustion nesting check read
+        # the snapshots; fewer than 2 keep t = 0 alone
+        if self.snapshots < 2:
+            raise ValueError(f"snapshots must be >= 2, got {self.snapshots}")
         if self.blowup_threshold is not None and not math.isfinite(self.blowup_threshold):
             raise ValueError("blowup_threshold must be finite when given")
 
@@ -301,7 +312,7 @@ def _step_factor(est: float, tol: float) -> float:
 class _Run:
     """One run's state in the lockstep engine, and its step controller."""
 
-    def __init__(self, u0: RadialField, p: float, controls: EvolutionControls, n_snapshots: int, n: int):
+    def __init__(self, u0: RadialField, p: float, controls: EvolutionControls, n: int):
         vals = u0.values
         self.grid = u0.grid
         self.p = p
@@ -318,7 +329,7 @@ class _Run:
         self.factors_dt = None
         self.dt_acc = self.err_acc = None  # dt and error of the previous accepted step
         self.history = [(0.0, self.s, 0.0)]
-        self.sample_times = np.linspace(0.0, controls.t_end, n_snapshots)
+        self.sample_times = np.linspace(0.0, controls.t_end, controls.snapshots)
         self.snapshots = [(0.0, vals.copy())]
         self.next_sample = 1
         self.t_cross = None
@@ -330,7 +341,7 @@ class _Run:
         """End the run if it has reached the horizon; otherwise clamp dt to it."""
         controls = self.controls
         remaining = controls.t_end - self.t
-        if remaining <= max(controls.dt_min, 1e-12 * controls.t_end):
+        if remaining <= max(controls.dt_min, _TIME_RESOLUTION * controls.t_end):
             # horizon reached to within the step-size floor; a crossing
             # without the dt collapse is neither verdict
             if self.t_cross is None:
@@ -540,14 +551,14 @@ def _symmetrizer(log_s, cut: int, threshold: float):
     return None
 
 
-def _solve(M, u0s, forcing, ps, controls, reaction, n_snapshots, ladder=False) -> list:
+def _solve(M, u0s, forcing, ps, controls, reaction, ladder=False) -> list:
     """The outcomes of the runs (u0, p), in lockstep per solver branch on the largest ball's band, each cut at its ball."""
     if not u0s or len(u0s) != len(ps):
         raise ValueError(f"need one exponent per run and at least one run, got {len(u0s)} runs and {len(ps)} exponents")
     grid = max((u0.grid for u0 in u0s), key=lambda g: g.N)
     for u0, p in zip(u0s, ps):
         _check_run(grid, u0, p)
-    runs = [_Run(u0, p, controls, n_snapshots, grid.N + 1) for u0, p in zip(u0s, ps)]
+    runs = [_Run(u0, p, controls, grid.N + 1) for u0, p in zip(u0s, ps)]
     band = laplacian_tridiag(M, grid)
     log_s = log_symmetrizer(band[0], band[2])
     sub, _, sup = band = [np.tile(x, (len(runs), 1)) for x in band]
@@ -571,8 +582,6 @@ def solve_batch(
     forcing: Forcing,
     ps,
     controls: EvolutionControls,
-    *,
-    n_snapshots: int = 33,
 ) -> list:
     """Evolve each u0 of ``u0s`` with its reaction exponent in ``ps``, all in lockstep.
 
@@ -587,7 +596,7 @@ def solve_batch(
     Runs on different solver branches (LDL^T or LU, by their blow-up
     thresholds) go in separate stacks.
     """
-    return _solve(M, list(u0s), forcing, list(ps), controls, None, n_snapshots)
+    return _solve(M, list(u0s), forcing, list(ps), controls, None)
 
 
 def solve_on_ball(
@@ -599,7 +608,6 @@ def solve_on_ball(
     controls: EvolutionControls,
     *,
     reaction=None,
-    n_snapshots: int = 33,
 ) -> RunOutcome:
     """Evolve u0 on the ball of radius R with zero Dirichlet data.
 
@@ -615,7 +623,7 @@ def solve_on_ball(
     p : float
         Reaction exponent, > 1.
     controls : EvolutionControls
-        Step-size and verdict knobs; rel_tol = 0 runs fixed steps.
+        Step-size, snapshot and verdict knobs; rel_tol = 0 runs fixed steps.
     reaction : callable(u, t) -> array, optional
         Replaces h(t) u^p (test hook, e.g. the linear term lam*u).  It
         must be a pure, elementwise function of (u, t), with u an m x n
@@ -628,9 +636,6 @@ def solve_on_ball(
         calls it once.  It runs under ``np.errstate(over="ignore",
         invalid="ignore")``: overflow to inf, and the nan that inf - inf
         makes in the table, is a rejected trial, never a warning.
-    n_snapshots : int
-        Field snapshots at equispaced times via linear interpolation in
-        t, so runs with different step sequences stay comparable.
 
     Returns
     -------
@@ -641,7 +646,7 @@ def solve_on_ball(
     """
     if abs(u0.grid.R - R) > 1e-9 * max(1.0, R):
         raise ValueError(f"u0 lives on a grid with R = {u0.grid.R}, not {R}")
-    return _solve(M, [u0], forcing, [p], controls, reaction, n_snapshots)[0]
+    return _solve(M, [u0], forcing, [p], controls, reaction)[0]
 
 
 def nested_grids(R_list, dr: float) -> list:
@@ -662,6 +667,19 @@ def nested_grids(R_list, dr: float) -> list:
     return grids
 
 
+def _nesting_tol(data_sup: float) -> float:
+    """How far a larger ball's solution may fall below a smaller one's: 1e-3 of the largest data's sup norm.
+
+    Zero data gives zero solutions on every ball, so the bound has no absolute part.
+    """
+    return 1e-3 * data_sup
+
+
+def _blowup_order_holds(stars, t_end: float) -> bool:
+    """Is each blow-up time of ``stars`` at most the one before it, up to _TIME_RESOLUTION t_end?"""
+    return all(b <= a + _TIME_RESOLUTION * t_end for a, b in zip(stars, stars[1:]))
+
+
 def exhaustion_solve(
     M: ModelManifold,
     u0: RadialField,
@@ -669,8 +687,6 @@ def exhaustion_solve(
     forcing: Forcing,
     p: float,
     controls: EvolutionControls,
-    *,
-    n_snapshots: int = 26,
 ) -> ExhaustionReport:
     """Solve on nested balls sharing one node spacing and compare them.
 
@@ -688,10 +704,10 @@ def exhaustion_solve(
     if grids[-1] != u0.grid:
         raise ValueError(f"u0 lives on the ball of radius {u0.grid.R:g}, not on the largest of R_list")
     u0s = [RadialField(grid, np.append(u0.values[: grid.N + 1], 0.0)) for grid in grids]
-    outcomes = _solve(M, u0s, forcing, [p] * len(grids), controls, None, n_snapshots, ladder=True)
+    outcomes = _solve(M, u0s, forcing, [p] * len(grids), controls, None, ladder=True)
     radii = [grid.R for grid in grids]
 
-    tol = 1e-3 * sup_norm(u0s[-1]) + 1e-12
+    tol = _nesting_tol(sup_norm(u0s[-1]))
 
     gaps = []
     worst = 0.0
@@ -707,7 +723,7 @@ def exhaustion_solve(
     stars = [ts for ts in blowup_times if ts is not None]
     nonincreasing = None
     if len(stars) == len(outcomes) and len(stars) > 1:
-        nonincreasing = all(b <= a + 1e-9 for a, b in zip(stars, stars[1:]))
+        nonincreasing = _blowup_order_holds(stars, controls.t_end)
     return ExhaustionReport(
         radii=radii,
         outcomes=outcomes,

@@ -51,7 +51,7 @@ from .geometry import (
     save_warping_csv,
 )
 from .operators import RadialField, RadialGrid, load_lapack, save_field_csv
-from .spectral import dirichlet_lambda1, lambda1_estimate, mckean_bound, save_eigen_csv
+from .spectral import dirichlet_lambda1, eigen_le, lambda1_estimate, mckean_bound, save_eigen_csv
 
 VERDICT_COLORS = {
     "blow-up": "#c0392b",
@@ -275,7 +275,7 @@ def run_eigen(cfg: ExperimentConfig, out_dir: Path):
         title=f"Dirichlet spectral bottom, {cfg.manifold.kind} n={cfg.manifold.n}",
         xlabel="R", ylabel="lambda1",
     )
-    ok = report.monotone and all(v >= lower - 1e-10 for v in report.values)
+    ok = report.monotone and all(eigen_le(lower, est.lambda1_ball, est.band_norm) for est in report.estimates)
     lines = [
         f"lambda1 estimates: {', '.join(f'{v:.8g}' for v in report.values)}",
         f"bracket: [{lower:.8g}, {report.limit:.8g}]  monotone: {report.monotone}",
@@ -298,6 +298,7 @@ def run_barrier(cfg: ExperimentConfig, out_dir: Path):
         ("lambda_origin", meta.get("lambda_origin", "")),
         ("sup", barrier.sup),
         ("max_residual", check.max_residual),
+        ("max_relative", check.max_relative),
         ("worst_r", check.worst_r),
         ("kink_ok", check.kink_ok),
         ("tol", check.tol),
@@ -360,9 +361,7 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path):
         # eigen takes any spacing; nested balls need radii that are multiples of it
         grids = _admissible("grid", nested_grids, cfg.grid.R_list, cfg.grid.dr)
         u0, *data = _initial_field(cfg, M, grids[-1])
-        report = exhaustion_solve(
-            M, u0, cfg.grid.R_list, cfg.forcing, cfg.p, cfg.controls, n_snapshots=cfg.snapshots
-        )
+        report = exhaustion_solve(M, u0, cfg.grid.R_list, cfg.forcing, cfg.p, cfg.controls)
         records = [_sweep_cell(cfg, outcome, *data) for outcome in report.outcomes]
         rows = []
         for R, outcome, record, gap in zip(
@@ -394,9 +393,7 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path):
         return ok, lines
 
     u0, *data = _initial_field(cfg, M, RadialGrid(cfg.grid.R, cfg.grid.N))
-    outcome = solve_on_ball(
-        M, u0.grid.R, u0, cfg.forcing, cfg.p, cfg.controls, n_snapshots=cfg.snapshots
-    )
+    outcome = solve_on_ball(M, u0.grid.R, u0, cfg.forcing, cfg.p, cfg.controls)
     record = _sweep_cell(cfg, outcome, *data)
     save_history_csv(outcome, out_dir / "history.csv")
     save_field_csv(outcome.final, out_dir / "final_field.csv")
@@ -473,9 +470,7 @@ def _sweep_batch(cfgs):
     base = cfgs[0]
     M = build_manifold(base)
     cells = [_initial_field(cfg, M, RadialGrid(cfg.grid.R, cfg.grid.N)) for cfg in cfgs]
-    outcomes = solve_batch(
-        M, [u0 for u0, *_ in cells], base.forcing, [cfg.p for cfg in cfgs], base.controls, n_snapshots=base.snapshots
-    )
+    outcomes = solve_batch(M, [u0 for u0, *_ in cells], base.forcing, [cfg.p for cfg in cfgs], base.controls)
     return [_sweep_cell(cfg, outcome, *rest) for cfg, outcome, (_, *rest) in zip(cfgs, outcomes, cells)]
 
 
@@ -487,7 +482,7 @@ def _sweep_jobs(configs, threads: int) -> list:
     """
     groups: dict = {}
     for i, cfg in enumerate(configs):
-        key = repr((cfg.manifold, cfg.grid, cfg.forcing, cfg.controls, cfg.snapshots))
+        key = repr((cfg.manifold, cfg.grid, cfg.forcing, cfg.controls))
         groups.setdefault(key, []).append(i)
     jobs = []
     for group in groups.values():

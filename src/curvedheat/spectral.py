@@ -36,6 +36,7 @@ __all__ = [
     "Lambda1Report",
     "RadialSolution",
     "mckean_bound",
+    "eigen_le",
     "dirichlet_lambda1",
     "lambda1_estimate",
     "positive_radial_solution",
@@ -52,6 +53,7 @@ class EigenEstimate:
     eigenfunction: RadialField
     iterations: int
     residual: float
+    band_norm: float  # ||T||_1 of the symmetrised band, the scale of lambda1_ball's rounding
 
 
 @dataclass(frozen=True)
@@ -74,6 +76,17 @@ class RadialSolution:
     lam: float
     positive: bool
     first_zero: float | None
+
+
+# ?stebz at abstol 0 locates an eigenvalue of T to within about eps ||T||_1,
+# so two eigenvalues of different balls compare within a few of that; it
+# scales with the band, not with lambda, which can be far smaller
+EIGEN_SLACK = 4 * np.finfo(float).eps
+
+
+def eigen_le(x: float, y: float, band_norm: float) -> bool:
+    """x <= y up to the bisection's rounding, EIGEN_SLACK band_norm (the larger ||T||_1 of the two)."""
+    return x <= y + EIGEN_SLACK * band_norm
 
 
 def mckean_bound(n: int, k: float) -> float:
@@ -99,7 +112,8 @@ def dirichlet_lambda1(M: ModelManifold, R: float, N: int) -> EigenEstimate:
     A - s I stays a nonsingular M-matrix and phi comes out positive.
     phi is sup-normalised with a positive peak; ``residual`` is
     ||A phi - lam phi||_inf, which certifies the pair, and
-    ``iterations`` counts the one solve.
+    ``iterations`` counts the one solve; ``band_norm`` is ||A||_1 of the
+    symmetrised band.
     """
     grid = RadialGrid(R, N)
     sub, diag, sup = laplacian_tridiag(M, grid)
@@ -113,6 +127,9 @@ def dirichlet_lambda1(M: ModelManifold, R: float, N: int) -> EigenEstimate:
     if info != 0:
         raise LinAlgError(f"?stebz failed on the ball of radius {R:g} (LAPACK info = {info})")
     lam = float(w[0])
+    col = np.abs(a_diag)
+    col[:-1] -= off  # off <= 0
+    col[1:] -= off
     shift = lam - 4.0 * np.finfo(float).eps * float(np.max(a_diag))
     y = solve_banded(factor_banded(a_sub, a_diag - shift, a_sup), 1.0 - (grid.nodes[:-1] / R) ** 2)
     y /= y[int(np.argmax(np.abs(y)))]  # sup-normalise with a positive peak
@@ -123,6 +140,7 @@ def dirichlet_lambda1(M: ModelManifold, R: float, N: int) -> EigenEstimate:
         eigenfunction=RadialField(grid, np.concatenate((y, [0.0]))),
         iterations=1,
         residual=residual,
+        band_norm=float(col.max()),
     )
 
 
@@ -131,7 +149,8 @@ def lambda1_estimate(M: ModelManifold, R_list, dr_target: float = 0.01) -> Lambd
 
     Each ball B_R gets N = round(R/dr_target) - 1 interior nodes.  The
     limit is estimated by the last value with the last decrement as
-    error bar; a non-decreasing pair flags discretization failure.
+    error bar; a pair that increases past the bisection's rounding
+    (``eigen_le``) flags discretization failure.
     """
     radii = [float(R) for R in R_list]
     if any(b <= a for a, b in zip(radii, radii[1:])):
@@ -143,7 +162,10 @@ def lambda1_estimate(M: ModelManifold, R_list, dr_target: float = 0.01) -> Lambd
         N = int(round(R / dr_target)) - 1
         estimates.append(dirichlet_lambda1(M, R, N))
     values = [est.lambda1_ball for est in estimates]
-    monotone = all(b < a + 1e-10 for a, b in zip(values, values[1:]))
+    monotone = all(
+        eigen_le(b.lambda1_ball, a.lambda1_ball, max(a.band_norm, b.band_norm))
+        for a, b in zip(estimates, estimates[1:])
+    )
     error_bar = abs(values[-2] - values[-1]) if len(values) > 1 else float("nan")
     return Lambda1Report(
         radii=tuple(radii),

@@ -165,13 +165,11 @@ def test_criterion_5_comparison_sandwich(hyp3):
     lam, p = 1.0, 2.0
     limit = amplitude_limit(Forcing.one(), lam, p, v.sup)
     env = time_envelope(Forcing.one(), lam, p, v.sup, ctilde=0.5 * limit)
-    ctl = EvolutionControls(t_end=50.0, dt_init=2e-3, dt_max=2e-3, rel_tol=0.0)
+    ctl = EvolutionControls(t_end=50.0, dt_init=2e-3, dt_max=2e-3, rel_tol=0.0, snapshots=26)
     grid = RadialGrid(40.0, 799)
     u0 = barrier_profile(v, env.ctilde)(grid.nodes)
     u0[-1] = 0.0
-    rep = exhaustion_solve(
-        hyp3, RadialField(grid, u0), [10.0, 20.0, 40.0], Forcing.one(), p, ctl, n_snapshots=26
-    )
+    rep = exhaustion_solve(hyp3, RadialField(grid, u0), [10.0, 20.0, 40.0], Forcing.one(), p, ctl)
     u0_sup = env.ctilde * v.sup
     tol = 1e-3 * u0_sup
     for R, outcome in zip(rep.radii, rep.outcomes):

@@ -1,5 +1,6 @@
 import concurrent.futures
 import configparser
+import csv
 import importlib.util
 import io
 import inspect
@@ -142,7 +143,7 @@ def test_keys_are_the_spec_fields():
     for section, spec in spec_of.items():
         assert list(KEYS[section]) == [f.name for f in fields(spec)], section
     controls = [f.name for f in fields(EvolutionControls) if f.name != "blowup_threshold"]
-    assert list(KEYS["controls"]) == controls + ["snapshots"]
+    assert list(KEYS["controls"]) == controls
     assert sum(len(keys) for keys in KEYS.values()) == 53
 
 
@@ -236,6 +237,22 @@ def test_eigen_command(tmp_path):
     ET.parse(out / "eigen.svg")
 
 
+def test_gamma3_eigen_ladder_within_rounding_passes(tmp_path):
+    # the ball eigenvalues at dr = 0.01 rise by 1.9e-12 from R = 12 to 14 and
+    # to 16, below eps ||T||_1 = 1.6e-11 of the bands: rounding of the
+    # bisection, not a discretization failure.  A slack of 8 eps lambda
+    # (7.9e-15) would fail it
+    cfg = write_cfg(
+        tmp_path,
+        "[manifold]\nkind = gamma\nn = 3\nc0 = 1.0\ngamma = 3.0\nr_max = 18\ndr = 0.001\n\n"
+        "[grid]\nR = 16\nN = 1599\nR_list = 12 14 16\ndr = 0.01\n",
+    )
+    out = tmp_path / "eig"
+    assert main(["eigen", "--config", str(cfg), "--out", str(out), "--strict"]) == 0
+    values = csv_column(out / "eigen.csv", "lambda1")
+    assert values[0] < values[1] < values[2]
+
+
 def test_barrier_command_and_kv_format(tmp_path):
     cfg = write_cfg(tmp_path, HYPERBOLIC_SIM)
     out = tmp_path / "bar"
@@ -247,6 +264,15 @@ def test_barrier_command_and_kv_format(tmp_path):
     assert "verdict,PASS" in check
     profile = (out / "barrier_profile.csv").read_text().splitlines()
     assert profile[0] == "r,u"
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_barrier_check_records_the_quantity_its_verdict_compares(tmp_path, preset):
+    out = tmp_path / "bar"
+    main(["barrier", "--preset", preset, "--out", str(out)])
+    rows = dict(line.split(",", 1) for line in (out / "barrier_check.csv").read_text().splitlines()[1:])
+    assert rows["kink_ok"] == "true"
+    assert (float(rows["max_relative"]) <= float(rows["tol"])) == (rows["verdict"] == "PASS")
 
 
 def test_barrier_strict_failure(tmp_path):
@@ -314,25 +340,40 @@ values = 2 2.5
 def scale(text, e):
     """Config ``text`` on H^3 or R^3 under the parabolic scaling by mu = 2^e.
 
-    If u solves the problem on the model of curvature -k^2, then
-    u(mu r, mu^2 t) times mu^(2/(p-1)) solves it on curvature -(mu k)^2,
-    so k -> mu k, R -> R/mu, an explicit lambda -> mu^2 lambda and
-    beta -> mu beta (alpha = 1): the keys that the barrier command reads,
-    each mapped exactly in floating point.  gamma models are not closed
-    under this map (their curvature c0 (1 + r^gamma) has two scales), nor
-    is power-law forcing.
+    If u solves u_t = Delta u + h(t) u^p on the model of curvature -k^2,
+    then mu^(2/(p-1)) u(mu r, mu^2 t) solves it with h(mu^2 t) on curvature
+    -(mu k)^2.  So k -> mu k; R, grid.dr and R_list -> /mu; an explicit
+    lambda -> mu^2 lambda and beta -> mu beta (alpha = 1); an exp forcing's
+    sigma -> mu^2 sigma; a bump's amplitude -> mu^(2/(p-1)) amplitude and its
+    width -> /mu; t_end, dt_init, dt_min and dt_max -> /mu^2, defaults
+    included.  At p = 1.5 and 2 each map is exact in floating point.
+    gamma models are not closed under this map (their curvature
+    c0 (1 + r^gamma) has two scales), nor is power-law forcing.
     """
     mu = 2.0**e
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     cp.optionxform = str  # keep the case of R and N
     cp.read_string(text)
     assert cp["manifold"]["kind"] in ("hyperbolic", "euclidean")
-    assert float(cp["barrier"].get("alpha", 1.0)) == 1.0
+    assert cp.get("forcing", "kind", fallback="one") in ("one", "exp")
+    assert float(cp.get("barrier", "alpha", fallback=1.0)) == 1.0
+    p = float(cp.get("problem", "p", fallback=2.0))
+    assert p in (1.5, 2.0)
+    if cp.get("u0", "kind", fallback=None) == "bump":
+        assert cp.has_option("u0", "amplitude") and cp.has_option("u0", "width")
     for section, key, factor in (
-        ("manifold", "k", mu), ("grid", "R", 1 / mu), ("problem", "lambda", mu * mu), ("barrier", "beta", mu),
+        ("manifold", "k", mu), ("grid", "R", 1 / mu), ("grid", "dr", 1 / mu), ("problem", "lambda", mu * mu),
+        ("barrier", "beta", mu), ("forcing", "sigma", mu * mu), ("u0", "width", 1 / mu),
+        ("u0", "amplitude", mu ** (2 / (p - 1))),
     ):
         if cp.has_option(section, key):
             cp[section][key] = repr(float(cp[section][key]) * factor)
+    if cp.has_option("grid", "R_list"):
+        cp["grid"]["R_list"] = " ".join(repr(float(R) / mu) for R in cp["grid"]["R_list"].split())
+    if cp.has_section("controls"):
+        times = {"t_end": 50.0, **{f.name: f.default for f in fields(EvolutionControls) if f.name.startswith("dt_")}}
+        for key, default in times.items():
+            cp["controls"][key] = repr(float(cp["controls"].get(key, default)) / (mu * mu))
     out = io.StringIO()
     cp.write(out)
     return out.getvalue()
@@ -352,6 +393,98 @@ def test_barrier_verdict_is_scale_invariant(tmp_path, capsys, text, verdict, e):
     line = capsys.readouterr().out.splitlines()[1]
     assert line.endswith(f"-> {verdict}")
     assert code == {"PASS": 0, "FAIL": 1}[verdict]
+
+
+# eigen configs on H^3 and R^3: two ladders that pass, and a ball of H^3 too
+# coarse (dr = 0.5) for its eigenvalue 0.983 to reach the McKean bound 1
+SCALED_EIGEN = {
+    "h3": "[manifold]\nkind = hyperbolic\nn = 3\nk = 1.0\n\n[grid]\nR_list = 2 4\ndr = 0.1\n",
+    "r3": "[manifold]\nkind = euclidean\nn = 3\n\n[grid]\nR_list = 2 4\ndr = 0.1\n",
+    "h3-coarse": "[manifold]\nkind = hyperbolic\nn = 3\nk = 1.0\n\n[grid]\nR = 50\nN = 99\n",
+}
+BUMP_RUN = """\
+[manifold]
+kind = hyperbolic
+n = 3
+k = 1.0
+
+[problem]
+p = 2.0
+
+[u0]
+kind = bump
+amplitude = 0.5
+width = 2.0
+
+[grid]
+R = 10
+N = 99
+
+[controls]
+t_end = 5
+"""
+# simulate configs: a blow-up under exp forcing and a global run on one ball
+# of H^3, and a ladder of R^3 balls that all blow up
+SCALED_SIMULATE = {
+    "h3-exp-blowup": BUMP_RUN.replace("[problem]", "[forcing]\nkind = exp\nsigma = 1.0\n\n[problem]")
+    .replace("amplitude = 0.5", "amplitude = 2.0"),
+    "h3-global": BUMP_RUN,
+    "r3-ladder": BUMP_RUN.replace("kind = hyperbolic\nn = 3\nk = 1.0", "kind = euclidean\nn = 3")
+    .replace("p = 2.0", "p = 1.5").replace("amplitude = 0.5", "amplitude = 3.0")
+    .replace("N = 99", "N = 99\nR_list = 5 10\ndr = 0.1").replace("t_end = 5", "t_end = 20"),
+}
+
+
+def run_scaled(tmp_path, capsys, command, text, e):
+    """(exit code, stdout lines, out dir) of ``command --strict`` on ``text`` scaled by 2^e."""
+    out = tmp_path / f"{command}{e}"
+    code = main([command, "--config", str(write_cfg(tmp_path, scale(text, e), f"{command}{e}.cfg")),
+                 "--out", str(out), "--strict"])
+    return code, capsys.readouterr().out.splitlines(), out
+
+
+def csv_column(path, column):
+    with open(path) as fh:
+        return [float(row[column]) if row[column] else None for row in csv.DictReader(fh)]
+
+
+@pytest.mark.parametrize("name", list(SCALED_EIGEN))
+def test_eigen_verdict_is_scale_invariant(tmp_path, capsys, name):
+    # ?stebz locates lambda1 within about eps ||T||_1, at most 2.6e-13 of lambda1
+    # on these balls, and the scaled band is mu^2 times the band to rounding
+    code0, lines0, out0 = run_scaled(tmp_path, capsys, "eigen", SCALED_EIGEN[name], 0)
+    lam0 = csv_column(out0 / "eigen.csv", "lambda1")
+    assert code0 == (1 if name == "h3-coarse" else 0)
+    for e in (-20, -10, 10, 20):
+        code, lines, out = run_scaled(tmp_path, capsys, "eigen", SCALED_EIGEN[name], e)
+        assert code == code0, e
+        assert lines[1].split("monotone")[1] == lines0[1].split("monotone")[1], e
+        lam = csv_column(out / "eigen.csv", "lambda1")
+        assert [x / 4.0**e for x in lam] == pytest.approx(lam0, rel=1e-12, abs=0), e
+
+
+@pytest.mark.parametrize("name", list(SCALED_SIMULATE))
+def test_simulate_verdict_is_scale_invariant(tmp_path, capsys, name):
+    ladder = "R_list" in SCALED_SIMULATE[name]
+    code0, lines0, out0 = run_scaled(tmp_path, capsys, "simulate", SCALED_SIMULATE[name], 0)
+
+    def verdicts_and_times(lines, out):
+        if ladder:
+            return lines[0].split(": verdicts ")[1], csv_column(out / "exhaustion.csv", "t_star")
+        summary = dict(line.split(",", 1) for line in (out / "run_summary.csv").read_text().splitlines()[1:])
+        return lines[0].split(" at t* = ")[0], [float(summary["t_star"]) if summary["t_star"] else None]
+
+    verdicts0, t0 = verdicts_and_times(lines0, out0)
+    assert code0 == 0
+    assert (verdicts0, t0[0] is None) == {
+        "h3-exp-blowup": ("verdict: blow-up", False), "h3-global": ("verdict: global-up-to-horizon", True),
+        "r3-ladder": ("blow-up, blow-up", False),
+    }[name]
+    for e in (-20, -10, 10, 20):
+        code, lines, out = run_scaled(tmp_path, capsys, "simulate", SCALED_SIMULATE[name], e)
+        verdicts, t = verdicts_and_times(lines, out)
+        assert (code, verdicts) == (code0, verdicts0), e
+        assert [None if x is None else x * 4.0**e for x in t] == pytest.approx(t0, rel=1e-9, abs=0), e
 
 
 def test_strict_fails_on_a_failed_envelope_in_simulate_and_sweep(tmp_path, monkeypatch):
@@ -624,7 +757,7 @@ KIND_CONFIGS = {
 
 
 def kind_keys(section, kind):
-    needs, reads = KINDS[section][1][kind]
+    needs, reads = KINDS[section][2][kind]
     return set(needs + reads)
 
 
@@ -648,19 +781,30 @@ def test_kind_table_lists_the_keys_the_readers_read(tmp_path, section, kind):
     assert spec.read - {"kind"} == kind_keys(section, kind)
 
 
+@pytest.mark.parametrize("policy", ["mckean", "eigen", "explicit"])
+def test_kind_table_lists_the_lambda_keys_that_resolve_lambda_reads(policy):
+    # every policy reads p, the reaction exponent of every run
+    assert "p" in kind_keys("problem", policy)
+    text = GEOMETRY_BASE + f"[problem]\nlambda_policy = {policy}\n" + ("lambda = 0.5\n" if policy == "explicit" else "")
+    cfg = ReadRecorder(parse_config(text))
+    experiments.resolve_lambda(cfg, experiments.build_manifold(cfg.spec))
+    assert ("lambda_value" in cfg.read) == ("lambda" in kind_keys("problem", policy))
+
+
 def test_kind_table_covers_every_kind_and_key():
-    assert {section: set(kinds) for section, (_, kinds) in KINDS.items() if section != "forcing"} == {
+    assert {section: set(kinds) for section, (_, _, kinds) in KINDS.items() if section not in ("forcing", "problem")} == {
         section: set(kinds) for section, kinds in KIND_CONFIGS.items()
     }
-    for section, (_, kinds) in KINDS.items():
+    assert set(KINDS["problem"][2]) == {"mckean", "eigen", "explicit"}
+    for section, (selector, _, kinds) in KINDS.items():
         for kind in kinds:
-            assert kind_keys(section, kind) <= set(KEYS[section]) - {"kind"}, (section, kind)
+            assert kind_keys(section, kind) <= set(KEYS[section]) - {selector}, (section, kind)
     # a forcing is built by its constructor, which takes the keys its kind needs
     constructors = {"one": Forcing.one, "power": Forcing.power_law, "exp": Forcing.exponential}
-    assert set(KINDS["forcing"][1]) == set(constructors)
+    assert set(KINDS["forcing"][2]) == set(constructors)
     for kind, build in constructors.items():
         assert set(inspect.signature(build).parameters) == kind_keys("forcing", kind)
-        needs, _ = KINDS["forcing"][1][kind]
+        needs, _ = KINDS["forcing"][2][kind]
         text = GEOMETRY_BASE + f"[forcing]\nkind = {kind}\n" + "".join(f"{key} = 1\n" for key in needs)
         assert parse_config(text).forcing == build(*[1.0] * len(needs))
 
@@ -823,6 +967,20 @@ def test_benchmark_configs_parse():
         (with_key(PRESETS["exp-forcing-hyperbolic"], "forcing", "q = 2"), "[forcing] kind exp does not read 'q'"),
         (with_key(PRESETS["fujita-euclidean"], "manifold", "k = 1.0"), "[manifold] kind euclidean does not read 'k'"),
         (with_key(GEOMETRY_BASE, "manifold", "c0 = 1.0"), "[manifold] kind hyperbolic does not read 'c0'"),
+        (with_key(PRESETS["exp-forcing-hyperbolic"], "problem", "lambda = 5"),
+         "[problem] lambda_policy mckean does not read 'lambda'; it reads p"),
+        (with_key(PRESETS["fujita-euclidean"], "problem", "lambda = 5"),
+         "[problem] lambda_policy eigen does not read 'lambda'; it reads p"),
+        (with_key(PRESETS["power-tail-gamma3"], "problem", "lambda_policy = explicit\nlambda = 3"),
+         "[problem] barrier kind power-tail does not read 'lambda_policy', 'lambda': "
+         "its lambda is lambda_fraction x lambda*"),
+        (with_key(PRESETS["power-tail-gamma3"], "problem", "lambda_policy = mckean"),
+         "[problem] barrier kind power-tail does not read 'lambda_policy': its lambda is lambda_fraction x lambda*"),
+        (GEOMETRY_BASE + "[problem]\nlambda_policy = measured\n",
+         "[problem] lambda_policy must be one of mckean | eigen | explicit, got 'measured'"),
+        (GEOMETRY_BASE + "[problem]\nlambda_policy = explicit\n", "problem lambda_policy explicit needs explicit lambda"),
+        (GEOMETRY_BASE + "[sweep]\naxis = problem.lambda\nvalues = 1 2\n",
+         "[sweep] cell problem.lambda = 1: [problem] lambda_policy mckean does not read 'lambda'"),
     ],
     ids=["sigma", "q", "t_end", "dt-order", "c_lower-text", "c_lower-sign", "sweep-sigma",
          "gamma-dr", "k-zero", "grid-R", "grid-N", "u0-width", "explicit-lambda", "exp-alpha",
@@ -837,7 +995,9 @@ def test_benchmark_configs_parse():
          "sweep-axis-unknown", "sweep-values-empty", "sweep-values2-empty", "sweep-axis-unread-by-kind",
          "sweep-axis-unread-by-data", "sweep-axis-unread-section", "sweep-repeated-value",
          "unread-barrier-alpha", "unread-barrier-r0", "unread-u0-width", "unread-u0-alpha", "unread-forcing-q",
-         "unread-manifold-k", "unread-manifold-c0"],
+         "unread-manifold-k", "unread-manifold-c0", "unread-lambda-mckean", "unread-lambda-eigen",
+         "unread-lambda-power-tail", "unread-lambda_policy-power-tail", "lambda_policy-unknown",
+         "explicit-no-lambda", "sweep-axis-unread-lambda"],
 )
 def test_inadmissible_config_values_are_config_errors(tmp_path, capsys, text, hypothesis):
     cfg = write_cfg(tmp_path, text)

@@ -35,7 +35,15 @@ from curvedheat import (
     time_envelope,
 )
 from curvedheat.config import parse_config, preset_text
-from curvedheat.evolution import _extrapolate, _imex_parts, _level, _level_at, _symmetrizer
+from curvedheat.evolution import (
+    _blowup_order_holds,
+    _extrapolate,
+    _imex_parts,
+    _level,
+    _level_at,
+    _nesting_tol,
+    _symmetrizer,
+)
 from curvedheat.experiments import _initial_field, build_manifold
 from curvedheat.geometry import ModelManifold, TabulatedWarping
 from curvedheat.operators import laplacian_tridiag, log_symmetrizer
@@ -121,7 +129,7 @@ def test_nonnegativity_preserved(hyp3):
     g = RadialGrid(10.0, 200)
     u0 = make_u0(g, bump_profile(1.0, 2.0))
     out = solve_on_ball(
-        hyp3, 10.0, u0, Forcing.one(), 2.0, EvolutionControls(t_end=5.0), n_snapshots=21
+        hyp3, 10.0, u0, Forcing.one(), 2.0, EvolutionControls(t_end=5.0, snapshots=21)
     )
     assert out.verdict == VERDICT_GLOBAL
     for _, snap in out.snapshots:
@@ -134,7 +142,7 @@ def bump_run_minimum(M, R, N, amplitude, width, p, forcing):
     g = RadialGrid(R, N)
     out = solve_on_ball(
         M, R, make_u0(g, bump_profile(amplitude, width)), forcing, p,
-        EvolutionControls(t_end=2.0), n_snapshots=41,
+        EvolutionControls(t_end=2.0, snapshots=41),
     )
     low = min(min(float(snap.min()) for _, snap in out.snapshots), float(out.final.values.min()))
     return low / float(np.max(out.history[:, 1]))
@@ -233,7 +241,7 @@ def test_step_halving_convergence(hyp3):
     for rtol in (1e-4, 5e-5):
         out = solve_on_ball(
             hyp3, 10.0, u0, Forcing.one(), 2.0,
-            EvolutionControls(t_end=5.0, rel_tol=rtol), n_snapshots=11,
+            EvolutionControls(t_end=5.0, rel_tol=rtol, snapshots=11),
         )
         sups.append(np.array([np.max(np.abs(s)) for _, s in out.snapshots]))
     assert np.max(np.abs(sups[0] - sups[1])) < 1e-4 * np.max(sups[0]) * 10
@@ -313,7 +321,7 @@ def test_threshold_crossing_cut_off_by_the_horizon_is_undecided(fraction):
     u0, *_ = _initial_field(cfg, M, RadialGrid(cfg.grid.R, cfg.grid.N))
 
     def run(controls):
-        return solve_on_ball(M, cfg.grid.R, u0, cfg.forcing, cfg.p, controls, n_snapshots=cfg.snapshots)
+        return solve_on_ball(M, cfg.grid.R, u0, cfg.forcing, cfg.p, controls)
 
     full = run(cfg.controls)
     assert full.verdict == VERDICT_BLOWUP
@@ -472,8 +480,8 @@ def test_shared_reaction_matches_reference_solves(request, monkeypatch, manifold
     g = RadialGrid(10.0, 100)
     u0 = make_u0(g, bump_profile(amplitude, 2.0))
     forcing = Forcing.one()
-    ctl = EvolutionControls(t_end=t_end)
-    plain = solve_on_ball(M, 10.0, u0, forcing, p, ctl, n_snapshots=11)
+    ctl = EvolutionControls(t_end=t_end, snapshots=11)
+    plain = solve_on_ball(M, 10.0, u0, forcing, p, ctl)
     assert plain.verdict == verdict
 
     calls = {"solve": 0, "reaction": 0}
@@ -495,7 +503,7 @@ def test_shared_reaction_matches_reference_solves(request, monkeypatch, manifold
 
     monkeypatch.setattr(curvedheat.evolution, "factor_banded", reference_factor)
     monkeypatch.setattr(curvedheat.evolution, "solve_banded", counted_solve)
-    ref = solve_on_ball(M, 10.0, u0, forcing, p, ctl, reaction=counted_reaction, n_snapshots=11)
+    ref = solve_on_ball(M, 10.0, u0, forcing, p, ctl, reaction=counted_reaction)
     assert ref.verdict == plain.verdict
     assert np.array_equal(ref.history, plain.history)
     assert len(ref.snapshots) == len(plain.snapshots)
@@ -530,10 +538,10 @@ def test_fixed_step_run_factors_once_and_matches_per_solve_factoring(hyp3, monke
     g = RadialGrid(10.0, 100)
     u0 = make_u0(g, bump_profile(0.5, 2.0))
     # 33 steps of 0.03 and a last step clamped to the remaining 0.01
-    ctl = EvolutionControls(t_end=1.0, dt_init=0.03, dt_max=0.03, rel_tol=0.0)
+    ctl = EvolutionControls(t_end=1.0, dt_init=0.03, dt_max=0.03, rel_tol=0.0, snapshots=11)
     with monkeypatch.context() as patch:
         calls = count_factors_and_solves(patch)
-        plain = solve_on_ball(hyp3, 10.0, u0, Forcing.one(), 2.0, ctl, n_snapshots=11)
+        plain = solve_on_ball(hyp3, 10.0, u0, Forcing.one(), 2.0, ctl)
     assert plain.verdict == VERDICT_GLOBAL
     assert calls["solve"] == len(plain.history) - 1 == 34
     assert calls["factor"] == 2
@@ -547,7 +555,7 @@ def test_fixed_step_run_factors_once_and_matches_per_solve_factoring(hyp3, monke
 
     monkeypatch.setattr(curvedheat.evolution, "factor_banded", lambda *band: band)
     monkeypatch.setattr(curvedheat.evolution, "solve_banded", factor_each_solve)
-    ref = solve_on_ball(hyp3, 10.0, u0, Forcing.one(), 2.0, ctl, n_snapshots=11)
+    ref = solve_on_ball(hyp3, 10.0, u0, Forcing.one(), 2.0, ctl)
     assert np.array_equal(ref.history, plain.history)
     assert np.array_equal(ref.final.values, plain.final.values)
 
@@ -556,7 +564,7 @@ def test_adaptive_run_reuses_factors_across_steps(hyp3, monkeypatch):
     g = RadialGrid(10.0, 100)
     u0 = make_u0(g, bump_profile(0.5, 2.0))
     calls = count_factors_and_solves(monkeypatch)
-    out = solve_on_ball(hyp3, 10.0, u0, Forcing.one(), 2.0, EvolutionControls(t_end=20.0), n_snapshots=11)
+    out = solve_on_ball(hyp3, 10.0, u0, Forcing.one(), 2.0, EvolutionControls(t_end=20.0, snapshots=11))
     assert out.verdict == VERDICT_GLOBAL
     attempts, factor_sets = calls["solve"] / 6, calls["factor"]
     assert attempts >= len(out.history) - 1
@@ -602,8 +610,8 @@ def test_adaptive_steps_are_levels_and_fixed_steps_keep_dt_init(kind, amplitude,
     M = make_euclidean(3) if kind == "euclidean" else make_hyperbolic(3, 1.0)
     g = RadialGrid(10.0, 40)
     u0 = make_u0(g, bump_profile(amplitude, 2.0))
-    ctl = EvolutionControls(t_end=t_end, dt_init=dt_init, rel_tol=1e-4)
-    out = solve_on_ball(M, 10.0, u0, Forcing.one(), p, ctl, n_snapshots=3)
+    ctl = EvolutionControls(t_end=t_end, dt_init=dt_init, rel_tol=1e-4, snapshots=3)
+    out = solve_on_ball(M, 10.0, u0, Forcing.one(), p, ctl)
     t, sup, dt = out.history[1:].T
     if sup[0] < out.threshold:
         # the first accepted step may take dt_init, and the last one may be clamped to the horizon
@@ -611,7 +619,7 @@ def test_adaptive_steps_are_levels_and_fixed_steps_keep_dt_init(kind, amplitude,
         assert all(is_level(x, ctl.dt_max) for x in dt[1 : dt.size - clamped])
     # 20 steps of dt_init and a last one clamped to the horizon
     fixed = replace(ctl, t_end=20.5 * dt_init, dt_max=dt_init, rel_tol=0.0)
-    out = solve_on_ball(M, 10.0, u0, Forcing.one(), p, fixed, n_snapshots=3)
+    out = solve_on_ball(M, 10.0, u0, Forcing.one(), p, fixed)
     if out.t_star is None:
         assert np.all(out.history[1:-1, 2] == dt_init) and out.history[-1, 2] < dt_init
 
@@ -626,7 +634,7 @@ def test_rounding_level_changes_leave_the_step_sequence_bit_identical():
     table_up = ModelManifold(M.n, TabulatedWarping(psi.dr, np.nextafter(psi.log_psi, np.inf), psi._ratio1, psi.c0, psi.gamma))
     data_up = RadialField(u0.grid, np.append(np.nextafter(u0.values[:-1], np.inf), 0.0))
     runs = [
-        solve_on_ball(model, cfg.grid.R, data, cfg.forcing, cfg.p, cfg.controls, n_snapshots=cfg.snapshots)
+        solve_on_ball(model, cfg.grid.R, data, cfg.forcing, cfg.p, cfg.controls)
         for model, data in ((M, u0), (table_up, u0), (M, data_up))
     ]
     assert runs[0].verdict == VERDICT_GLOBAL
@@ -660,8 +668,8 @@ def test_steep_or_one_sided_band_keeps_the_pivoting_lu(gamma3, monkeypatch, R, N
         return factor(sub, diag, sup, s)
 
     monkeypatch.setattr(curvedheat.evolution, "factor_banded", spied_factor)
-    ctl = EvolutionControls(t_end=2.0, blowup_threshold=threshold)
-    out = solve_on_ball(gamma3, R, make_u0(g, bump_profile(0.5, 2.0)), Forcing.one(), 2.0, ctl, n_snapshots=5)
+    ctl = EvolutionControls(t_end=2.0, snapshots=5, blowup_threshold=threshold)
+    out = solve_on_ball(gamma3, R, make_u0(g, bump_profile(0.5, 2.0)), Forcing.one(), 2.0, ctl)
     assert set(branches) == {ldlt}
     assert out.verdict == VERDICT_GLOBAL
     assert np.all(np.isfinite(out.final.values)) and 0.0 < sup_norm(out.final) < 0.5
@@ -694,8 +702,8 @@ def test_fixed_step_ldlt_run_stays_nonnegative_exactly(model, R, N, dt, p, forci
     threshold = 1e8  # solve_on_ball's default, 1e8 sup u0
     sub, _, sup = laplacian_tridiag(M, g)
     assert _symmetrizer(log_symmetrizer(sub, sup), N + 1, threshold) is not None  # LDL^T
-    ctl = EvolutionControls(t_end=10.0 * dt, dt_init=dt, dt_min=1e-3 * dt, dt_max=dt, rel_tol=0.0)
-    out = solve_on_ball(M, R, RadialField(g, vals), forcing, p, ctl, n_snapshots=3)
+    ctl = EvolutionControls(t_end=10.0 * dt, dt_init=dt, dt_min=1e-3 * dt, dt_max=dt, rel_tol=0.0, snapshots=3)
+    out = solve_on_ball(M, R, RadialField(g, vals), forcing, p, ctl)
     assert out.min_value >= 0.0
 
 
@@ -752,11 +760,11 @@ def test_batched_runs_equal_their_runs_alone(kind, N, forcing, adaptive, thresho
     u0s = [make_u0(g, profile) for _, profile in cells]
     ps = [p for p, _ in cells]
     if adaptive:
-        ctl = EvolutionControls(t_end=3.0, rel_tol=1e-4, blowup_threshold=threshold)
+        ctl = EvolutionControls(t_end=3.0, rel_tol=1e-4, snapshots=5, blowup_threshold=threshold)
     else:
-        ctl = EvolutionControls(t_end=3.0, dt_init=0.05, dt_max=0.05, rel_tol=0.0, blowup_threshold=threshold)
-    batch = solve_batch(M, u0s, forcing, ps, ctl, n_snapshots=5)
-    alone = [solve_on_ball(M, 20.0, u0, forcing, p, ctl, n_snapshots=5) for u0, p in zip(u0s, ps)]
+        ctl = EvolutionControls(t_end=3.0, dt_init=0.05, dt_max=0.05, rel_tol=0.0, snapshots=5, blowup_threshold=threshold)
+    batch = solve_batch(M, u0s, forcing, ps, ctl)
+    alone = [solve_on_ball(M, 20.0, u0, forcing, p, ctl) for u0, p in zip(u0s, ps)]
     for batched, single in zip(batch, alone):
         assert_same_outcome(batched, single)
     # the overflowing run ends at once, beside runs that go on
@@ -770,8 +778,8 @@ def test_batched_runs_equal_their_runs_alone(kind, N, forcing, adaptive, thresho
 def test_a_moving_dt_refactors_the_whole_stack(hyp3, monkeypatch, threshold):
     g = RadialGrid(20.0, 60)
     u0s = [make_u0(g, bump_profile(amplitude, 1.5)) for amplitude in (5.0, 0.5)]
-    ctl = EvolutionControls(t_end=3.0, rel_tol=1e-4, blowup_threshold=threshold)
-    alone = [solve_on_ball(hyp3, 20.0, u0, Forcing.one(), 2.0, ctl, n_snapshots=5) for u0 in u0s]
+    ctl = EvolutionControls(t_end=3.0, rel_tol=1e-4, snapshots=5, blowup_threshold=threshold)
+    alone = [solve_on_ball(hyp3, 20.0, u0, Forcing.one(), 2.0, ctl) for u0 in u0s]
     calls = []
     factor, solve = curvedheat.evolution.factor_banded, curvedheat.evolution.solve_banded
 
@@ -786,7 +794,7 @@ def test_a_moving_dt_refactors_the_whole_stack(hyp3, monkeypatch, threshold):
 
     monkeypatch.setattr(curvedheat.evolution, "factor_banded", spied_factor)
     monkeypatch.setattr(curvedheat.evolution, "solve_banded", spied_solve)
-    batch = solve_batch(hyp3, u0s, Forcing.one(), [2.0, 2.0], ctl, n_snapshots=5)
+    batch = solve_batch(hyp3, u0s, Forcing.one(), [2.0, 2.0], ctl)
     for batched, single in zip(batch, alone):
         assert_same_outcome(batched, single)
     near_blowup, decaying = batch
@@ -827,13 +835,13 @@ def test_nested_balls_in_one_stack_equal_their_balls_alone(kind, forcing, adapti
     u0s = [make_u0(RadialGrid((N + 1) * dr, N), bump_profile(amplitude, 1.5)) for N, _, amplitude in runs]
     ps = [p for _, p, _ in runs]
     if adaptive:
-        ctl = EvolutionControls(t_end=3.0, rel_tol=1e-4, blowup_threshold=threshold)
+        ctl = EvolutionControls(t_end=3.0, rel_tol=1e-4, snapshots=5, blowup_threshold=threshold)
     else:
-        ctl = EvolutionControls(t_end=3.0, dt_init=0.05, dt_max=0.05, rel_tol=0.0, blowup_threshold=threshold)
-    batch = solve_batch(M, u0s, forcing, ps, ctl, n_snapshots=5)
+        ctl = EvolutionControls(t_end=3.0, dt_init=0.05, dt_max=0.05, rel_tol=0.0, snapshots=5, blowup_threshold=threshold)
+    batch = solve_batch(M, u0s, forcing, ps, ctl)
     for u0, p, batched in zip(u0s, ps, batch):
         assert batched.final.grid == u0.grid
-        assert_same_outcome(batched, solve_on_ball(M, u0.grid.R, u0, forcing, p, ctl, n_snapshots=5))
+        assert_same_outcome(batched, solve_on_ball(M, u0.grid.R, u0, forcing, p, ctl))
 
 
 def test_batch_refuses_runs_on_different_node_spacings(hyp3):
@@ -850,8 +858,8 @@ def test_comparison_sandwich_small(hyp3):
     env = time_envelope(Forcing.one(), 1.0, 2.0, v.sup)  # ctilde = 0.5
     g = RadialGrid(10.0, 200)
     u0 = make_u0(g, barrier_profile(v, env.ctilde))
-    ctl = EvolutionControls(t_end=10.0, dt_init=2e-3, dt_max=2e-3, rel_tol=0.0)
-    out = solve_on_ball(hyp3, 10.0, u0, Forcing.one(), 2.0, ctl, n_snapshots=21)
+    ctl = EvolutionControls(t_end=10.0, dt_init=2e-3, dt_max=2e-3, rel_tol=0.0, snapshots=21)
+    out = solve_on_ball(hyp3, 10.0, u0, Forcing.one(), 2.0, ctl)
     cmp = compare_with_envelope(out, v.eval(g.nodes), env)
     assert cmp.passed
     assert cmp.max_violation <= 0.0  # equality only at t = 0
@@ -863,7 +871,7 @@ def test_comparison_equality_at_t0(hyp3):
     g = RadialGrid(10.0, 100)
     u0 = make_u0(g, barrier_profile(v, env.ctilde))
     out = solve_on_ball(
-        hyp3, 10.0, u0, Forcing.one(), 2.0, EvolutionControls(t_end=0.01), n_snapshots=2
+        hyp3, 10.0, u0, Forcing.one(), 2.0, EvolutionControls(t_end=0.01, snapshots=2)
     )
     t0, snap0 = out.snapshots[0]
     bound = env.ctilde * v.eval(g.nodes)
@@ -883,8 +891,8 @@ def test_running_minimum_does_not_depend_on_snapshots(hyp3):
     ctl = EvolutionControls(t_end=1.0, dt_init=0.01, dt_max=0.01, rel_tol=0.0)
     coarse, fine = (
         solve_on_ball(
-            hyp3, 10.0, make_u0(g, barrier_profile(v, env.ctilde)), Forcing.one(), 2.0, ctl,
-            reaction=flip, n_snapshots=n,
+            hyp3, 10.0, make_u0(g, barrier_profile(v, env.ctilde)), Forcing.one(), 2.0,
+            replace(ctl, snapshots=n), reaction=flip,
         )
         for n in (5, 200)
     )
@@ -914,8 +922,8 @@ def test_envelope_upper_side_does_not_depend_on_snapshots(hyp3):
     ctl = EvolutionControls(t_end=1.0, dt_init=0.01, dt_max=0.01, rel_tol=0.0)
     coarse, fine = (
         solve_on_ball(
-            hyp3, 10.0, make_u0(g, barrier_profile(v, env.ctilde)), Forcing.one(), 2.0, ctl,
-            reaction=spike, n_snapshots=n,
+            hyp3, 10.0, make_u0(g, barrier_profile(v, env.ctilde)), Forcing.one(), 2.0,
+            replace(ctl, snapshots=n), reaction=spike,
         )
         for n in (5, 200)
     )
@@ -941,7 +949,7 @@ def test_comparison_negative_control(hyp3):
     g = RadialGrid(10.0, 200)
     u0 = make_u0(g, barrier_profile(v, 10.0 * env.ctilde))
     out = solve_on_ball(
-        hyp3, 10.0, u0, Forcing.one(), 2.0, EvolutionControls(t_end=1.0), n_snapshots=5
+        hyp3, 10.0, u0, Forcing.one(), 2.0, EvolutionControls(t_end=1.0, snapshots=5)
     )
     cmp = compare_with_envelope(out, v.eval(g.nodes), env)
     assert not cmp.passed
@@ -950,7 +958,7 @@ def test_comparison_negative_control(hyp3):
 
 def test_exhaustion_nesting_and_gaps(hyp3):
     v = ExpBarrier(1.0, 1.0)
-    ctl = EvolutionControls(t_end=10.0, dt_init=2e-3, dt_max=2e-3, rel_tol=0.0)
+    ctl = EvolutionControls(t_end=10.0, dt_init=2e-3, dt_max=2e-3, rel_tol=0.0, snapshots=26)
     u0 = make_u0(RadialGrid(20.0, 399), barrier_profile(v, 0.5))
     rep = exhaustion_solve(hyp3, u0, [5.0, 10.0, 20.0], Forcing.one(), 2.0, ctl)
     assert rep.monotone_ok
@@ -959,15 +967,29 @@ def test_exhaustion_nesting_and_gaps(hyp3):
 
 
 def test_exhaustion_zero_data(hyp3):
-    ctl = EvolutionControls(t_end=1.0)
+    ctl = EvolutionControls(t_end=1.0, snapshots=26)
     u0 = RadialField(RadialGrid(10.0, 99), np.zeros(101))
     rep = exhaustion_solve(hyp3, u0, [5.0, 10.0], Forcing.one(), 2.0, ctl)
     assert rep.max_violation == 0.0
     assert all(sup_norm(o.final) == 0.0 for o in rep.outcomes)
+    # zero data gives zero solutions on every ball: no slack is left to forgive
+    assert rep.tol == 0.0 and rep.monotone_ok
+
+
+def test_exhaustion_tolerances_scale_with_the_problem():
+    # a smaller ball 2e-3 of the data's sup above the larger one, and a larger
+    # ball blowing up 1e-3 of the horizon after the smaller one: violations at
+    # every scale.  Scaled by 2^-40 they are 1.8e-15 and 9.1e-16, which the
+    # absolute slacks 1e-12 and 1e-9 forgave
+    for s in (1.0, 2.0**-40):
+        assert not 2e-3 * s <= _nesting_tol(s)
+        assert 5e-4 * s <= _nesting_tol(s)
+        assert not _blowup_order_holds([0.5 * s, 0.501 * s], t_end=s)
+        assert _blowup_order_holds([0.5 * s, 0.5 * s, 0.499 * s], t_end=s)
 
 
 def test_exhaustion_blowup_times_nonincreasing(euclid3):
-    ctl = EvolutionControls(t_end=60.0)
+    ctl = EvolutionControls(t_end=60.0, snapshots=26)
     u0 = make_u0(RadialGrid(20.0, 399), bump_profile(3.0, 2.0))
     rep = exhaustion_solve(euclid3, u0, [5.0, 10.0, 20.0], Forcing.one(), 1.5, ctl)
     assert all(o.verdict == VERDICT_BLOWUP for o in rep.outcomes)
@@ -980,7 +1002,7 @@ def test_exhaustion_ladder_over_both_solver_branches_shares_one_step_sequence():
     # in one stack, on LU
     M = make_hyperbolic(7, 4.0)
     u0 = make_u0(RadialGrid(60.0, 239), bump_profile(0.5, 1.0))
-    rep = exhaustion_solve(M, u0, [5.0, 60.0], Forcing.one(), 2.0, EvolutionControls(t_end=1.0))
+    rep = exhaustion_solve(M, u0, [5.0, 60.0], Forcing.one(), 2.0, EvolutionControls(t_end=1.0, snapshots=26))
     small, big = rep.outcomes
     assert small.history[:, [0, 2]].tobytes() == big.history[:, [0, 2]].tobytes()
     assert rep.monotone_ok

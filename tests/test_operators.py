@@ -129,8 +129,8 @@ def test_coarse_grid_on_divergent_model_stays_nonnegative(gamma3):
     g = RadialGrid(20.0, 50)
     vals = np.exp(-g.nodes)
     vals[-1] = 0.0
-    ctl = EvolutionControls(t_end=5.0, dt_init=1e-2, dt_max=1e-2, rel_tol=0.0)
-    out = solve_on_ball(M, 20.0, RadialField(g, vals), Forcing.one(), 2.0, ctl, n_snapshots=51)
+    ctl = EvolutionControls(t_end=5.0, dt_init=1e-2, dt_max=1e-2, rel_tol=0.0, snapshots=51)
+    out = solve_on_ball(M, 20.0, RadialField(g, vals), Forcing.one(), 2.0, ctl)
     assert min(float(snap.min()) for _, snap in out.snapshots) >= 0.0
     assert out.final.values.min() >= 0.0
     # face ratios beyond the float range leave a finite band

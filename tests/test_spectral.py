@@ -123,6 +123,26 @@ def test_lambda1_sequence_euclidean_scaling():
     assert rep.values[1] / rep.values[2] == pytest.approx(4.0, rel=1e-4)
 
 
+def test_eigen_comparison_slack_scales_with_the_band():
+    # lambda = 4.45 on a band of ||T||_1 = 7.2e4 (the gamma = 3 model at dr = 0.01),
+    # and a second eigenvalue 1e-6 relative above it: a violation at every scale.
+    # Scaled by mu^2 = 2^-40 it is 4e-18, which an absolute slack of 1e-10 forgave
+    for s in (1.0, 2.0**-40):
+        lam, norm = 4.45 * s, 7.2e4 * s
+        assert not spectral.eigen_le(lam * (1 + 1e-6), lam, norm)
+        assert spectral.eigen_le(lam + 3 * np.finfo(float).eps * norm, lam, norm)
+
+
+def test_a_rising_pair_of_ball_eigenvalues_is_flagged_at_every_scale():
+    # dr_target = 0.5 gives B_40 a spacing of 0.5 and B_40.26 one of 0.497: the finer
+    # grid's eigenvalue lies 1.7e-4 above the coarser ball's.  Under the parabolic
+    # scaling by mu = 2^-20 the rise is 1.5e-16, which an absolute slack of 1e-10 forgave
+    for mu in (1.0, 2.0**-20):
+        rep = lambda1_estimate(make_hyperbolic(3, mu), [40.0 / mu, 40.26 / mu], dr_target=0.5 / mu)
+        assert rep.values[1] > rep.values[0]
+        assert not rep.monotone
+
+
 def test_lambda1_gamma_model_above_mckean(gamma2):
     rep = lambda1_estimate(gamma2, [5.0, 10.0], dr_target=0.02)
     assert all(v >= mckean_bound(3, 1.0) for v in rep.values)

@@ -27,7 +27,6 @@ from .operators import (
     RadialField,
     RadialGrid,
     SmoothRadialFn,
-    apply_laplacian,
     apply_laplacian_analytic,
     save_field_csv,
     sup_norm,

@@ -37,7 +37,7 @@ import numpy as np
 
 from .forcing import Forcing
 from .geometry import ModelManifold, drift
-from .operators import RadialField, RadialGrid, apply_laplacian, laplacian_tridiag
+from .operators import RadialGrid, laplacian_tridiag
 from .spectral import RadialSolution, positive_radial_solution
 
 __all__ = [
@@ -386,15 +386,14 @@ def verify_supersolution(M: ModelManifold, barrier, lam: float, grid: RadialGrid
                 f"glued barrier was built for lam = {barrier.lam:.12g}, cannot verify at {lam:.12g}"
             )
         use_v = barrier.use_v[1:]
-        cphi = RadialField(grid, barrier.c * barrier.phi.field.values)
-        res_phi = apply_laplacian(M, cphi).values[1:] + lam * cphi.values[1:]
-        res_phi[-1] = 0.0  # the Dirichlet node carries no equation
+        cphi = barrier.c * barrier.phi.field.values
+        sub, diag, sup = band = laplacian_tridiag(M, grid)
+        res_phi = np.append(band.mult(cphi)[1:] + lam * cphi[1:-1], 0.0)  # the Dirichlet node carries no equation
         # |sub phi| + |diag phi| + |sup phi| + lam phi on each row, with sub, sup >= 0 >= diag
-        sub, diag, sup = laplacian_tridiag(M, grid)
-        v = np.abs(cphi.values)
+        v = np.abs(cphi)
         size_phi = np.append(sub[1:] * v[:-2] - diag[1:] * v[1:-1] + sup[1:] * v[2:] + abs(lam) * v[1:-1], 0.0)
-        p = cphi.values[1:]
-        dp = np.gradient(cphi.values, grid.dr)[1:]
+        p = cphi[1:]
+        dp = np.gradient(cphi, grid.dr)[1:]
         res_v, size_v = _terms(M, barrier.v, lam, r_all)
         res = np.where(use_v, res_v, res_phi)
         size = np.where(use_v, size_v, size_phi)

@@ -70,7 +70,6 @@ def main(argv=None) -> int:
         else:
             text = preset_text(args.preset)
         cfg = parse_config(text)
-        args.out.mkdir(parents=True, exist_ok=True)
         if args.command == "sweep":
             ok, lines = run_sweep(cfg, args.out, threads=max(1, args.threads))
         else:

@@ -100,7 +100,6 @@ from .operators import (
     RadialGrid,
     factor_banded,
     laplacian_tridiag,
-    log_symmetrizer,
     solve_banded,
     sup_norm,
 )
@@ -130,8 +129,8 @@ VERDICT_BLOWUP = "blow-up"
 VERDICT_UNDECIDED = "undecided"
 
 _MAX_STEPS = 2_000_000
-# the share of t_end within which a run reads its time as the horizon, and
-# two blow-up times as one
+# the share of t_end within which a run reads its time as the horizon or a
+# sample time as reached, and two blow-up times as one
 _TIME_RESOLUTION = 1e-12
 # rows of the extrapolation table of an adaptive step; row j takes j substeps
 _ROWS = 6
@@ -419,7 +418,8 @@ class _Run:
     def _take_snapshots(self, t_old, u_old):
         m = self.grid.N + 1
         t_new, u_new, u_old = self.t, self.u[:m], u_old[:m]
-        while self.next_sample < self.sample_times.size and self.sample_times[self.next_sample] <= t_new + 1e-14:
+        reached = t_new + _TIME_RESOLUTION * self.controls.t_end
+        while self.next_sample < self.sample_times.size and self.sample_times[self.next_sample] <= reached:
             ts = self.sample_times[self.next_sample]
             w = 0.0 if t_new == t_old else (ts - t_old) / (t_new - t_old)
             ui = u_old + w * (u_new - u_old)
@@ -560,7 +560,7 @@ def _solve(M, u0s, forcing, ps, controls, reaction, ladder=False) -> list:
         _check_run(grid, u0, p)
     runs = [_Run(u0, p, controls, grid.N + 1) for u0, p in zip(u0s, ps)]
     band = laplacian_tridiag(M, grid)
-    log_s = log_symmetrizer(band[0], band[2])
+    log_s = band.log_s()
     sub, _, sup = band = [np.tile(x, (len(runs), 1)) for x in band]
     for k, run in enumerate(runs):
         m = run.grid.N + 1  # the run's boundary node

@@ -1,10 +1,10 @@
 """Turn parsed experiment configs into runs and deterministic artifacts.
 
-One function per CLI subcommand.  Every function writes its CSV (and
-advisory SVG) outputs under ``out_dir`` and returns (ok, lines): ``ok``
-feeds the --strict exit status, ``lines`` are human-readable summary
-rows for stdout.  Outputs are byte-reproducible: fixed iteration
-orders, fixed float formatting, no wall-clock content.
+One function per CLI subcommand.  Each makes ``out_dir`` once it has computed its
+CSV (and advisory SVG) outputs, so a refused config leaves none, writes them there
+and returns (ok, lines): ``ok`` feeds the --strict exit status, ``lines`` are
+human-readable summary rows for stdout.  Outputs are byte-reproducible: fixed
+iteration orders, fixed float formatting, no wall-clock content.
 """
 
 from __future__ import annotations
@@ -231,6 +231,7 @@ def run_geometry(cfg: ExperimentConfig, out_dir: Path):
         ("divergence_holds", report.divergence_holds),
         ("drift_floor_measured", floor),
     ]
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(out_dir / "curvature_report.csv", ("quantity", "value"), rows)
     write_csv(out_dir / "drift.csv", ("r", "F"), zip(r, drift(M, r)))
     if cfg.manifold.kind == "gamma":
@@ -256,6 +257,7 @@ def run_eigen(cfg: ExperimentConfig, out_dir: Path):
     radii = cfg.grid.R_list or (cfg.grid.R,)
     dr = cfg.grid.R / (cfg.grid.N + 1) if cfg.grid.dr is None else cfg.grid.dr
     report = _admissible("grid", lambda1_estimate, M, radii, dr_target=dr)
+    out_dir.mkdir(parents=True, exist_ok=True)
     save_eigen_csv(report.estimates, out_dir / "eigen.csv")
     k = pinch_constant(cfg.manifold)
     lower = mckean_bound(cfg.manifold.n, k) if k is not None else 0.0
@@ -288,6 +290,7 @@ def run_barrier(cfg: ExperimentConfig, out_dir: Path):
     barrier, lam, meta = build_barrier(cfg, M)
     grid = RadialGrid(cfg.grid.R, cfg.grid.N)
     check = verify_supersolution(M, barrier, lam, grid)
+    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "barrier.kv", "w") as fh:
         fh.write(dump_barrier_kv(barrier, lam) + "\n")
     vals = barrier.eval(grid.nodes)
@@ -364,6 +367,7 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path):
         report = exhaustion_solve(M, u0, cfg.grid.R_list, cfg.forcing, cfg.p, cfg.controls)
         records = [_sweep_cell(cfg, outcome, *data) for outcome in report.outcomes]
         rows = []
+        out_dir.mkdir(parents=True, exist_ok=True)
         for R, outcome, record, gap in zip(
             report.radii, report.outcomes, records, [float("nan")] + list(report.gaps)
         ):
@@ -383,18 +387,20 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path):
             f"exhaustion over R = {list(report.radii)}: verdicts "
             + ", ".join(record["verdict"] for record in records),
             f"nesting violation max = {report.max_violation:.3e} (tol {report.tol:.1e}), "
-            f"gaps = {[f'{g:.3e}' for g in report.gaps]}",
+            f"gaps = {[f'{g:.3e}' for g in report.gaps]}, blow-up times nonincreasing: {report.blowup_nonincreasing}",
         ]
         lines += [
             _envelope_line(f"envelope R={R:g}", record)
             for R, record in zip(report.radii, records) if record["envelope_pass"] is not None
         ]
-        ok = report.monotone_ok and all(record["envelope_pass"] is not False for record in records)
+        ok = report.monotone_ok and report.blowup_nonincreasing is not False
+        ok = ok and all(record["envelope_pass"] is not False for record in records)
         return ok, lines
 
     u0, *data = _initial_field(cfg, M, RadialGrid(cfg.grid.R, cfg.grid.N))
     outcome = solve_on_ball(M, u0.grid.R, u0, cfg.forcing, cfg.p, cfg.controls)
     record = _sweep_cell(cfg, outcome, *data)
+    out_dir.mkdir(parents=True, exist_ok=True)
     save_history_csv(outcome, out_dir / "history.csv")
     save_field_csv(outcome.final, out_dir / "final_field.csv")
     keys = SUMMARY_KEYS
@@ -515,6 +521,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path, threads: int = 1):
             results[i] = res
 
     axis_names = (spec.axis,) if spec.axis2 is None else (spec.axis, spec.axis2)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(
         out_dir / "sweep.csv", axis_names + SWEEP_KEYS,
         [coords + tuple(res[key] for key in SWEEP_KEYS) for (coords, _), res in zip(cells, results)],

@@ -13,7 +13,9 @@ of the cell [r_{i-1/2}, r_{i+1/2}] over A_i dr; the pole row is the flux
 form on the cell [0, dr/2], Delta u(0) ~ 2n (u_1 - u_0)/dr^2.  Both
 off-diagonals are positive and every row sums to zero for every dr and
 n, so -Delta_h is an M-matrix, and Delta_h is self-adjoint in the inner
-product weighted by V_i A_i (A_{1/2}/(2n) at the pole).
+product weighted by V_i A_i (A_{1/2}/(2n) at the pole).  ``laplacian_tridiag``
+returns it as one ``Band``: ``Band.prefix`` gives the sub-balls' bands,
+``Band.mult`` applies it and ``Band.log_s`` symmetrises it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -35,13 +37,11 @@ __all__ = [
     "RadialGrid",
     "RadialField",
     "SmoothRadialFn",
+    "Band",
     "laplacian_tridiag",
-    "tridiag_mult",
-    "log_symmetrizer",
     "load_lapack",
     "factor_banded",
     "solve_banded",
-    "apply_laplacian",
     "apply_laplacian_analytic",
     "sup_norm",
     "save_field_csv",
@@ -108,17 +108,42 @@ def _check_compatible(M: ModelManifold, grid: RadialGrid):
         )
 
 
-def laplacian_tridiag(M: ModelManifold, grid: RadialGrid):
-    """Tridiagonal representation of Delta_h on the unknowns u_0..u_N.
+class Band(NamedTuple):
+    """Delta_h on the unknowns u_0..u_N of a ball: sub[0] = 0 < sub[1:], sup > 0, diag = -(sub + sup).
 
-    Returns (sub, diag, sup) of the flux form in the module docstring:
-    sub[0] is zero, sub[1:] and sup are positive and
-    diag = -(sub + sup).  The face ratios A_{i+-1/2}/A_i are exponentials
-    of log-psi differences, so no entry overflows however fast psi grows.
-    sup[N] couples the last unknown to the boundary node u_{N+1};
-    ``tridiag_mult`` and ``factor_banded`` ignore it, which eliminates
-    that node under homogeneous Dirichlet data.
+    sup[N] couples u_N to the boundary node u_{N+1}, which ``factor_banded`` ignores (Dirichlet data 0).
+    Row i reads only r_i, r_{i+-1/2} and dr, so the leading m rows are the band of m unknowns at this spacing.
     """
+
+    sub: np.ndarray
+    diag: np.ndarray
+    sup: np.ndarray
+
+    def prefix(self, m: int) -> "Band":
+        """The leading m x m block: the band of the ball of m unknowns at this spacing."""
+        return Band(self.sub[:m], self.diag[:m], self.sup[:m])
+
+    def mult(self, x) -> np.ndarray:
+        """Delta_h x on the rows 0..N, for the node values x_0..x_{N+1} with the boundary value x_{N+1}."""
+        y = self.diag * x[:-1]
+        y[:-1] += self.sup[:-1] * x[1:-1]
+        y[1:] += self.sub[1:] * x[:-2]
+        y[-1] += self.sup[-1] * x[-1]
+        return y
+
+    def log_s(self) -> np.ndarray:
+        """log s, s_0 = 1, of the diagonal S that makes S (I - h Delta_h) S^-1 symmetric for every h.
+
+        s_{i+1}/s_i = sqrt(sup_i/sub_{i+1}), so s^2 is the volume weight V_i A_i up to a constant.  The
+        log domain keeps s free of overflow; a one-sided coupling (a 0 entry) makes the entries past it inf or nan.
+        """
+        with np.errstate(divide="ignore", invalid="ignore"):
+            steps = 0.5 * (np.log(self.sup[:-1]) - np.log(self.sub[1:]))
+        return np.concatenate(([0.0], np.cumsum(steps)))
+
+
+def laplacian_tridiag(M: ModelManifold, grid: RadialGrid) -> Band:
+    """The ``Band`` of the flux form in the module docstring on grid, from log-psi differences: no entry overflows."""
     _check_compatible(M, grid)
     dr = grid.dr
     log_face = (M.n - 1) * M.psi.log_eval(grid.nodes[:-1] + 0.5 * dr)
@@ -133,31 +158,7 @@ def laplacian_tridiag(M: ModelManifold, grid: RadialGrid):
     with np.errstate(over="ignore"):
         sub[1:] = 6.0 / (dr**2 * (1.0 + 4.0 * np.exp(-lo) + np.exp(hi - lo)))
         sup[1:] = 6.0 / (dr**2 * (np.exp(lo - hi) + 4.0 * np.exp(-hi) + 1.0))
-    return sub, -(sub + sup), sup
-
-
-def tridiag_mult(sub, diag, sup, x) -> np.ndarray:
-    """The tridiagonal matrix (sub, diag, sup) times x; sub[0], sup[-1] unread."""
-    y = diag * x
-    y[:-1] += sup[:-1] * x[1:]
-    y[1:] += sub[1:] * x[:-1]
-    return y
-
-
-def log_symmetrizer(sub, sup) -> np.ndarray:
-    """log s of the diagonal S = diag(s) that makes S A S^-1 symmetric, s_0 = 1.
-
-    A is any tridiagonal with the couplings (sub, sup) of
-    ``laplacian_tridiag``, whose diagonal S A S^-1 leaves alone:
-    s_{i+1}/s_i = sqrt(sup_i/sub_{i+1}), so s^2 is Delta_h's volume
-    weight V_i A_i up to a constant, and S (I - h Delta_h) S^-1 is the
-    same for every h.  Summing in the log domain keeps s free of
-    overflow however fast the weights grow; a one-sided coupling (a 0
-    entry) makes the entries past it infinite or nan.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        steps = 0.5 * (np.log(sup[:-1]) - np.log(sub[1:]))
-    return np.concatenate(([0.0], np.cumsum(steps)))
+    return Band(sub, -(sub + sup), sup)
 
 
 # LAPACK's ?gttrf, ?gttrs, ?pttrf, ?pttrs and ?stebz, bound by ``load_lapack``
@@ -220,8 +221,8 @@ def factor_banded(sub, diag, sup, s=None):
     ``scipy.linalg.solve_banded`` dispatches to for a (1, 1) band, so
     the solutions agree with it bit for bit.
 
-    With s, a positive symmetrizer of A (``exp(log_symmetrizer(sub,
-    sup))``, or any vector with s_{i+1}/s_i = sqrt(sup_i/sub_{i+1})):
+    With s, a positive symmetrizer of A (``exp(band.log_s())``, or any
+    vector with s_{i+1}/s_i = sqrt(sup_i/sub_{i+1})):
     one ``?pttrf`` call, LDL^T without pivoting of T = S A S^-1, whose
     diagonal is diag and whose off-diagonal is
     sign(sup_i) sqrt(sub_{i+1} sup_i).  T must be positive definite, as
@@ -285,18 +286,6 @@ def solve_banded(factors, b) -> np.ndarray:
     if k < d.size:
         dl, d, du, du2, ipiv = dl[: k - 1], d[:k], du[: k - 1], du2[: k - 2], ipiv[:k]
     return _gttrs(dl, d, du, du2, ipiv, b)[0]
-
-
-def apply_laplacian(M: ModelManifold, u: RadialField) -> RadialField:
-    """Discrete Delta u; boundary node of the result is set to zero."""
-    sub, diag, sup = laplacian_tridiag(M, u.grid)
-    v = u.values
-    if not np.all(np.isfinite(v)):
-        raise ValueError("field has non-finite values")
-    out = np.zeros_like(v)
-    out[:-1] = tridiag_mult(sub, diag, sup, v[:-1])
-    out[-2] += sup[-1] * v[-1]
-    return RadialField(u.grid, out)
 
 
 def apply_laplacian_analytic(M: ModelManifold, fn: SmoothRadialFn, r):

@@ -9,7 +9,8 @@ eigenvalue directly, and one shifted solve gives the eigenvector.
 Neither step touches the area density itself, so nothing overflows
 however fast the warping grows.  Ball eigenvalues decrease to the
 manifold's spectral bottom as R grows, so they bracket it from above
-while ``mckean_bound`` brackets from below.
+while ``mckean_bound`` brackets from below.  ``lambda1_estimate`` reads each ball
+as a leading block of the largest ball's band at its spacing, bit for bit its own.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .operators import (
     laplacian_tridiag,
     load_lapack,
     solve_banded,
-    tridiag_mult,
 )
 
 __all__ = [
@@ -115,12 +115,17 @@ def dirichlet_lambda1(M: ModelManifold, R: float, N: int) -> EigenEstimate:
     ``iterations`` counts the one solve; ``band_norm`` is ||A||_1 of the
     symmetrised band.
     """
-    grid = RadialGrid(R, N)
-    sub, diag, sup = laplacian_tridiag(M, grid)
-    a_sub, a_diag, a_sup = -sub, -diag, -sup  # A = -Delta_h, an M-matrix
+    return _ball_eigen(laplacian_tridiag(M, RadialGrid(R, N)), R)
+
+
+def _ball_eigen(band: operators.Band, R: float) -> EigenEstimate:
+    """The ``EigenEstimate`` of the ball B_R whose Laplacian band is ``band`` (see ``dirichlet_lambda1``)."""
+    grid = RadialGrid(R, band.diag.size - 1)
+    sub, diag, sup = band
+    a_diag = -diag  # A = -Delta_h, an M-matrix
     off = -np.sqrt(sub[1:] * sup[:-1])
     if not (np.all(np.isfinite(a_diag)) and np.all(np.isfinite(off))):
-        raise ValueError(f"non-finite Laplacian band on the ball of radius {R:g} with N = {N}")
+        raise ValueError(f"non-finite Laplacian band on the ball of radius {R:g} with N = {grid.N}")
     load_lapack()
     # smallest eigenvalue by index (range 2, il = iu = 1), tolerance eps |A|, ordered
     _, w, _, _, info = operators._stebz(a_diag, off, 2, 0.0, 1.0, 1, 1, 0.0, "E")
@@ -131,9 +136,9 @@ def dirichlet_lambda1(M: ModelManifold, R: float, N: int) -> EigenEstimate:
     col[:-1] -= off  # off <= 0
     col[1:] -= off
     shift = lam - 4.0 * np.finfo(float).eps * float(np.max(a_diag))
-    y = solve_banded(factor_banded(a_sub, a_diag - shift, a_sup), 1.0 - (grid.nodes[:-1] / R) ** 2)
+    y = solve_banded(factor_banded(-sub, a_diag - shift, -sup), 1.0 - (grid.nodes[:-1] / R) ** 2)
     y /= y[int(np.argmax(np.abs(y)))]  # sup-normalise with a positive peak
-    residual = float(np.max(np.abs(tridiag_mult(a_sub, a_diag, a_sup, y) - lam * y)))
+    residual = float(np.max(np.abs(band.mult(np.append(y, 0.0)) + lam * y)))
     return EigenEstimate(
         R=float(R),
         lambda1_ball=lam,
@@ -157,10 +162,10 @@ def lambda1_estimate(M: ModelManifold, R_list, dr_target: float = 0.01) -> Lambd
         raise ValueError("R_list must be strictly increasing")
     if not dr_target > 0:
         raise ValueError(f"dr = {dr_target} must be positive")
-    estimates = []
-    for R in radii:
-        N = int(round(R / dr_target)) - 1
-        estimates.append(dirichlet_lambda1(M, R, N))
+    grids = [RadialGrid(R, int(round(R / dr_target)) - 1) for R in radii]
+    largest = {grid.dr: grid for grid in grids}  # per spacing R/(N+1), bit for bit
+    bands = {dr: laplacian_tridiag(M, grid) for dr, grid in largest.items()}
+    estimates = [_ball_eigen(bands[grid.dr].prefix(grid.N + 1), grid.R) for grid in grids]
     values = [est.lambda1_ball for est in estimates]
     monotone = all(
         eigen_le(b.lambda1_ball, a.lambda1_ball, max(a.band_norm, b.band_norm))

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from curvedheat import experiments
+from curvedheat import experiments, spectral
 from curvedheat.cli import main
 from curvedheat.config import (
     KEYS,
@@ -253,6 +253,23 @@ def test_gamma3_eigen_ladder_within_rounding_passes(tmp_path):
     assert values[0] < values[1] < values[2]
 
 
+def test_eigen_ladder_at_one_spacing_assembles_one_band(tmp_path, monkeypatch):
+    # the balls of R_list = 12 14 16 at dr = 0.01 read the leading blocks of
+    # B_16's band, and each row of eigen.csv is that of the ball alone
+    text = ("[manifold]\nkind = gamma\nn = 3\nc0 = 1.0\ngamma = 3.0\nr_max = 18\ndr = 0.001\n\n"
+            "[grid]\nR = 16\nN = 1599\nR_list = {}\ndr = 0.01\n")
+    assemble = spectral.laplacian_tridiag
+    radii = []
+    monkeypatch.setattr(spectral, "laplacian_tridiag", lambda M, grid: radii.append(grid.R) or assemble(M, grid))
+    rows = []
+    for R_list in ("12 14 16", "12", "14", "16"):
+        out = tmp_path / R_list.replace(" ", "-")
+        assert main(["eigen", "--config", str(write_cfg(tmp_path, text.format(R_list))), "--out", str(out)]) == 0
+        rows.append((out / "eigen.csv").read_text().splitlines()[1:])
+    assert radii == [16.0, 12.0, 14.0, 16.0]
+    assert rows[0] == rows[1] + rows[2] + rows[3]
+
+
 def test_barrier_command_and_kv_format(tmp_path):
     cfg = write_cfg(tmp_path, HYPERBOLIC_SIM)
     out = tmp_path / "bar"
@@ -342,7 +359,8 @@ def scale(text, e):
 
     If u solves u_t = Delta u + h(t) u^p on the model of curvature -k^2,
     then mu^(2/(p-1)) u(mu r, mu^2 t) solves it with h(mu^2 t) on curvature
-    -(mu k)^2.  So k -> mu k; R, grid.dr and R_list -> /mu; an explicit
+    -(mu k)^2.  So k -> mu k; R, grid.dr, R_list and the glued radii r0, r1,
+    r2 -> /mu; an explicit
     lambda -> mu^2 lambda and beta -> mu beta (alpha = 1); an exp forcing's
     sigma -> mu^2 sigma; a bump's amplitude -> mu^(2/(p-1)) amplitude and its
     width -> /mu; t_end, dt_init, dt_min and dt_max -> /mu^2, defaults
@@ -363,6 +381,7 @@ def scale(text, e):
         assert cp.has_option("u0", "amplitude") and cp.has_option("u0", "width")
     for section, key, factor in (
         ("manifold", "k", mu), ("grid", "R", 1 / mu), ("grid", "dr", 1 / mu), ("problem", "lambda", mu * mu),
+        ("barrier", "r0", 1 / mu), ("barrier", "r1", 1 / mu), ("barrier", "r2", 1 / mu),
         ("barrier", "beta", mu), ("forcing", "sigma", mu * mu), ("u0", "width", 1 / mu),
         ("u0", "amplitude", mu ** (2 / (p - 1))),
     ):
@@ -379,10 +398,37 @@ def scale(text, e):
     return out.getvalue()
 
 
+# a glued barrier on H^3: its phi-branch residual is the band's (Delta_h + lam) C phi
+GLUED_H3 = """\
+[manifold]
+kind = hyperbolic
+n = 3
+k = 1.0
+
+[problem]
+p = 2.0
+lambda_policy = explicit
+lambda = 1
+
+[barrier]
+kind = glued
+alpha = 1
+beta = 1
+r0 = 4
+r1 = 3
+r2 = 6
+
+[grid]
+R = 10
+N = 199
+"""
+
+
 @pytest.mark.parametrize(
     "text, verdict",
-    [(WRONG_CERTIFICATE, "FAIL"), (PRESETS["exp-forcing-hyperbolic"], "PASS"), (PRESETS["fujita-euclidean"], "FAIL")],
-    ids=["wrong-certificate", "exp-forcing-hyperbolic", "fujita-euclidean"],
+    [(WRONG_CERTIFICATE, "FAIL"), (PRESETS["exp-forcing-hyperbolic"], "PASS"), (PRESETS["fujita-euclidean"], "FAIL"),
+     (GLUED_H3, "PASS")],
+    ids=["wrong-certificate", "exp-forcing-hyperbolic", "fujita-euclidean", "glued-h3"],
 )
 @pytest.mark.parametrize("e", [-20, -10, 0, 10, 20])
 def test_barrier_verdict_is_scale_invariant(tmp_path, capsys, text, verdict, e):
@@ -485,6 +531,17 @@ def test_simulate_verdict_is_scale_invariant(tmp_path, capsys, name):
         verdicts, t = verdicts_and_times(lines, out)
         assert (code, verdicts) == (code0, verdicts0), e
         assert [None if x is None else x * 4.0**e for x in t] == pytest.approx(t0, rel=1e-9, abs=0), e
+
+
+def test_strict_fails_on_a_ladder_whose_blow_up_times_rise(tmp_path, capsys, monkeypatch):
+    # the R^3 ladder blows up on both balls, the larger one first; a report
+    # whose blow-up order is forced to fail prints it and fails --strict
+    code, lines, _ = run_scaled(tmp_path, capsys, "simulate", SCALED_SIMULATE["r3-ladder"], 0)
+    assert code == 0 and lines[1].endswith("blow-up times nonincreasing: True")
+    solve = experiments.exhaustion_solve
+    monkeypatch.setattr(experiments, "exhaustion_solve", lambda *a: replace(solve(*a), blowup_nonincreasing=False))
+    code, lines, _ = run_scaled(tmp_path, capsys, "simulate", SCALED_SIMULATE["r3-ladder"], 0)
+    assert code == 1 and lines[1].endswith("blow-up times nonincreasing: False")
 
 
 def test_strict_fails_on_a_failed_envelope_in_simulate_and_sweep(tmp_path, monkeypatch):
@@ -1062,14 +1119,19 @@ def test_eigen_spacing_without_interior_nodes_is_a_config_error(tmp_path, capsys
 
 
 def test_exhaustion_radii_off_the_spacing_are_a_config_error(tmp_path, capsys):
-    # eigen takes a spacing that the radii are no multiples of; nested balls need one
-    text = GEOMETRY_BASE.replace("N = 100", "N = 100\nR_list = 5 10\ndr = 0.3")
-    cfg = write_cfg(tmp_path, text)
-    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: [grid] R = 5 is not a multiple of dr = 0.3")
-    assert "Traceback" not in err
-    assert main(["eigen", "--config", str(cfg), "--out", str(tmp_path / "eigen"), "--strict"]) == 0
+    # eigen takes a spacing that the radii are no multiples of, or none; nested
+    # balls need one, and simulate refuses the ladder before --out exists
+    for grid, hypothesis in (
+        ("R_list = 5 10\ndr = 0.3", "R = 5 is not a multiple of dr = 0.3"),
+        ("R_list = 5 10", "exhaustion runs need a shared grid spacing: set dr"),
+    ):
+        cfg = write_cfg(tmp_path, GEOMETRY_BASE.replace("N = 100", "N = 100\n" + grid))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [grid] " + hypothesis)
+        assert "Traceback" not in err
+        assert not (tmp_path / "sim").exists()
+        assert main(["eigen", "--config", str(cfg), "--out", str(tmp_path / "eigen"), "--strict"]) == 0
 
 
 FRESH_IMPORT = """\

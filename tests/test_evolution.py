@@ -46,7 +46,7 @@ from curvedheat.evolution import (
 )
 from curvedheat.experiments import _initial_field, build_manifold
 from curvedheat.geometry import ModelManifold, TabulatedWarping
-from curvedheat.operators import laplacian_tridiag, log_symmetrizer
+from curvedheat.operators import laplacian_tridiag
 
 
 def make_u0(grid, profile):
@@ -346,8 +346,7 @@ def test_adaptive_run_on_the_smallest_grid(hyp3):
 
 def grid_symmetrizer(M, grid):
     """s with s = 1 at the pole that symmetrizes Delta_h's band on grid: one block's worth."""
-    sub, _, sup = laplacian_tridiag(M, grid)
-    return np.exp(log_symmetrizer(sub, sup))
+    return np.exp(laplacian_tridiag(M, grid).log_s())
 
 
 def reference_solve(sub, diag, sup, s, b):
@@ -409,8 +408,8 @@ def test_lockstep_attempt_equals_row_by_row_table(model, R, N, forcing, p, t, dt
     M = make_euclidean(n) if kind == "euclidean" else make_hyperbolic(n, 1.0)
     g = RadialGrid(R, N)
     u = 3.0 * np.random.default_rng(seed).random(N + 1)
-    sub, diag, sup = laplacian_tridiag(M, g)
-    s = _symmetrizer(log_symmetrizer(sub, sup), N + 1, 3e8)
+    sub, diag, sup = band = laplacian_tridiag(M, g)
+    s = _symmetrizer(band.log_s(), N + 1, 3e8)
     assert s is not None  # LDL^T
     factor, column = _imex_parts((sub[None], diag[None], sup[None]), 6, s[None])
     dts = np.array([dt])
@@ -427,8 +426,7 @@ def band_weighted_norm(M, grid):
 
     The band alone gives them: w = s^2, w_{i+1} / w_i = sup_i / sub_{i+1}.
     """
-    sub, _, sup = laplacian_tridiag(M, grid)
-    log_w = 2.0 * log_symmetrizer(sub, sup)
+    log_w = 2.0 * laplacian_tridiag(M, grid).log_s()
     w = np.exp(log_w - log_w.max())
     return lambda u: math.sqrt(float(np.sum(w * u[: w.size] ** 2)))
 
@@ -657,8 +655,7 @@ def test_rounding_level_changes_leave_the_step_sequence_bit_identical():
 )
 def test_steep_or_one_sided_band_keeps_the_pivoting_lu(gamma3, monkeypatch, R, N, threshold, ldlt):
     g = RadialGrid(R, N)
-    sub, _, sup = laplacian_tridiag(gamma3, g)
-    log_s = log_symmetrizer(sub, sup)
+    log_s = laplacian_tridiag(gamma3, g).log_s()
     assert np.all(np.isfinite(log_s)) == (N != 10)
     branches = []
     factor = curvedheat.evolution.factor_banded
@@ -700,8 +697,7 @@ def test_fixed_step_ldlt_run_stays_nonnegative_exactly(model, R, N, dt, p, forci
     vals[rng.integers(N + 1)] = 1.0
     vals[-1] = 0.0
     threshold = 1e8  # solve_on_ball's default, 1e8 sup u0
-    sub, _, sup = laplacian_tridiag(M, g)
-    assert _symmetrizer(log_symmetrizer(sub, sup), N + 1, threshold) is not None  # LDL^T
+    assert _symmetrizer(laplacian_tridiag(M, g).log_s(), N + 1, threshold) is not None  # LDL^T
     ctl = EvolutionControls(t_end=10.0 * dt, dt_init=dt, dt_min=1e-3 * dt, dt_max=dt, rel_tol=0.0, snapshots=3)
     out = solve_on_ball(M, R, RadialField(g, vals), forcing, p, ctl)
     assert out.min_value >= 0.0
@@ -986,6 +982,31 @@ def test_exhaustion_tolerances_scale_with_the_problem():
         assert 5e-4 * s <= _nesting_tol(s)
         assert not _blowup_order_holds([0.5 * s, 0.501 * s], t_end=s)
         assert _blowup_order_holds([0.5 * s, 0.5 * s, 0.499 * s], t_end=s)
+
+
+def test_snapshots_scale_with_the_problem():
+    # the parabolic scaling by mu = 2^30 of a global H^3 bump run: k -> mu k,
+    # R and the bump width -> /mu, its amplitude -> mu^2 amplitude (p = 2), every
+    # time -> /mu^2.  Its horizon is 5 2^-60; an absolute slack of 1e-14 took
+    # every sample time as reached within the first steps, and extrapolated
+    # the snapshots to -2 mu^2
+    def snapshots(e):
+        mu, ctl = 2.0**e, EvolutionControls(t_end=5.0)
+        ctl = replace(ctl, **{f: getattr(ctl, f) / mu**2 for f in ("t_end", "dt_init", "dt_min", "dt_max")})
+        g = RadialGrid(10.0 / mu, 99)
+        out = solve_on_ball(make_hyperbolic(3, mu), g.R, make_u0(g, bump_profile(0.5 * mu**2, 2.0 / mu)),
+                            Forcing.one(), 2.0, ctl)
+        assert out.verdict == VERDICT_GLOBAL
+        return out.snapshots
+
+    base = snapshots(0)
+    for e in (20, 30):
+        scaled = snapshots(e)
+        assert len(scaled) == len(base) == 33
+        for (t0, u0), (t, u) in zip(base, scaled):
+            assert t * 4.0**e == pytest.approx(t0, rel=1e-9, abs=0)
+            assert u.min() >= 0.0
+            assert np.max(np.abs(u / 4.0**e - u0)) <= 1e-9 * np.max(np.abs(u0))
 
 
 def test_exhaustion_blowup_times_nonincreasing(euclid3):

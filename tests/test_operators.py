@@ -15,7 +15,6 @@ from curvedheat import (
     RadialField,
     RadialGrid,
     SmoothRadialFn,
-    apply_laplacian,
     apply_laplacian_analytic,
     make_euclidean,
     make_gamma_model,
@@ -25,7 +24,7 @@ from curvedheat import (
     sup_norm,
 )
 from curvedheat import operators
-from curvedheat.operators import factor_banded, laplacian_tridiag, load_lapack, log_symmetrizer, solve_banded
+from curvedheat.operators import Band, factor_banded, laplacian_tridiag, load_lapack, solve_banded
 
 
 def field_from(grid, fn):
@@ -46,24 +45,24 @@ def test_grid_layout():
 
 def test_laplacian_of_r_squared_is_2n(euclid3):
     g = RadialGrid(2.0, 200)
-    out = apply_laplacian(euclid3, field_from(g, lambda r: r**2))
-    assert np.allclose(out.values[:-1], 6.0, atol=1e-8)
+    out = laplacian_tridiag(euclid3, g).mult(g.nodes**2)
+    assert np.allclose(out, 6.0, atol=1e-8)
 
 
 def test_laplacian_of_constant_vanishes(hyp3):
     g = RadialGrid(5.0, 100)
-    out = apply_laplacian(hyp3, field_from(g, lambda r: np.full_like(r, 3.7)))
-    assert np.max(np.abs(out.values)) < 1e-10
+    out = laplacian_tridiag(hyp3, g).mult(np.full_like(g.nodes, 3.7))
+    assert np.max(np.abs(out)) < 1e-10
 
 
 def test_laplacian_linearity(hyp3):
     g = RadialGrid(5.0, 100)
-    u = field_from(g, lambda r: np.exp(-(r**2)))
-    w = field_from(g, lambda r: np.cos(r))
+    band = laplacian_tridiag(hyp3, g)
+    u = np.exp(-(g.nodes**2))
+    w = np.cos(g.nodes)
     a, b = 2.5, -1.25
-    comb = RadialField(g, a * u.values + b * w.values)
-    lhs = apply_laplacian(hyp3, comb).values
-    rhs = a * apply_laplacian(hyp3, u).values + b * apply_laplacian(hyp3, w).values
+    lhs = band.mult(a * u + b * w)
+    rhs = a * band.mult(u) + b * band.mult(w)
     assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, np.max(np.abs(rhs)))
 
 
@@ -77,7 +76,7 @@ def test_richardson_ratio_on_hyperbolic(hyp3):
     errs = []
     for N in (200, 401):
         g = RadialGrid(5.0, N)
-        num = apply_laplacian(hyp3, field_from(g, f.eval)).values[1:-1]
+        num = laplacian_tridiag(hyp3, g).mult(f.eval(g.nodes))[1:]
         exact = apply_laplacian_analytic(hyp3, f, g.interior)
         errs.append(np.max(np.abs(num - exact)))
     ratio = errs[0] / errs[1]
@@ -87,11 +86,11 @@ def test_richardson_ratio_on_hyperbolic(hyp3):
 def test_interior_maximum_principle_shadow(hyp3):
     # discrete Delta at a strict interior maximum is nonpositive
     g = RadialGrid(10.0, 200)
-    u = field_from(g, lambda r: np.exp(-((r - 4.0) ** 2)))
-    i = int(np.argmax(u.values))
+    u = np.exp(-((g.nodes - 4.0) ** 2))
+    i = int(np.argmax(u))
     assert 0 < i < g.N + 1
-    out = apply_laplacian(hyp3, u)
-    assert out.values[i] <= 0.0
+    out = laplacian_tridiag(hyp3, g).mult(u)
+    assert out[i] <= 0.0
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -123,6 +122,26 @@ def test_operator_rows_are_m_matrix_rows(gamma2, gamma3, model, R, N):
     assert np.max(np.abs(sub + diag + sup)) <= 1e-12 * norm
 
 
+@pytest.mark.parametrize("model", ["euclid3", "hyp3", "gamma3"])
+def test_band_is_its_dense_matrix_with_a_boundary_column(request, model):
+    # mult reads the boundary value through sup[N]; S Delta_h S^-1 is symmetric
+    # for s = exp(log_s()); the leading block is the smaller ball's band
+    M = request.getfixturevalue(model)
+    g = RadialGrid(6.0, 39)
+    band = laplacian_tridiag(M, g)
+    dense = np.diag(band.diag) + np.diag(band.sub[1:], -1) + np.diag(band.sup[:-1], 1)
+    x = np.random.default_rng(1).standard_normal(g.N + 2)
+    want = dense @ x[:-1]
+    want[-1] += band.sup[-1] * x[-1]
+    norm = np.max(np.abs(band.sub) + np.abs(band.diag) + np.abs(band.sup))
+    assert np.max(np.abs(band.mult(x) - want)) <= 8 * np.finfo(float).eps * norm * np.max(np.abs(x))
+    s = np.exp(band.log_s())
+    sym = s[:, None] * dense / s[None, :]
+    assert s[0] == 1.0 and np.allclose(sym, sym.T, rtol=1e-12, atol=0)
+    small = laplacian_tridiag(M, RadialGrid(3.0, 19))
+    assert isinstance(small, Band) and all(np.array_equal(a, b) for a, b in zip(band.prefix(20), small))
+
+
 def test_coarse_grid_on_divergent_model_stays_nonnegative(gamma3):
     # dr * F reaches 15 near R on this grid; the flux form needs no resolution bound
     M = make_gamma_model(3, 1.0, 2.0, 20.0, 1e-3)
@@ -141,7 +160,7 @@ def test_coarse_grid_on_divergent_model_stays_nonnegative(gamma3):
 def test_grid_beyond_table_rejected():
     M = make_gamma_model(3, 1.0, 2.0, 10.0, 1e-3)
     with pytest.raises(ValueError):
-        apply_laplacian(M, field_from(RadialGrid(12.0, 400), lambda r: np.exp(-r)))
+        laplacian_tridiag(M, RadialGrid(12.0, 400))
 
 
 def test_sup_norm():
@@ -278,8 +297,8 @@ def test_ldlt_branch_matches_scipy_to_rounding(gamma2, gamma3, model, R, N, dt, 
         "gamma2": lambda: gamma2,
         "gamma3": lambda: gamma3,
     }[kind]()
-    sub, diag, sup = laplacian_tridiag(M, RadialGrid(R, N))
-    s = np.exp(log_symmetrizer(sub, sup))
+    sub, diag, sup = band = laplacian_tridiag(M, RadialGrid(R, N))
+    s = np.exp(band.log_s())
     assert np.all(np.isfinite(s))  # R <= 15 keeps the gamma = 3 span below 360 nats
     bands = [(-h * sub, 1.0 - h * diag, -h * sup) for h in dt / np.arange(blocks, 0, -1)]
     stacked = [np.concatenate(parts) for parts in zip(*bands)]

@@ -88,9 +88,9 @@ def test_eigenpair_matches_dense_solver(gamma2, gamma3, model, R, N):
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_nonfinite_band_is_a_value_error(monkeypatch, hyp3, bad):
     def band(M, grid):
-        sub, diag, sup = laplacian_tridiag(M, grid)
-        diag[grid.N // 2] = bad
-        return sub, diag, sup
+        band = laplacian_tridiag(M, grid)
+        band.diag[grid.N // 2] = bad
+        return band
 
     monkeypatch.setattr(spectral, "laplacian_tridiag", band)
     with pytest.raises(ValueError, match="non-finite"):
@@ -141,6 +141,39 @@ def test_a_rising_pair_of_ball_eigenvalues_is_flagged_at_every_scale():
         rep = lambda1_estimate(make_hyperbolic(3, mu), [40.0 / mu, 40.26 / mu], dr_target=0.5 / mu)
         assert rep.values[1] > rep.values[0]
         assert not rep.monotone
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    kind=st.sampled_from(["euclidean", "hyperbolic", "gamma3"]),
+    dr=st.sampled_from([0.01, 0.02, 0.05, 0.1]),
+    steps=st.lists(st.integers(2, 150), min_size=1, max_size=4, unique=True),
+)
+# the tier-1 ladders at one spacing: H^3 and R^3 at R = 4, 8 and gamma = 3 at R = 12, 14, 16
+@example(kind="hyperbolic", dr=0.02, steps=[200, 400])
+@example(kind="euclidean", dr=0.02, steps=[200, 400])
+@example(kind="gamma3", dr=0.01, steps=[1200, 1400, 1600])
+def test_ladder_balls_read_as_leading_blocks_equal_each_ball_alone(gamma3, kind, dr, steps):
+    # every ball of a ladder reads its band as the leading block of the
+    # largest ball's band at its spacing: the same bits as the ball alone,
+    # from one assembly per spacing
+    M = {"euclidean": make_euclidean(3), "hyperbolic": make_hyperbolic(3, 1.0), "gamma3": gamma3}[kind]
+    radii = [k * dr for k in sorted(steps)]
+    grids = [RadialGrid(R, round(R / dr) - 1) for R in radii]
+    spacings = []
+
+    def counted(M, grid):
+        spacings.append(grid.dr)
+        return laplacian_tridiag(M, grid)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "laplacian_tridiag", counted)
+        rep = lambda1_estimate(M, radii, dr_target=dr)
+    assert sorted(spacings) == sorted({g.dr for g in grids})
+    for grid, est in zip(grids, rep.estimates):
+        alone = dirichlet_lambda1(M, grid.R, grid.N)
+        assert (est.lambda1_ball, est.residual, est.band_norm) == (alone.lambda1_ball, alone.residual, alone.band_norm)
+        assert np.array_equal(est.eigenfunction.values, alone.eigenfunction.values)
 
 
 def test_lambda1_gamma_model_above_mckean(gamma2):

@@ -37,7 +37,7 @@ import numpy as np
 
 from .forcing import Forcing
 from .geometry import ModelManifold, drift
-from .operators import RadialGrid, laplacian_tridiag
+from .operators import RadialGrid
 from .spectral import RadialSolution, positive_radial_solution
 
 __all__ = [
@@ -365,7 +365,8 @@ def verify_supersolution(M: ModelManifold, barrier, lam: float, grid: RadialGrid
     node passes when it is at most ``RESIDUAL_TOL`` (|w''| + |F w'| + lam w),
     a verdict that is the same at every scale of the problem.  The phi-branch
     of a glued barrier has no closed form; its residual is (Delta_h + lam) C phi
-    recomputed from the band on the rows 1..N (the Dirichlet node carries no
+    recomputed from the band phi was solved on, that of its construction manifold
+    and grid, on the rows 1..N (the Dirichlet node carries no
     equation), against the magnitudes of the band's terms.  At kinks the weak-supersolution
     sign w'(r+) <= w'(r-) is checked one-sidedly, with phi's slope from
     central differences of its node values.
@@ -387,7 +388,7 @@ def verify_supersolution(M: ModelManifold, barrier, lam: float, grid: RadialGrid
             )
         use_v = barrier.use_v[1:]
         cphi = barrier.c * barrier.phi.field.values
-        sub, diag, sup = band = laplacian_tridiag(M, grid)
+        sub, diag, sup = band = barrier.phi.band
         res_phi = np.append(band.mult(cphi)[1:] + lam * cphi[1:-1], 0.0)  # the Dirichlet node carries no equation
         # |sub phi| + |diag phi| + |sup phi| + lam phi on each row, with sub, sup >= 0 >= diag
         v = np.abs(cphi)

@@ -27,10 +27,6 @@ def _add_common(sub):
         "--strict", action="store_true",
         help="exit nonzero unless all verification verdicts pass",
     )
-    sub.add_argument(
-        "--threads", type=int, default=1,
-        help="work-pool size for sweeps, at most one worker per cell",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,6 +46,10 @@ def build_parser() -> argparse.ArgumentParser:
         ("sweep", "parameter sweep producing a verdict map"),
     ):
         _add_common(subs.add_parser(name, help=text))
+    subs.choices["sweep"].add_argument(
+        "--threads", type=int, default=1,
+        help="worker processes, at most one per cell",
+    )
     return parser
 
 

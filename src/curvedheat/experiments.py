@@ -9,6 +9,8 @@ iteration orders, fixed float formatting, no wall-clock content.
 
 from __future__ import annotations
 
+import os
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -481,7 +483,7 @@ def _sweep_batch(cfgs):
 
 
 def _sweep_jobs(configs, threads: int) -> list:
-    """The cells' indices in batches, one per pool job.
+    """The cells' indices in batches, the units of work that the workers are dealt.
 
     Cells that share manifold, ball, forcing and controls form a group,
     and each group is dealt into at most ``threads`` interleaved batches.
@@ -497,6 +499,50 @@ def _sweep_jobs(configs, threads: int) -> list:
     return jobs
 
 
+def _forked_batches(batches, workers: int) -> list:
+    """``_sweep_batch`` of each batch, the batches dealt round-robin over ``workers`` forked children.
+
+    A child runs its batches in order, pickles its rows (or the exception a
+    batch raised) to its pipe and leaves by ``os._exit``, so it runs none of
+    the parent's atexit handlers and flushes none of its buffers.  The parent
+    closes each write end before the next fork and reads every pipe to EOF
+    before it reaps the children, so no reply can block on a full pipe.
+    """
+    children = []  # (pid, read end) per worker
+    try:
+        for w in range(workers):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    try:
+                        reply = [_sweep_batch(batch) for batch in batches[w::workers]]
+                    except Exception as exc:
+                        reply = exc
+                    with open(write_fd, "wb") as fh:
+                        pickle.dump(reply, fh)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb")))
+        replies = [reader.read() for _, reader in children]
+    finally:
+        statuses = []
+        for pid, reader in children:
+            reader.close()
+            statuses.append(os.waitpid(pid, 0)[1])
+    rows_of = [None] * len(batches)
+    for w, ((pid, _), status, data) in enumerate(zip(children, statuses, replies)):
+        if status:
+            raise RuntimeError(f"sweep worker {pid} ended without a reply (wait status {status})")
+        reply = pickle.loads(data)
+        if isinstance(reply, Exception):
+            raise reply
+        rows_of[w::workers] = reply
+    return rows_of
+
+
 def run_sweep(cfg: ExperimentConfig, out_dir: Path, threads: int = 1):
     if cfg.sweep is None:
         raise ConfigError("sweep command needs a [sweep] section")
@@ -504,15 +550,12 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path, threads: int = 1):
     cells = spec.cells
     jobs = _sweep_jobs(spec.configs, threads)
     batches = [[spec.configs[i] for i in job] for job in jobs]
-    # under the fork start method the pool forks all its workers at the
-    # first submit, so it gets no more of them than there are batches
+    # no more workers than batches, each a forked child; the parent runs no
+    # batch itself, so its memory peak is not a worker's on top of its own
     workers = min(threads, len(batches))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # imported here: only pooled sweeps need it
-
+    if workers > 1 and hasattr(os, "fork"):
         load_lapack()  # the forked workers inherit the binding instead of each loading LAPACK again
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows_of = list(pool.map(_sweep_batch, batches))
+        rows_of = _forked_batches(batches, workers)
     else:
         rows_of = [_sweep_batch(batch) for batch in batches]
     results = [None] * len(spec.configs)

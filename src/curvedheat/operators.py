@@ -178,8 +178,8 @@ def load_lapack():
     They are the routines ``scipy.linalg.lapack`` exposes, so results
     agree with scipy.linalg bit for bit.  ``factor_banded`` and
     ``dirichlet_lambda1`` call this on first use, so commands that never
-    solve (curvature checks, barrier checks) skip it.  A process about
-    to fork workers calls it first, so that they inherit the binding.
+    solve (curvature checks, barrier checks) skip it.  ``run_sweep``
+    calls it before it forks its workers, so that they inherit the binding.
     A missing wrapper module raises ImportError naming the directories
     searched.
     """

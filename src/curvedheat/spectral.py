@@ -76,6 +76,7 @@ class RadialSolution:
     lam: float
     positive: bool
     first_zero: float | None
+    band: operators.Band  # the Delta_h whose rows f solves
 
 
 # ?stebz at abstol 0 locates an eigenvalue of T to within about eps ||T||_1,
@@ -196,7 +197,7 @@ def positive_radial_solution(M: ModelManifold, lam: float, R: float, N: int) -> 
     if lam <= 0:
         raise ValueError(f"lam must be positive, got {lam}")
     grid = RadialGrid(R, N)
-    sub, diag, sup = laplacian_tridiag(M, grid)
+    sub, diag, sup = band = laplacian_tridiag(M, grid)
     vals = np.empty(N + 2)
     vals[0], prev = 1.0, 0.0
     for i in range(N + 1):
@@ -214,6 +215,7 @@ def positive_radial_solution(M: ModelManifold, lam: float, R: float, N: int) -> 
         lam=float(lam),
         positive=first_zero is None,
         first_zero=first_zero,
+        band=band,
     )
 
 

@@ -1,4 +1,3 @@
-import concurrent.futures
 import configparser
 import csv
 import importlib.util
@@ -15,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from curvedheat import experiments, spectral
+from curvedheat import experiments, operators, spectral
 from curvedheat.cli import main
 from curvedheat.config import (
     KEYS,
@@ -363,8 +362,9 @@ def scale(text, e):
     r2 -> /mu; an explicit
     lambda -> mu^2 lambda and beta -> mu beta (alpha = 1); an exp forcing's
     sigma -> mu^2 sigma; a bump's amplitude -> mu^(2/(p-1)) amplitude and its
-    width -> /mu; t_end, dt_init, dt_min and dt_max -> /mu^2, defaults
-    included.  At p = 1.5 and 2 each map is exact in floating point.
+    width -> /mu; t_end, dt_init, dt_min and dt_max -> /mu^2; the [check]
+    targets k -> mu k, c0 -> mu^2 c0 (gamma = 0), r_min and r_max -> /mu,
+    defaults included.  At p = 1.5 and 2 each map is exact in floating point.
     gamma models are not closed under this map (their curvature
     c0 (1 + r^gamma) has two scales), nor is power-law forcing.
     """
@@ -389,6 +389,12 @@ def scale(text, e):
             cp[section][key] = repr(float(cp[section][key]) * factor)
     if cp.has_option("grid", "R_list"):
         cp["grid"]["R_list"] = " ".join(repr(float(R) / mu) for R in cp["grid"]["R_list"].split())
+    check = parse_config(text).check
+    assert check.gamma == 0.0
+    if not cp.has_section("check"):
+        cp.add_section("check")
+    for key, factor in (("k", mu), ("c0", mu * mu), ("r_min", 1 / mu), ("r_max", 1 / mu)):
+        cp["check"][key] = repr(getattr(check, key) * factor)
     if cp.has_section("controls"):
         times = {"t_end": 50.0, **{f.name: f.default for f in fields(EvolutionControls) if f.name.startswith("dt_")}}
         for key, default in times.items():
@@ -439,6 +445,18 @@ def test_barrier_verdict_is_scale_invariant(tmp_path, capsys, text, verdict, e):
     line = capsys.readouterr().out.splitlines()[1]
     assert line.endswith(f"-> {verdict}")
     assert code == {"PASS": 0, "FAIL": 1}[verdict]
+
+
+def test_glued_barrier_check_assembles_one_band(tmp_path, monkeypatch):
+    # the phi-branch residual reads the band phi was solved on, so the
+    # barrier command assembles B_R's band once, for phi
+    assemble, grids = operators.laplacian_tridiag, []
+    for name, module in list(sys.modules.items()):
+        if name.startswith("curvedheat") and getattr(module, "laplacian_tridiag", None) is assemble:
+            monkeypatch.setattr(module, "laplacian_tridiag", lambda M, grid: grids.append(grid) or assemble(M, grid))
+    cfg = write_cfg(tmp_path, GLUED_H3)
+    assert main(["barrier", "--config", str(cfg), "--out", str(tmp_path / "bar"), "--strict"]) == 0
+    assert grids == [RadialGrid(10.0, 199)]
 
 
 # eigen configs on H^3 and R^3: two ladders that pass, and a ball of H^3 too
@@ -492,6 +510,20 @@ def run_scaled(tmp_path, capsys, command, text, e):
 def csv_column(path, column):
     with open(path) as fh:
         return [float(row[column]) if row[column] else None for row in csv.DictReader(fh)]
+
+
+@pytest.mark.parametrize(
+    "model, verdict",
+    [("kind = hyperbolic\nn = 3\nk = 1.0", (0, ["PASS", "PASS"])), ("kind = euclidean\nn = 3", (1, ["FAIL", "FAIL"]))],
+    ids=["h3", "r3"],
+)
+def test_geometry_verdict_is_scale_invariant(tmp_path, capsys, model, verdict):
+    # curvatures scale by mu^2, as do the pinch target k^2 and the divergence
+    # target c0; H^3 meets both with equality, R^3 neither
+    text = f"[manifold]\n{model}\n\n[grid]\nR = 10\nN = 100\n"
+    runs = [run_scaled(tmp_path, capsys, "geometry", text, e) for e in (-20, 0, 20)]
+    verdicts = [(code, [line.rsplit(": ", 1)[1] for line in lines[:2]]) for code, lines, _ in runs]
+    assert verdicts == [verdict] * 3
 
 
 @pytest.mark.parametrize("name", list(SCALED_EIGEN))
@@ -588,35 +620,69 @@ def test_sweep_threads_match_serial(tmp_path):
     assert main(["sweep", "--config", str(cfg), "--out", str(out1), "--threads", "1"]) == 0
     assert main(["sweep", "--config", str(cfg), "--out", str(out2), "--threads", "2"]) == 0
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+    # two sigma groups of three cells: six batches dealt over three workers
+    two_groups = write_cfg(tmp_path, TINY_SWEEP.replace("[forcing]\nkind = one", "[forcing]\nkind = exp\nsigma = 1.0").replace(
+        "values = 1.5 2.5", "values = 1.5 2.5 3.0\naxis2 = sigma\nvalues2 = 0.5 1.0"), "two.cfg")
+    out1, out3 = tmp_path / "g1", tmp_path / "g3"
+    assert main(["sweep", "--config", str(two_groups), "--out", str(out1), "--threads", "1"]) == 0
+    assert main(["sweep", "--config", str(two_groups), "--out", str(out3), "--threads", "3"]) == 0
+    assert (out1 / "sweep.csv").read_text().count("\n") == 7
+    assert (out1 / "sweep.csv").read_bytes() == (out3 / "sweep.csv").read_bytes()
 
 
 def test_sweep_pool_has_at_most_one_worker_per_cell(tmp_path, monkeypatch):
-    # the fork start method forks all max_workers at the first submit
-    sizes = []
+    # each worker is one forked child, and a sweep forks no more of them than
+    # it has batches; one batch runs in the process itself
+    fork, children = os.fork, []
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def recording_fork():
+        pid = fork()
+        if pid:
+            children.append(pid)
+        return pid
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return list(map(fn, jobs))
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool, raising=False)
-    # a module-level binding in experiments would bypass the patch above and
-    # start a real pool; patch that name too so no test ever does
-    monkeypatch.setattr("curvedheat.experiments.ProcessPoolExecutor", RecordingPool, raising=False)
+    monkeypatch.setattr(os, "fork", recording_fork)
     cfg = write_cfg(tmp_path, TINY_SWEEP)
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "a"), "--threads", "5000"]) == 0
+    assert len(children) == 2  # two cells, two workers
     one_cell = write_cfg(tmp_path, TINY_SWEEP.replace("values = 1.5 2.5", "values = 2.5"), "one.cfg")
     assert main(["sweep", "--config", str(one_cell), "--out", str(tmp_path / "b"), "--threads", "8"]) == 0
-    assert sizes == [2]  # two cells, two workers; one cell runs without a pool
+    assert len(children) == 2
     assert (tmp_path / "a" / "sweep.csv").read_text().count("\n") == 3
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # every child was reaped
+
+
+def failing_sweep(tmp_path, monkeypatch, batch):
+    """Run TINY_SWEEP at --threads 2 with ``batch`` in place of ``_sweep_batch``; return the exception raised."""
+    monkeypatch.setattr(experiments, "_sweep_batch", batch)
+    out = tmp_path / "sw"
+    with pytest.raises(Exception) as info:
+        main(["sweep", "--config", str(write_cfg(tmp_path, TINY_SWEEP)), "--out", str(out), "--threads", "2"])
+    assert not out.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # no worker outlives the sweep
+    return info.value
+
+
+def test_an_exception_in_a_sweep_worker_is_raised_in_the_sweep(tmp_path, monkeypatch):
+    def batch(cfgs):
+        if cfgs[0].p == 2.5:
+            raise ArithmeticError(f"no rows for p = {cfgs[0].p}")
+        return [{}] * len(cfgs)
+
+    exc = failing_sweep(tmp_path, monkeypatch, batch)
+    assert type(exc) is ArithmeticError and str(exc) == "no rows for p = 2.5"
+
+
+def test_a_sweep_worker_that_dies_without_a_reply_fails_the_sweep(tmp_path, monkeypatch):
+    def batch(cfgs):
+        if cfgs[0].p == 2.5:
+            os._exit(3)
+        return [{}] * len(cfgs)
+
+    exc = failing_sweep(tmp_path, monkeypatch, batch)
+    assert type(exc) is RuntimeError and "wait status 768" in str(exc)  # exit code 3
 
 
 def test_two_axis_sweep(tmp_path):
@@ -703,6 +769,15 @@ def test_glued_barrier_through_cli(tmp_path):
     kv = (out / "barrier.kv").read_text()
     assert kv.startswith("kind=glued ")
     assert "verdict,PASS" in (out / "barrier_check.csv").read_text()
+
+
+def test_only_sweep_takes_threads(tmp_path, capsys):
+    for command in ("geometry", "eigen", "barrier", "simulate"):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--preset", "fujita-euclidean", "--out", str(tmp_path / command), "--threads", "2"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+        assert not (tmp_path / command).exists()
 
 
 def test_config_error_exit_code(tmp_path):
@@ -1174,7 +1249,7 @@ LAPACK = ("_gttrf", "_gttrs", "_pttrf", "_pttrs", "_stebz")
 def state():
     return {"scipy": sorted(m for m in sys.modules if m.startswith("scipy")),
             "lapack": [name for name in LAPACK if getattr(operators, name) is not None],
-            "pool": "concurrent.futures.process" in sys.modules}
+            "pool": sorted(m for m in sys.modules if m.split(".")[0] in ("concurrent", "multiprocessing"))}
 
 states = [state()]
 for argv in json.loads(sys.argv[1]):
@@ -1202,12 +1277,13 @@ def fresh_commands(tmp_path, *commands):
 
 def test_lapack_and_pool_load_only_when_a_command_uses_them(tmp_path):
     # solving binds LAPACK from scipy's compiled wrapper module, which
-    # leaves no scipy module imported; the pool loads only for a pooled sweep
+    # leaves no scipy module imported; a pooled sweep forks its workers
+    # itself, so no command loads concurrent.futures or multiprocessing
     gamma3 = ("--preset", "power-tail-gamma3")
     bound = ["_gttrf", "_gttrs", "_pttrf", "_pttrs", "_stebz"]
     checks = fresh_commands(tmp_path, ("geometry", *gamma3), ("barrier", *gamma3), ("eigen", *gamma3))
-    assert checks == {"scipy": [[]] * 4, "lapack": [[], [], [], bound], "pool": [False] * 4}
+    assert checks == {"scipy": [[]] * 4, "lapack": [[], [], [], bound], "pool": [[]] * 4}
     sim = ("--config", str(write_cfg(tmp_path, HYPERBOLIC_SIM, "sim.cfg")))
     sweep = ("--config", str(write_cfg(tmp_path, TINY_SWEEP, "sweep.cfg")), "--threads", "2")
     runs = fresh_commands(tmp_path, ("simulate", *sim), ("sweep", *sweep))
-    assert runs == {"scipy": [[]] * 3, "lapack": [[], bound, bound], "pool": [False, False, True]}
+    assert runs == {"scipy": [[]] * 3, "lapack": [[], bound, bound], "pool": [[]] * 3}

@@ -29,6 +29,13 @@ def _add_common(sub):
     )
 
 
+def _worker_count(text: str) -> int:
+    """The --threads value: an integer of at least 1."""
+    if not (text.isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"need an integer of at least 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="curvedheat",
@@ -47,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         _add_common(subs.add_parser(name, help=text))
     subs.choices["sweep"].add_argument(
-        "--threads", type=int, default=1,
+        "--threads", type=_worker_count, default=1,
         help="worker processes, at most one per cell",
     )
     return parser
@@ -71,7 +78,7 @@ def main(argv=None) -> int:
             text = preset_text(args.preset)
         cfg = parse_config(text)
         if args.command == "sweep":
-            ok, lines = run_sweep(cfg, args.out, threads=max(1, args.threads))
+            ok, lines = run_sweep(cfg, args.out, threads=args.threads)
         else:
             ok, lines = COMMANDS[args.command](cfg, args.out)
     except ConfigError as exc:

@@ -72,7 +72,20 @@ proposal.  A level is computed from j alone, so equal levels are equal
 floats, whose factors serve every step taken at them, and a proposal
 moved by rounding keeps its level.  dt also moves at a threshold
 crossing (halved) and at the clamp of the last step to the horizon; a
-fixed-step run factors once, and once more if its last step is clamped.
+fixed-step run factors once, once more if its last step is clamped,
+and again after each sample step (below).
+
+A sample time t_s strictly inside an accepted step [t, t + dt] takes the
+value of a partial step of length t_s - t from (t, u) by the run's own
+method (the six-row attempt, its estimate unread, or one IMEX Euler
+step), so no sample needs dt held small.  The run goes on from its
+accepted state: sampling never moves the accepted steps.  A partial
+step is factored at its own length and counted in sample_steps, not in
+factor_sets.  In a stack, round i stacks the i-th partial step of every
+run that has one into one factorization and one column, retaking a
+non-finite one alone, so a batch stays bit for bit its runs alone.  The
+rounds drop the stack's factors, which the next attempt factors again,
+so no more than one factor set is held at a time.
 
 Near blow-up the explicit reaction drives the estimator up, dt
 collapses, and that collapse doubles as the detector: a blow-up verdict
@@ -154,15 +167,16 @@ class EvolutionControls:
     rel_tol = 0 disables adaptivity and runs IMEX Euler at the fixed
     step dt_init.  An adaptive run attempts dt_init first, then the largest
     level dt_max 2^(-j/8), j >= 0, at or below the controller's proposal.
-    A run samples its field at ``snapshots`` equispaced times of [0, t_end]
-    by linear interpolation in t, so runs with different step sequences
-    stay comparable.
+    A run samples its field at ``snapshots`` equispaced times of [0, t_end],
+    so runs with different step sequences stay comparable; a sample time
+    inside an accepted step is reached by a partial step of the run's own
+    method from the step's start, so no sample needs dt_max small.
     """
 
     t_end: float
     dt_init: float = 1e-3
     dt_min: float = 1e-12
-    dt_max: float = 0.25
+    dt_max: float = 2.0
     rel_tol: float = 1e-5
     snapshots: int = 33
     blowup_threshold: float | None = None  # default: 1e8 * ||u0||_inf
@@ -195,8 +209,9 @@ class RunOutcome:
     min_value: float  # min of u over u0 and every accepted step
     rejected_error: int  # attempts rejected by the error test
     rejected_nonfinite: int  # attempts rejected for non-finite values
-    factor_sets: int  # the run's new step sizes, each factored with the stack it runs in
-    solves: int  # banded solves: 6 per adaptive attempt, 1 per fixed step
+    factor_sets: int  # the run's new step sizes, each factored with the stack it runs in; sample steps not counted
+    solves: int  # banded solves: 6 per adaptive attempt or sample step, 1 per fixed or sample step
+    sample_steps: int  # partial steps to the sample times strictly inside accepted steps, each factored in its round
     note: str = ""
 
 
@@ -245,7 +260,7 @@ def _imex_parts(band, rows: int, s):
     def lengths(dts):
         return (dts / substeps)[:, :, None]
 
-    @lru_cache(maxsize=2)  # built per stack, not per factorization; 2: the stack and a run retaken alone
+    @lru_cache(maxsize=2)  # built per stack, not per factorization; 2: the stack and a run retaken alone or a sample round
     def stacked(ids):
         ids = list(ids)
         return sub[ids], diag[ids], sup[ids], None if s is None else np.tile(s[ids], (rows, 1)).ravel()
@@ -329,12 +344,12 @@ class _Run:
         self.dt_acc = self.err_acc = None  # dt and error of the previous accepted step
         self.history = [(0.0, self.s, 0.0)]
         self.sample_times = np.linspace(0.0, controls.t_end, controls.snapshots)
-        self.snapshots = [(0.0, vals.copy())]
+        self.snapshots = [(0.0, vals.copy())] + [None] * (controls.snapshots - 1)
         self.next_sample = 1
         self.t_cross = None
         self.verdict = None
         self.note = ""
-        self.rejected_error = self.rejected_nonfinite = self.factor_sets = self.solves = 0
+        self.rejected_error = self.rejected_nonfinite = self.factor_sets = self.solves = self.sample_steps = 0
 
     def reach_horizon(self) -> bool:
         """End the run if it has reached the horizon; otherwise clamp dt to it."""
@@ -373,12 +388,10 @@ class _Run:
             finite = accept = math.isfinite(s_new)
 
         if accept:
-            t_old, u_old = self.t, self.u
             self.t = self.t + dt
             self.u, self.s = u_new, s_new
             self.low = min(self.low, low)
             self.history.append((self.t, self.s, dt))
-            self._take_snapshots(t_old, u_old)
             if self.s >= self.threshold and self.t_cross is None:
                 self.t_cross = self.t
             if self.t_cross is not None:
@@ -415,23 +428,26 @@ class _Run:
                 self.note = f"non-finite values at t = {self.t:.6g} in fixed-step mode"
         return accept
 
-    def _take_snapshots(self, t_old, u_old):
-        m = self.grid.N + 1
-        t_new, u_new, u_old = self.t, self.u[:m], u_old[:m]
-        reached = t_new + _TIME_RESOLUTION * self.controls.t_end
-        while self.next_sample < self.sample_times.size and self.sample_times[self.next_sample] <= reached:
-            ts = self.sample_times[self.next_sample]
-            w = 0.0 if t_new == t_old else (ts - t_old) / (t_new - t_old)
-            ui = u_old + w * (u_new - u_old)
-            self.snapshots.append((float(ts), np.concatenate((ui, [0.0]))))
+    def due_samples(self) -> list:
+        """Indices of the sample times strictly inside the step just accepted; one at its end is sampled here."""
+        res = _TIME_RESOLUTION * self.controls.t_end
+        first = self.next_sample
+        while self.next_sample < self.sample_times.size and self.sample_times[self.next_sample] <= self.t + res:
             self.next_sample += 1
+        due = list(range(first, self.next_sample))
+        if due and self.sample_times[due[-1]] >= self.t - res:
+            self.sample(due.pop(), self.u)
+        return due
+
+    def sample(self, j: int, u) -> None:
+        self.snapshots[j] = (float(self.sample_times[j]), np.concatenate((u[: self.grid.N + 1], [0.0])))
 
     def outcome(self) -> RunOutcome:
         return RunOutcome(
             verdict=self.verdict,
             t_star=self.t_cross if self.verdict == VERDICT_BLOWUP else None,
             history=np.asarray(self.history),
-            snapshots=self.snapshots,
+            snapshots=self.snapshots[: self.next_sample],
             final=RadialField(self.grid, np.concatenate((self.u[: self.grid.N + 1], [0.0]))),
             threshold=self.threshold,
             min_value=self.low,
@@ -439,6 +455,7 @@ class _Run:
             rejected_nonfinite=self.rejected_nonfinite,
             factor_sets=self.factor_sets,
             solves=self.solves,
+            sample_steps=self.sample_steps,
             note=self.note,
         )
 
@@ -454,7 +471,8 @@ def _lockstep(band, runs, forcing: Forcing, controls: EvolutionControls, reactio
     stack.  The whole stack is factored in one call when it is new or
     has just lost a run, and whenever any run's dt differs from the dt
     its blocks were last factored at; a run's factor_sets counts its own
-    new step sizes.
+    new step sizes.  After each attempt the runs sample the times their
+    accepted steps reached, in rounds of stacked partial steps.
     """
     adaptive = controls.rel_tol > 0.0
     rows = _ROWS if adaptive else 1
@@ -470,14 +488,49 @@ def _lockstep(band, runs, forcing: Forcing, controls: EvolutionControls, reactio
             pos[:, k] **= run.p
         return np.multiply(forcing.h(times), pos, out=pos)
 
-    def attempt(going, U, dts, factors):
-        """(value, local error estimate, sup norm) of each run's attempt; the estimate is nan at a fixed step."""
-        col = column(U, np.array([run.t for run in going]), dts, factors, lambda v, times: react(v, times, going))
+    def attempt(ids, U, t0, dts, factors):
+        """(value, local error estimate, sup norm) of the step of each run of ids from (t0, U); the estimate is nan at a fixed step."""
+        going = [runs[k] for k in ids]
+        col = column(U, t0, dts, factors, lambda v, times: react(v, times, going))
         if not adaptive:
             u_new = col[0]
-            return u_new, np.full(len(going), np.nan), np.max(np.abs(u_new), axis=1)
+            return u_new, np.full(len(ids), np.nan), np.max(np.abs(u_new), axis=1)
         u_new, below = _extrapolate(col)
         return u_new, np.max(np.abs(u_new - below), axis=1), np.max(np.abs(u_new), axis=1)
+
+    def step(ids, U, t0, dts, factors):
+        """attempt, with each run whose step is not finite retaken alone."""
+        u_new, est, s_new = attempt(ids, U, t0, dts, factors)
+        if len(ids) > 1:
+            # the stacked solve carries a non-finite value into the other
+            # runs' blocks (inf * 0 across a block boundary)
+            for k in np.flatnonzero(~np.isfinite(est if adaptive else s_new)):
+                one = slice(k, k + 1)
+                u_new[k], est[k], s_new[k] = (
+                    x[0] for x in attempt(ids[one], U[one], t0[one], dts[one], factor(dts[one], ids[one]))
+                )
+        return u_new, est, s_new
+
+    def take_samples(ids, U, t0):
+        """Sample the runs ids at the times their accepted steps from (t0, U) reached.
+
+        A time strictly inside a step takes a partial step to it from
+        (t0, U); round i stacks the i-th such time of every run.
+        """
+        nonlocal factors
+        going = [runs[k] for k in ids]
+        due = [run.due_samples() for run in going]
+        if any(due):
+            factors = None  # one factor set at a time; the next attempt factors the stack again
+        for i in range(max(map(len, due))):
+            sel = [k for k, js in enumerate(due) if len(js) > i]
+            dts = np.array([going[k].sample_times[due[k][i]] for k in sel]) - t0[sel]
+            round_ids = [ids[k] for k in sel]
+            u_s, _, _ = step(round_ids, U[sel], t0[sel], dts, factor(dts, round_ids))
+            for k, u in zip(sel, u_s):
+                going[k].sample(due[k][i], u)
+                going[k].sample_steps += 1
+                going[k].solves += rows
 
     live = list(range(len(runs)))  # the ids of the runs still going
     U = np.stack([run.u for run in runs])
@@ -493,6 +546,7 @@ def _lockstep(band, runs, forcing: Forcing, controls: EvolutionControls, reactio
                 U = U[np.logical_not(ending)]
                 factors = None
             going = [runs[k] for k in live]
+            t0 = np.array([run.t for run in going])
             dts = np.array([run.dt for run in going])
             stale = [run for run in going if run.dt != run.factors_dt]
             for run in stale:
@@ -501,16 +555,7 @@ def _lockstep(band, runs, forcing: Forcing, controls: EvolutionControls, reactio
             if factors is None or stale:
                 factors = factor(dts, live)
 
-            u_new, est, s_new = attempt(going, U, dts, factors)
-            if len(going) > 1:
-                # the stacked solve carries a non-finite value into the
-                # other runs' blocks (inf * 0 across a block boundary), so
-                # a run whose attempt is not finite takes it again alone
-                for k in np.flatnonzero(~np.isfinite(est if adaptive else s_new)):
-                    one = slice(k, k + 1)
-                    u_new[k], est[k], s_new[k] = (
-                        x[0] for x in attempt(going[one], U[one], dts[one], factor(dts[one], live[one]))
-                    )
+            u_new, est, s_new = step(live, U, t0, dts, factors)
             low = np.min(u_new, axis=1)
             tol = controls.rel_tol * np.maximum(np.maximum(s_new, [run.s for run in going]), 1e-300)
             if ladder:
@@ -520,6 +565,7 @@ def _lockstep(band, runs, forcing: Forcing, controls: EvolutionControls, reactio
                 run.advance(u_new[k], float(est[k]), float(tol[k]), float(s_new[k]), float(low[k]), rows)
                 for k, run in enumerate(going)
             ]
+            take_samples(live, U, t0)
             U = np.where(np.array(accepted)[:, None], u_new, U)
         else:
             for k in live:

@@ -65,7 +65,8 @@ VERDICT_COLORS = {
 # the keys of a run's record (``_sweep_cell``) that each table prints, in order
 # the work a run did: its counters and the range of its accepted step sizes
 WORK_KEYS = (
-    "steps", "rejected_error", "rejected_nonfinite", "factor_sets", "solves", "dt_accepted_min", "dt_accepted_max",
+    "steps", "rejected_error", "rejected_nonfinite", "factor_sets", "solves", "sample_steps", "dt_accepted_min",
+    "dt_accepted_max",
 )
 SWEEP_KEYS = (
     "verdict", "t_star", "sup_final", "ctilde", "amplitude_limit", "envelope_pass",
@@ -454,6 +455,7 @@ def _sweep_cell(cfg: ExperimentConfig, outcome, barrier, lam, envelope, meta):
         "rejected_nonfinite": outcome.rejected_nonfinite,
         "factor_sets": outcome.factor_sets,
         "solves": outcome.solves,
+        "sample_steps": outcome.sample_steps,
         "dt_accepted_min": float(dts.min()) if dts.size else None,
         "dt_accepted_max": float(dts.max()) if dts.size else None,
         "lambda": lam,

@@ -599,7 +599,8 @@ def test_strict_fails_on_a_failed_envelope_in_simulate_and_sweep(tmp_path, monke
         run, dts = outcomes[-1], outcomes[-1].history[1:, 2]
         assert {key: float(summary[key]) for key in experiments.WORK_KEYS} == {
             "steps": len(dts), "rejected_error": run.rejected_error, "rejected_nonfinite": run.rejected_nonfinite,
-            "factor_sets": run.factor_sets, "solves": run.solves, "dt_accepted_min": dts.min(), "dt_accepted_max": dts.max(),
+            "factor_sets": run.factor_sets, "solves": run.solves, "sample_steps": run.sample_steps,
+            "dt_accepted_min": dts.min(), "dt_accepted_max": dts.max(),
         }
 
 
@@ -778,6 +779,15 @@ def test_only_sweep_takes_threads(tmp_path, capsys):
         assert info.value.code == 2
         assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
         assert not (tmp_path / command).exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-5", "two"])
+def test_sweep_refuses_fewer_than_one_worker(tmp_path, capsys, threads):
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--preset", "fujita-euclidean", "--out", str(tmp_path / "sw"), "--threads", threads])
+    assert info.value.code == 2
+    assert f"argument --threads: need an integer of at least 1, got '{threads}'" in capsys.readouterr().err
+    assert not (tmp_path / "sw").exists()
 
 
 def test_config_error_exit_code(tmp_path):

@@ -247,6 +247,48 @@ def test_step_halving_convergence(hyp3):
     assert np.max(np.abs(sups[0] - sups[1])) < 1e-4 * np.max(sups[0]) * 10
 
 
+def test_snapshots_are_exact_to_their_steps_accuracy(hyp3):
+    # zero reaction from the discrete first eigenvector phi of the run's own
+    # band: the semi-discrete solution is exactly e^(-lam_h t) phi, sup 1 at t = 0
+    R, N = 20.0, 399
+    est = dirichlet_lambda1(hyp3, R, N)
+    phi, lam = est.eigenfunction.values, est.lambda1_ball
+    ctl = EvolutionControls(t_end=40.0, snapshots=33)
+    assert ctl.dt_max == 2.0
+    out = solve_on_ball(hyp3, R, est.eigenfunction, Forcing.one(), 2.0, ctl, reaction=lambda u, t: np.zeros_like(u))
+    assert out.sample_steps > 0
+    t, sup = out.history[:, 0], out.history[:, 1]
+    step_err = np.abs(sup * np.exp(lam * t) - 1.0)  # relative error of each accepted value
+    ts = np.array([s for s, _ in out.snapshots])
+    assert np.array_equal(ts, np.linspace(0.0, ctl.t_end, ctl.snapshots))
+    # the accepted steps at or before each sample time and after it
+    before = np.searchsorted(t, ts * (1.0 + 1e-12), side="right") - 1
+    after = np.minimum(before + 1, t.size - 1)
+    allowed = np.maximum(step_err[before], step_err[after]) + 2.0 * ctl.rel_tol
+    snap_err = np.array([np.max(np.abs(u * math.exp(lam * s) - phi)) for s, u in out.snapshots])
+    assert np.all(snap_err <= allowed)
+    # linear interpolation in t between the accepted values misses by
+    # thousands of rel_tol where a step spans a large share of a decay time
+    linear = np.interp(ts, t, sup)
+    assert np.max(np.abs(linear * np.exp(lam * ts) - 1.0) - allowed) > 1e3 * ctl.rel_tol
+
+
+def test_an_error_limited_run_keeps_its_steps_under_any_larger_dt_max(hyp3):
+    # every accepted dt of this run stays below 0.25, and levels below
+    # 0.25 are the same floats for dt_max = 0.25 2^k
+    g = RadialGrid(10.0, 99)
+    u0 = make_u0(g, bump_profile(0.5, 2.0))
+    runs = [
+        solve_on_ball(hyp3, 10.0, u0, Forcing.one(), 2.0, EvolutionControls(t_end=3.0, dt_max=0.25 * 2**k, rel_tol=1e-8))
+        for k in (0, 2, 3)
+    ]
+    assert runs[0].verdict == VERDICT_GLOBAL and np.max(runs[0].history[:, 2]) < 0.25
+    for out in runs[1:]:
+        assert out.history.tobytes() == runs[0].history.tobytes()
+        assert out.final.values.tobytes() == runs[0].final.values.tobytes()
+        assert [u.tobytes() for _, u in out.snapshots] == [u.tobytes() for _, u in runs[0].snapshots]
+
+
 def test_blowup_detector_soundness(euclid3):
     g = RadialGrid(20.0, 400)
     u0 = make_u0(g, bump_profile(1.0, 3.0))
@@ -535,14 +577,18 @@ def count_factors_and_solves(monkeypatch):
 def test_fixed_step_run_factors_once_and_matches_per_solve_factoring(hyp3, monkeypatch):
     g = RadialGrid(10.0, 100)
     u0 = make_u0(g, bump_profile(0.5, 2.0))
-    # 33 steps of 0.03 and a last step clamped to the remaining 0.01
+    # 33 steps of 0.03 and a last step clamped to the remaining 0.01; the
+    # samples 0.1, 0.2, 0.4, 0.5, 0.7 and 0.8 fall inside steps, and each
+    # is one more IMEX Euler step, factored at its own length, after which
+    # the next step factors dt = 0.03 again
     ctl = EvolutionControls(t_end=1.0, dt_init=0.03, dt_max=0.03, rel_tol=0.0, snapshots=11)
     with monkeypatch.context() as patch:
         calls = count_factors_and_solves(patch)
         plain = solve_on_ball(hyp3, 10.0, u0, Forcing.one(), 2.0, ctl)
     assert plain.verdict == VERDICT_GLOBAL
-    assert calls["solve"] == len(plain.history) - 1 == 34
-    assert calls["factor"] == 2
+    assert (len(plain.history) - 1, plain.sample_steps) == (34, 6)
+    assert calls["solve"] == plain.solves == 34 + 6
+    assert calls["factor"] == plain.factor_sets + 2 * plain.sample_steps == 2 + 2 * 6
 
     sym = grid_symmetrizer(hyp3, g)
 
@@ -556,20 +602,31 @@ def test_fixed_step_run_factors_once_and_matches_per_solve_factoring(hyp3, monke
     ref = solve_on_ball(hyp3, 10.0, u0, Forcing.one(), 2.0, ctl)
     assert np.array_equal(ref.history, plain.history)
     assert np.array_equal(ref.final.values, plain.final.values)
+    for (t_ref, u_ref), (t, u) in zip(ref.snapshots, plain.snapshots, strict=True):
+        assert t_ref == t and np.array_equal(u_ref, u)
 
 
 def test_adaptive_run_reuses_factors_across_steps(hyp3, monkeypatch):
     g = RadialGrid(10.0, 100)
     u0 = make_u0(g, bump_profile(0.5, 2.0))
     calls = count_factors_and_solves(monkeypatch)
-    out = solve_on_ball(hyp3, 10.0, u0, Forcing.one(), 2.0, EvolutionControls(t_end=20.0, snapshots=11))
+    # dt_max 0.25 holds dt at the cap for most of the run
+    ctl = EvolutionControls(t_end=20.0, dt_max=0.25, snapshots=11)
+    out = solve_on_ball(hyp3, 10.0, u0, Forcing.one(), 2.0, ctl)
     assert out.verdict == VERDICT_GLOBAL
-    attempts, factor_sets = calls["solve"] / 6, calls["factor"]
+    # every sample step is one attempt with its own factorization
+    attempts = calls["solve"] / 6 - out.sample_steps
     assert attempts >= len(out.history) - 1
-    assert factor_sets < attempts / 10
-    # the outcome's counters account for every attempt and factorization
+    assert out.factor_sets < attempts / 10
+    # the outcome's counters account for every attempt and factorization;
+    # a step that took samples drops its factors, so the next one factors
+    # its dt again even where dt holds
     assert attempts == len(out.history) - 1 + out.rejected_error + out.rejected_nonfinite
-    assert out.factor_sets == factor_sets
+    assert out.rejected_error == out.rejected_nonfinite == 0
+    t, dt = out.history[:, 0], out.history[1:, 2]
+    sampled = [any(a < s < b - 1e-12 * ctl.t_end for s, _ in out.snapshots) for a, b in zip(t, t[1:])]
+    refactored = sum(took and after == before for took, before, after in zip(sampled, dt, dt[1:]))
+    assert calls["factor"] == out.factor_sets + out.sample_steps + refactored
 
 
 def is_level(dt, dt_max):
@@ -711,7 +768,7 @@ def assert_same_outcome(batched, alone):
     for (_, ub), (_, ua) in zip(batched.snapshots, alone.snapshots):
         assert ub.tobytes() == ua.tobytes()
     assert batched.final.values.tobytes() == alone.final.values.tobytes()
-    for name in ("threshold", "min_value", "rejected_error", "rejected_nonfinite", "factor_sets", "solves"):
+    for name in ("threshold", "min_value", "rejected_error", "rejected_nonfinite", "factor_sets", "solves", "sample_steps"):
         assert getattr(batched, name) == getattr(alone, name), name
 
 
@@ -766,15 +823,19 @@ def test_batched_runs_equal_their_runs_alone(kind, N, forcing, adaptive, thresho
     # the overflowing run ends at once, beside runs that go on
     overflowed = batch[min(at, len(runs))]
     assert overflowed.rejected_nonfinite >= 1 or overflow == "solve"
-    assert all(out.solves == (6 if adaptive else 1) * (len(out.history) - 1 + out.rejected_error + out.rejected_nonfinite)
-               for out in batch)
+    assert all(
+        out.solves
+        == (6 if adaptive else 1) * (len(out.history) - 1 + out.rejected_error + out.rejected_nonfinite + out.sample_steps)
+        for out in batch
+    )
 
 
 @pytest.mark.parametrize("threshold", [pytest.param(1.0, id="ldlt"), pytest.param(1e300, id="lu")])
 def test_a_moving_dt_refactors_the_whole_stack(hyp3, monkeypatch, threshold):
     g = RadialGrid(20.0, 60)
     u0s = [make_u0(g, bump_profile(amplitude, 1.5)) for amplitude in (5.0, 0.5)]
-    ctl = EvolutionControls(t_end=3.0, rel_tol=1e-4, snapshots=5, blowup_threshold=threshold)
+    # dt_max 0.25 holds the decaying run's dt at the cap
+    ctl = EvolutionControls(t_end=3.0, dt_max=0.25, rel_tol=1e-4, snapshots=5, blowup_threshold=threshold)
     alone = [solve_on_ball(hyp3, 20.0, u0, Forcing.one(), 2.0, ctl) for u0 in u0s]
     calls = []
     factor, solve = curvedheat.evolution.factor_banded, curvedheat.evolution.solve_banded

@@ -432,36 +432,14 @@ def verify_supersolution(M: ModelManifold, barrier, lam: float, grid: RadialGrid
 # time envelope
 
 
-def _damped_integral(forcing: Forcing, m: float, t):
-    """Integral of h(s) e^{-m s} from 0 to t (inf allowed), closed form per family."""
-    t = np.asarray(t, dtype=float)
-    if forcing.kind == "one":
-        return -np.expm1(-m * t) / m
-    if forcing.kind == "power":
-        from scipy.special import gammaincc  # imported here: only power forcing needs it
-
-        a = forcing.q + 1.0
-        scale = math.exp(m) * m**-a * math.gamma(a)
-        return scale * (gammaincc(a, m) - gammaincc(a, m * (1.0 + t)))
-    if forcing.kind == "exp":
-        d = m - forcing.sigma
-        if d == 0.0:
-            return t * 1.0
-        return -np.expm1(-d * t) / d
-    raise ValueError(f"unknown forcing kind {forcing.kind!r}")
-
-
-def _damped_total(forcing: Forcing, m: float) -> float:
-    return float(_damped_integral(forcing, m, math.inf))
-
-
 @dataclass(frozen=True)
 class TimeEnvelope:
-    """Damped-forcing budget and growth factor for a scaled barrier.
+    """Growth factor of the time envelope for data ctilde * w, w a barrier of sup norm ``barrier_sup``.
 
-    ``growth`` solves xi' = W^{p-1} h(t) e^{-(p-1) lam t} xi^p, xi(0)=1
-    in closed form, with W the sup of the scaled barrier; the envelope
-    dominating the evolution is e^{-lam t} growth(t) * (scaled barrier).
+    ``growth`` solves xi' = W^{p-1} h(t) e^{-(p-1) lam t} xi^p, xi(0) = 1
+    in closed form, 1/xi^{p-1} = 1 - (p-1) W^{p-1} D((p-1) lam, t) with D
+    the forcing's damped integral and W = ctilde * barrier_sup; the
+    envelope dominating the evolution is e^{-lam t} growth(t) ctilde w.
     """
 
     forcing: Forcing
@@ -470,59 +448,42 @@ class TimeEnvelope:
     barrier_sup: float
     ctilde: float
 
-    @property
-    def finite_budget(self) -> bool:
-        return math.isfinite(self.damped_total)
-
-    @property
-    def wtilde_sup(self) -> float:
-        return self.ctilde * self.barrier_sup
-
-    def damped_integral(self, t):
-        return _damped_integral(self.forcing, (self.p - 1.0) * self.lam, t)
-
-    @property
-    def damped_total(self) -> float:
-        return _damped_total(self.forcing, (self.p - 1.0) * self.lam)
-
     def growth(self, t):
         pm1 = self.p - 1.0
-        x = 1.0 - pm1 * self.wtilde_sup**pm1 * self.damped_integral(t)
+        x = 1.0 - pm1 * (self.ctilde * self.barrier_sup) ** pm1 * self.forcing.damped_integral(pm1 * self.lam, t)
         return np.where(x > 0.0, np.maximum(x, 1e-300) ** (-1.0 / pm1), np.inf)
+
+
+def _check_envelope(lam: float, p: float, barrier_sup: float) -> None:
+    if lam <= 0 or p <= 1:
+        raise ValueError(f"need lam > 0 and p > 1, got lam = {lam}, p = {p}")
+    if barrier_sup <= 0:
+        raise ValueError(f"barrier sup norm must be positive, got {barrier_sup}")
 
 
 def amplitude_limit(forcing: Forcing, lam: float, p: float, barrier_sup: float):
     """Largest admissible data amplitude relative to the barrier, or None.
 
-    Returns (1/||w||) [1/((p-1) Htilde_inf)]^{1/(p-1)}; None when the
-    damped forcing budget is infinite (no global-existence certificate).
+    Returns (1/||w||) [1/((p-1) D_inf)]^{1/(p-1)}, with D_inf the
+    forcing's damped integral ``forcing.damped_integral((p-1) lam, inf)``;
+    None when D_inf is infinite or beyond the float range (no
+    global-existence certificate).
     """
-    if lam <= 0 or p <= 1:
-        raise ValueError(f"need lam > 0 and p > 1, got lam = {lam}, p = {p}")
-    if barrier_sup <= 0:
-        raise ValueError(f"barrier sup norm must be positive, got {barrier_sup}")
-    total = _damped_total(forcing, (p - 1.0) * lam)
+    _check_envelope(lam, p, barrier_sup)
+    total = float(forcing.damped_integral((p - 1.0) * lam, math.inf))
     if not math.isfinite(total):
         return None
     return (1.0 / barrier_sup) * (1.0 / ((p - 1.0) * total)) ** (1.0 / (p - 1.0))
 
 
-def time_envelope(forcing: Forcing, lam: float, p: float, barrier_sup: float, ctilde: float | None = None) -> TimeEnvelope:
-    """Build the envelope for a barrier of sup norm ``barrier_sup``.
+def time_envelope(forcing: Forcing, lam: float, p: float, barrier_sup: float, ctilde: float) -> TimeEnvelope:
+    """The envelope of data ``ctilde`` times a barrier of sup norm ``barrier_sup``.
 
-    ``ctilde`` is the data amplitude actually used; it defaults to half
-    the admissible limit and must be supplied explicitly when the
-    damped-forcing budget is infinite (the limit is then undefined,
-    though the envelope stays evaluable on finite horizons).
+    ctilde is the data amplitude actually used.  Its growth stays
+    evaluable on finite horizons where no amplitude limit exists, and is
+    inf from the time the budget of a ctilde above the limit runs out.
     """
-    limit = amplitude_limit(forcing, lam, p, barrier_sup)
-    if ctilde is None:
-        if limit is None:
-            raise ValueError(
-                "damped forcing budget is infinite: no admissible amplitude limit, "
-                "pass ctilde explicitly"
-            )
-        ctilde = 0.5 * limit
+    _check_envelope(lam, p, barrier_sup)
     if ctilde <= 0:
         raise ValueError(f"amplitude must be positive, got {ctilde}")
     return TimeEnvelope(

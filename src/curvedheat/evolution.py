@@ -816,22 +816,18 @@ def compare_with_envelope(outcome: RunOutcome, w_values, envelope) -> EnvelopeCo
 
 
 def blowup_criterion(forcing: Forcing, p: float, lambda1: float, epsilon: float) -> bool:
-    """Does H(t)^{1/(p-1)} outgrow e^{(lambda1+eps) t}?  Closed-form limit.
+    """Does H(t)^{1/(p-1)}, H the integral of h over [0, t], outgrow e^{(lambda1+eps) t}?  Closed-form limit.
 
     True means every nontrivial solution blows up in finite time.  Only
     exponential forcing can satisfy it: the limit exponent is
-    sigma/(p-1) - lambda1 - eps; constant and power-law H are
-    polynomial and always lose.
+    sigma/(p-1) - lambda1 - eps, and constant and power-law H, with
+    sigma = 0, are polynomial and always lose.
     """
     if p <= 1:
         raise ValueError(f"need p > 1, got {p}")
     if not (0.0 < epsilon < lambda1):
         raise ValueError(f"epsilon must lie in (0, lambda1) = (0, {lambda1:g}), got {epsilon}")
-    if forcing.kind in ("one", "power"):
-        return False
-    if forcing.kind == "exp":
-        return forcing.sigma / (p - 1.0) > lambda1 + epsilon
-    raise ValueError(f"unknown forcing kind {forcing.kind!r}")
+    return forcing.sigma / (p - 1.0) > lambda1 + epsilon
 
 
 # ---------------------------------------------------------------------------

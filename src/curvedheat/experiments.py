@@ -41,7 +41,6 @@ from .evolution import (
     solve_batch,
     solve_on_ball,
 )
-from .forcing import Forcing
 from .geometry import (
     ModelManifold,
     check_curvature_bounds,
@@ -197,18 +196,6 @@ def build_barrier(cfg: ExperimentConfig, M: ModelManifold):
         return barrier, lam, {"lambda_origin": origin, "c": barrier.c}
 
 
-def scaled_barrier_data(cfg: ExperimentConfig, forcing: Forcing, lam: float, p: float, barrier):
-    """Amplitude ctilde for u0 = ctilde * barrier, and the amplitude limit (None: no limit)."""
-    limit = amplitude_limit(forcing, lam, p, barrier.sup)
-    if cfg.u0.amplitude is not None:
-        ctilde = cfg.u0.amplitude
-    elif limit is not None:
-        ctilde = cfg.u0.factor * limit
-    else:
-        ctilde = 1.0  # no limit: an O(1) multiple, so blow-up comes at resolvable times
-    return ctilde, limit
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -341,9 +328,12 @@ def _initial_field(cfg: ExperimentConfig, M: ModelManifold, grid: RadialGrid):
         profile = power_tail_profile(1.0 if u0.amplitude is None else u0.amplitude, u0.alpha)
     else:  # scaled barrier
         barrier, lam, meta = build_barrier(cfg, M)
-        ctilde, limit = scaled_barrier_data(cfg, cfg.forcing, lam, cfg.p, barrier)
-        if limit is not None:
-            envelope = time_envelope(cfg.forcing, lam, cfg.p, barrier.sup, ctilde=ctilde)
+        limit = amplitude_limit(cfg.forcing, lam, cfg.p, barrier.sup)
+        if limit is None:
+            ctilde = 1.0 if u0.amplitude is None else u0.amplitude  # an O(1) multiple: blow-up at resolvable times
+        else:
+            ctilde = u0.factor * limit if u0.amplitude is None else u0.amplitude
+            envelope = time_envelope(cfg.forcing, lam, cfg.p, barrier.sup, ctilde)
         meta = dict(meta, ctilde=ctilde, amplitude_limit=limit)
         profile = barrier_profile(barrier, ctilde)
     vals = np.asarray(profile(grid.nodes), dtype=float)

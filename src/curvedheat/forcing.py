@@ -1,8 +1,14 @@
 """Time forcing h(t) for the reaction term: three closed-form families.
 
-``one``          h = 1,            H(t) = t
-``power_law``    h = (1+t)^q,      H(t) = ((1+t)^{q+1} - 1)/(q+1),  q > -1
-``exponential``  h = e^{sigma t},  H(t) = (e^{sigma t} - 1)/sigma,  sigma > 0
+The forcing enters the class of global data only through its damped
+integral D(m, t) = int_0^t h(s) e^{-m s} ds, read at m = (p-1) lam:
+
+``one``          h = 1,            D = (1 - e^{-m t})/m
+``power_law``    h = (1+t)^q,      D = U(m) - e^{-m t} (1+t)^{q+1} U(m (1+t)),  q > -1
+``exponential``  h = e^{sigma t},  D = (1 - e^{-d t})/d with d = m - sigma (t at d = 0),  sigma > 0
+
+where U(x) = e^x x^{-q-1} Gamma(q+1, x), Tricomi's U(1, q+2, x).  D(m, inf)
+is finite for m > 0, except under exponential forcing with sigma >= m.
 
 The power law is anchored at 1+t rather than t so that h stays positive
 and continuous at t = 0 while keeping the t^q growth rate.
@@ -17,8 +23,43 @@ import numpy as np
 __all__ = ["Forcing"]
 
 
+def _tricomi(a: float, x):
+    """U(1, a+1, x) = e^x x^{-a} Gamma(a, x) for a, x > 0, forming neither e^x nor Gamma(a).
+
+    It is inf only where U itself lies beyond the float range.
+    """
+    from scipy.special import gammaincc, gammaln  # imported here: only power forcing needs them
+
+    shape = np.shape(x)
+    x = np.array(x, dtype=float, ndmin=1)
+    out = np.empty_like(x)
+    near = x <= a + 1.0
+    # the regularized Q(a, x) does not underflow here; its scale is taken in the log domain
+    with np.errstate(over="ignore"):
+        out[near] = np.exp(x[near] - a * np.log(x[near]) + gammaln(a)) * gammaincc(a, x[near])
+    # beyond a + 1, Legendre's continued fraction for U itself (modified Lentz; Numerical Recipes 6.2)
+    b = x[~near] + 1.0 - a
+    d = 1.0 / b
+    c = np.full_like(b, np.inf)
+    u = d.copy()
+    done = np.zeros(b.shape, dtype=bool)  # an entry stops at its own convergence: its bits do not depend on x's others
+    for i in range(1, 1000):
+        an = -i * (i - a)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        u = np.where(done, u, u * (d * c))
+        done |= np.abs(d * c - 1.0) <= np.finfo(float).eps
+        if done.all():
+            break
+    out[~near] = u
+    return out.reshape(shape)
+
+
 @dataclass(frozen=True)
 class Forcing:
+    """h(t) of one family of the module docstring; sigma is 0 but for exponential forcing."""
+
     kind: str  # "one" | "power" | "exp"
     q: float = 0.0
     sigma: float = 0.0
@@ -51,15 +92,22 @@ class Forcing:
             return np.exp(self.sigma * t)
         raise ValueError(f"unknown forcing kind {self.kind!r}")
 
-    def H(self, t):
-        """Cumulative integral of h from 0 to t."""
+    def damped_integral(self, m: float, t):
+        """D(m, t) of the module docstring for m > 0 and t >= 0, a scalar or an array; t = inf gives the total."""
         t = np.asarray(t, dtype=float)
         if self.kind == "one":
-            return t * 1.0
+            return -np.expm1(-m * t) / m
         if self.kind == "power":
-            return ((1.0 + t) ** (self.q + 1.0) - 1.0) / (self.q + 1.0)
+            a = self.q + 1.0
+            finite = np.isfinite(t)
+            s = np.where(finite, t, 0.0)  # the tail is 0 at t = inf, where its factors are 0 * inf
+            tail = np.exp(a * np.log1p(s) - m * s) * _tricomi(a, m * (1.0 + s))
+            return _tricomi(a, m) - np.where(finite, tail, 0.0)
         if self.kind == "exp":
-            return np.expm1(self.sigma * t) / self.sigma
+            d = m - self.sigma
+            if d == 0.0:
+                return t * 1.0
+            return -np.expm1(-d * t) / d
         raise ValueError(f"unknown forcing kind {self.kind!r}")
 
     def label(self) -> str:

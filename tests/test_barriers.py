@@ -248,34 +248,40 @@ def test_glued_verify_lambda_must_match(hyp3):
 
 
 def test_damped_totals():
-    env = time_envelope(Forcing.one(), 1.0, 2.0, 1.0)
-    assert env.damped_total == pytest.approx(1.0)
-    env = time_envelope(Forcing.exponential(1.0), 1.0, 3.0, 1.0)
-    assert env.damped_total == pytest.approx(1.0)
+    assert Forcing.one().damped_integral(1.0, math.inf) == pytest.approx(1.0)
+    assert Forcing.exponential(1.0).damped_integral(2.0, math.inf) == pytest.approx(1.0)
     # divergent budget: p too small relative to the forcing rate
     assert amplitude_limit(Forcing.exponential(1.0), 1.0, 1.5, 1.0) is None
-    env = time_envelope(Forcing.exponential(1.0), 1.0, 1.5, 1.0, ctilde=0.1)
-    assert math.isinf(env.damped_total)
-    assert not env.finite_budget
+    assert math.isinf(Forcing.exponential(1.0).damped_integral(0.5, math.inf))
     with pytest.raises(ValueError):
-        time_envelope(Forcing.exponential(1.0), 1.0, 1.5, 1.0)  # needs ctilde
+        time_envelope(Forcing.exponential(1.0), 1.0, 1.5, 1.0, ctilde=0.0)
+    with pytest.raises(ValueError):
+        time_envelope(Forcing.exponential(1.0), 0.0, 1.5, 1.0, ctilde=0.1)
 
 
 def test_power_law_damped_integral_against_quadrature():
-    env = time_envelope(Forcing.power_law(1.5), 0.8, 2.0, 1.0)
-    m = (2.0 - 1.0) * 0.8
+    forcing, m = Forcing.power_law(1.5), (2.0 - 1.0) * 0.8
     for t in (0.3, 2.0, 10.0, 40.0):
         oracle, err = quad(lambda s: (1 + s) ** 1.5 * math.exp(-m * s), 0.0, t)
-        assert float(env.damped_integral(t)) == pytest.approx(oracle, rel=1e-10)
+        assert float(forcing.damped_integral(m, t)) == pytest.approx(oracle, rel=1e-10)
     oracle, err = quad(lambda s: (1 + s) ** 1.5 * math.exp(-m * s), 0.0, np.inf)
-    assert env.damped_total == pytest.approx(oracle, rel=1e-10)
+    assert float(forcing.damped_integral(m, math.inf)) == pytest.approx(oracle, rel=1e-10)
+
+
+def test_power_law_budget_past_the_exponent_range():
+    # e^m and Gamma(q+1) overflow at m > 709 and q > 170, though the integral need not
+    total = 1.0 / 800.0 + 1.0 / 800.0**2  # int_0^inf (1+s) e^{-800 s} ds
+    assert float(Forcing.power_law(1.0).damped_integral(800.0, math.inf)) == pytest.approx(total, rel=1e-12)
+    assert amplitude_limit(Forcing.power_law(1.0), 800.0, 2.0, 1.0) == pytest.approx(1.0 / total, rel=1e-12)
+    # q = 200 at m = 1: the budget is about 200!, beyond the float range, so no limit
+    assert math.isinf(Forcing.power_law(200.0).damped_integral(1.0, math.inf))
+    assert amplitude_limit(Forcing.power_law(200.0), 1.0, 2.0, 1.0) is None
 
 
 def test_damped_integral_monotone():
     t = np.linspace(0.0, 30.0, 301)
     for forcing in (Forcing.one(), Forcing.power_law(2.0), Forcing.exponential(0.5)):
-        env = time_envelope(forcing, 1.0, 2.5, 1.0)
-        h = env.damped_integral(t)
+        h = forcing.damped_integral(1.5, t)
         assert np.all(np.diff(h) >= 0)
 
 
@@ -302,13 +308,13 @@ def test_infinite_budget_finite_horizon():
     # still evaluable on finite horizons
     env = time_envelope(Forcing.exponential(1.0), 1.0, 1.5, 1.0, ctilde=0.05)
     t = np.linspace(0.0, 10.0, 50)
-    h = env.damped_integral(t)
+    h = env.forcing.damped_integral(0.5, t)
     assert np.all(np.isfinite(h)) and np.all(np.diff(h) > 0)
     assert np.all(np.isfinite(env.growth(np.linspace(0, 3, 20))))
 
 
 def test_amplitude_limit_formula():
-    # (1/||w||) (1/((p-1) Htilde_inf))^{1/(p-1)}
+    # (1/||w||) (1/((p-1) D_inf))^{1/(p-1)}
     lim = amplitude_limit(Forcing.one(), 1.0, 2.0, 1.0)
     assert lim == pytest.approx(1.0)
     lim = amplitude_limit(Forcing.exponential(1.0), 1.0, 2.2, 1.0)
@@ -320,8 +326,8 @@ def test_growth_factor_against_ode_oracle():
     # independent RK4 on xi' = W^{p-1} h(t) e^{-(p-1) lam t} xi^p
     forcing = Forcing.power_law(1.0)
     lam, p = 0.8, 2.0
-    env = time_envelope(forcing, lam, p, 1.0)
-    w = env.wtilde_sup
+    w = 0.5 * amplitude_limit(forcing, lam, p, 1.0)  # data at half the limit, barrier sup 1
+    env = time_envelope(forcing, lam, p, 1.0, ctilde=w)
     t_end, n = 20.0, 20000
     dt = t_end / n
     xi = 1.0

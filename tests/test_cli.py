@@ -4,6 +4,7 @@ import importlib.util
 import io
 import inspect
 import json
+import math
 import os
 import re
 import subprocess
@@ -807,6 +808,17 @@ def test_exhaustion_through_cli(tmp_path):
     assert (out / "history_R10.csv").exists()
 
 
+def test_power_forcing_past_the_float_range_gets_a_verdict(tmp_path, capsys):
+    # the budget of h = (1+t)^200 at m = 1 is about 200!: no amplitude
+    # limit, so the default scaled-barrier data run at an O(1) amplitude
+    cfg = write_cfg(tmp_path, "[manifold]\nkind = hyperbolic\nn = 3\n\n[forcing]\nkind = power\nq = 200\n\n[grid]\nR = 10\nN = 99\n")
+    out = tmp_path / "q200"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "verdict: blow-up" in capsys.readouterr().out
+    summary = dict(line.split(",", 1) for line in (out / "run_summary.csv").read_text().splitlines()[1:])
+    assert summary["verdict"] == "blow-up"
+
+
 # bump data on nested balls of H^3 at 101 snapshots: balls that take
 # their own adaptive steps fail the nesting check on interpolation error
 # (2.663e-3 against tol 5e-4)
@@ -1220,20 +1232,20 @@ def test_exhaustion_radii_off_the_spacing_are_a_config_error(tmp_path, capsys):
 
 
 FRESH_IMPORT = """\
-import json, sys
+import json, math, sys
 import curvedheat.cli
-from curvedheat import Forcing, time_envelope
+from curvedheat import Forcing
 loaded = sorted(m for m in sys.modules if m.startswith("scipy."))
-env = time_envelope(Forcing.power_law(1.5), 0.8, 2.0, 1.0)
-print(json.dumps({"loaded": loaded, "integral": float(env.damped_integral(2.0)),
-                  "total": env.damped_total, "special": "scipy.special" in sys.modules}))
+forcing = Forcing.power_law(1.5)
+print(json.dumps({"loaded": loaded, "integral": float(forcing.damped_integral(0.8, 2.0)),
+                  "total": float(forcing.damped_integral(0.8, math.inf)), "special": "scipy.special" in sys.modules}))
 """
 
 
 def test_fresh_import_loads_no_optional_scipy_module():
     # the CLI needs numpy alone; scipy.special loads only once power
     # forcing is evaluated
-    from curvedheat import Forcing, time_envelope
+    from curvedheat import Forcing
 
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
@@ -1244,9 +1256,9 @@ def test_fresh_import_loads_no_optional_scipy_module():
     for name in ("scipy.interpolate", "scipy.special", "scipy.optimize", "scipy.integrate"):
         assert not any(m == name or m.startswith(name + ".") for m in got["loaded"]), name
     assert got["special"]
-    ref = time_envelope(Forcing.power_law(1.5), 0.8, 2.0, 1.0)
-    assert got["integral"] == float(ref.damped_integral(2.0))
-    assert got["total"] == ref.damped_total
+    ref = Forcing.power_law(1.5)
+    assert got["integral"] == float(ref.damped_integral(0.8, 2.0))
+    assert got["total"] == float(ref.damped_integral(0.8, math.inf))
 
 
 FRESH_COMMANDS = """\

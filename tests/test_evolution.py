@@ -59,14 +59,13 @@ def make_u0(grid, profile):
 
 
 def test_forcing_closed_forms():
-    t = np.linspace(0.0, 5.0, 11)
-    assert np.allclose(Forcing.one().H(t), t)
-    f = Forcing.power_law(1.5)
-    for ti in (0.5, 2.0):
-        oracle, _ = quad(lambda s: (1 + s) ** 1.5, 0, ti)
-        assert float(f.H(ti)) == pytest.approx(oracle, rel=1e-12)
-    f = Forcing.exponential(0.7)
-    assert float(f.H(2.0)) == pytest.approx((math.exp(1.4) - 1.0) / 0.7, rel=1e-12)
+    # the damped integral D(m, t) of h = 1 and h = e^{sigma t}, sigma below, at and above m
+    m = 0.7
+    for forcing in (Forcing.one(), Forcing.exponential(0.3), Forcing.exponential(0.7), Forcing.exponential(1.9)):
+        for ti in (0.5, 2.0):
+            oracle, _ = quad(lambda s: float(forcing.h(s)) * math.exp(-m * s), 0, ti)
+            assert float(forcing.damped_integral(m, ti)) == pytest.approx(oracle, rel=1e-12)
+    assert float(Forcing.exponential(0.3).damped_integral(m, math.inf)) == pytest.approx(1.0 / 0.4, rel=1e-12)
 
 
 @pytest.mark.parametrize("forcing", [Forcing.one(), Forcing.power_law(0.37), Forcing.exponential(0.71)])
@@ -912,7 +911,7 @@ def test_batch_refuses_runs_on_different_node_spacings(hyp3):
 
 def test_comparison_sandwich_small(hyp3):
     v = ExpBarrier(1.0, 1.0)
-    env = time_envelope(Forcing.one(), 1.0, 2.0, v.sup)  # ctilde = 0.5
+    env = time_envelope(Forcing.one(), 1.0, 2.0, v.sup, ctilde=0.5)  # half the amplitude limit 1
     g = RadialGrid(10.0, 200)
     u0 = make_u0(g, barrier_profile(v, env.ctilde))
     ctl = EvolutionControls(t_end=10.0, dt_init=2e-3, dt_max=2e-3, rel_tol=0.0, snapshots=21)
@@ -924,7 +923,7 @@ def test_comparison_sandwich_small(hyp3):
 
 def test_comparison_equality_at_t0(hyp3):
     v = ExpBarrier(1.0, 1.0)
-    env = time_envelope(Forcing.one(), 1.0, 2.0, v.sup)
+    env = time_envelope(Forcing.one(), 1.0, 2.0, v.sup, ctilde=0.5)
     g = RadialGrid(10.0, 100)
     u0 = make_u0(g, barrier_profile(v, env.ctilde))
     out = solve_on_ball(
@@ -943,7 +942,7 @@ def test_running_minimum_does_not_depend_on_snapshots(hyp3):
         return -150.0 * u if 0.295 <= t < 0.315 else np.zeros_like(u)
 
     v = ExpBarrier(1.0, 1.0)
-    env = time_envelope(Forcing.one(), 1.0, 2.0, v.sup)
+    env = time_envelope(Forcing.one(), 1.0, 2.0, v.sup, ctilde=0.5)
     g = RadialGrid(10.0, 100)
     ctl = EvolutionControls(t_end=1.0, dt_init=0.01, dt_max=0.01, rel_tol=0.0)
     coarse, fine = (
@@ -973,7 +972,7 @@ def test_envelope_upper_side_does_not_depend_on_snapshots(hyp3):
         return np.zeros_like(u)
 
     v = ExpBarrier(1.0, 1.0)
-    env = time_envelope(Forcing.one(), 1.0, 2.0, v.sup)
+    env = time_envelope(Forcing.one(), 1.0, 2.0, v.sup, ctilde=0.5)
     g = RadialGrid(10.0, 100)
     wt = env.ctilde * v.eval(g.nodes)
     ctl = EvolutionControls(t_end=1.0, dt_init=0.01, dt_max=0.01, rel_tol=0.0)
@@ -1002,7 +1001,7 @@ def test_envelope_upper_side_does_not_depend_on_snapshots(hyp3):
 def test_comparison_negative_control(hyp3):
     # data ten times above the admissible amplitude breaks the sandwich
     v = ExpBarrier(1.0, 1.0)
-    env = time_envelope(Forcing.one(), 1.0, 2.0, v.sup)
+    env = time_envelope(Forcing.one(), 1.0, 2.0, v.sup, ctilde=0.5)
     g = RadialGrid(10.0, 200)
     u0 = make_u0(g, barrier_profile(v, 10.0 * env.ctilde))
     out = solve_on_ball(

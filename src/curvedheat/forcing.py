@@ -5,10 +5,18 @@ integral D(m, t) = int_0^t h(s) e^{-m s} ds, read at m = (p-1) lam:
 
 ``one``          h = 1,            D = (1 - e^{-m t})/m
 ``power_law``    h = (1+t)^q,      D = U(m) - e^{-m t} (1+t)^{q+1} U(m (1+t)),  q > -1
+                                     = e^{-m t} (1+t)^{q+1} L(m (1+t)) - L(m)
 ``exponential``  h = e^{sigma t},  D = (1 - e^{-d t})/d with d = m - sigma (t at d = 0),  sigma > 0
 
-where U(x) = e^x x^{-q-1} Gamma(q+1, x), Tricomi's U(1, q+2, x).  D(m, inf)
-is finite for m > 0, except under exponential forcing with sigma >= m.
+where U(x) = e^x x^{-q-1} Gamma(q+1, x), Tricomi's U(1, q+2, x), and
+L(x) = e^x x^{-q-1} gamma(q+1, x), Kummer's M(1, q+2, x)/(q+1), from the
+upper and the lower incomplete gamma function.  With u = m (1+s), the U
+form subtracts the integral over (t, inf) from the one over (0, inf) and
+the L form the integral over (-1, 0) from the one over (-1, t); the L
+form serves while m (1+t) <= q + 2, up to just past the peak of h e^{-m s}
+at m (1+s) = q, where the mass past t, and U(m) with it, can exceed the
+float range by far more than D.  D(m, inf) is finite for m > 0, except
+under exponential forcing with sigma >= m.
 
 The power law is anchored at 1+t rather than t so that h stays positive
 and continuous at t = 0 while keeping the t^q growth rate.
@@ -56,6 +64,25 @@ def _tricomi(a: float, x):
     return out.reshape(shape)
 
 
+def _kummer(a: float, x):
+    """L(x) = M(1, a+1, x)/a = sum_n x^n / (a (a+1) ... (a+n)) for a > 0 and 0 < x <= a + 1.
+
+    Every term is positive and the ratio of terms x/(a+n) falls below 1
+    from n = 2 on, so each entry stops at its own convergence.
+    """
+    x = np.array(x, dtype=float, ndmin=1)
+    term = np.full_like(x, 1.0 / a)
+    out = term.copy()
+    done = np.zeros(x.shape, dtype=bool)
+    for n in range(1, 100000):
+        term *= x / (a + n)
+        done |= term <= np.finfo(float).eps * out
+        out = np.where(done, out, out + term)
+        if done.all():
+            break
+    return out
+
+
 @dataclass(frozen=True)
 class Forcing:
     """h(t) of one family of the module docstring; sigma is 0 but for exponential forcing."""
@@ -101,8 +128,21 @@ class Forcing:
             a = self.q + 1.0
             finite = np.isfinite(t)
             s = np.where(finite, t, 0.0)  # the tail is 0 at t = inf, where its factors are 0 * inf
-            tail = np.exp(a * np.log1p(s) - m * s) * _tricomi(a, m * (1.0 + s))
-            return _tricomi(a, m) - np.where(finite, tail, 0.0)
+            x = m * (1.0 + s)
+            low = finite & (x <= a + 1.0)
+            up = ~low
+            out = np.empty(t.shape)
+            with np.errstate(over="ignore"):
+                # e^{-m t} (1+t)^{q+1}; inf only where D itself lies beyond the float range
+                grow = np.exp(a * np.log1p(s) - m * s)
+                if low.any():  # then m <= m (1+t) <= q + 2, inside _kummer's range
+                    out[low] = grow[low] * _kummer(a, x[low]) - _kummer(a, m)
+                if up.any():
+                    total = _tricomi(a, m)
+                    tail = np.where(finite[up], grow[up] * _tricomi(a, x[up]), 0.0)
+                    # U(m) = inf here only for m far below q, where D holds the peak and exceeds the range too
+                    out[up] = total if np.isinf(total) else total - tail
+            return out
         if self.kind == "exp":
             d = m - self.sigma
             if d == 0.0:

@@ -20,6 +20,7 @@ returns it as one ``Band``: ``Band.prefix`` gives the sub-balls' bands,
 
 from __future__ import annotations
 
+import ctypes
 import importlib.util
 import os
 import sys
@@ -161,51 +162,196 @@ def laplacian_tridiag(M: ModelManifold, grid: RadialGrid) -> Band:
     return Band(sub, -(sub + sup), sup)
 
 
-# LAPACK's ?gttrf, ?gttrs, ?pttrf, ?pttrs and ?stebz, bound by ``load_lapack``
-_gttrf = _gttrs = _pttrf = _pttrs = _stebz = None
+# LAPACK as ``load_lapack`` binds it.  _pttrf(d, e, s) and _gttrf(dl, d, du)
+# factor float64 vectors, which they may overwrite: ?pttrf's LDL^T of the
+# symmetric band T = (d, e) and ?gttrf's LU of T = (dl, d, du).  Each
+# returns (solve, info); solve(b) solves the leading b.size rows by ?pttrs
+# or ?gttrs, b left intact: T^-1 b, or S^-1 T^-1 S b with S = diag(s) for
+# LDL^T factors.  _stebz takes and returns what scipy.linalg.lapack.dstebz does.
+_pttrf = _gttrf = _stebz = None
+
+_ROUTINES = ("dpttrf", "dpttrs", "dgttrf", "dgttrs", "dstebz")
 
 # scipy's compiled f2py wrapper module of LAPACK, loaded under its own name
 _FLAPACK = "scipy.linalg._flapack"
 
 
 def load_lapack():
-    """Bind LAPACK's ?gttrf, ?gttrs, ?pttrf, ?pttrs and ?stebz; later calls do nothing.
+    """Bind LAPACK's ?pttrf, ?pttrs, ?gttrf, ?gttrs and ?stebz; later calls do nothing.
 
-    The routines come from scipy's compiled LAPACK wrapper module
-    ``scipy/linalg/_flapack``, loaded from its file without running the
-    ``__init__`` of scipy or scipy.linalg, which imports numpy.f2py and
-    numpy.testing and costs far more than the wrapper module alone.
-    They are the routines ``scipy.linalg.lapack`` exposes, so results
-    agree with scipy.linalg bit for bit.  ``factor_banded`` and
-    ``dirichlet_lambda1`` call this on first use, so commands that never
-    solve (curvature checks, barrier checks) skip it.  ``run_sweep``
-    calls it before it forks its workers, so that they inherit the binding.
-    A missing wrapper module raises ImportError naming the directories
-    searched.
+    The routines come from the OpenBLAS that numpy bundles and mapped at
+    its import (``numpy.libs`` or ``numpy/.dylibs`` in numpy's wheels),
+    called through ctypes with 64-bit integers, so a solving process
+    maps no second BLAS.  Where numpy bundles no such library, or one
+    without these routines (Accelerate or conda builds, say), they come
+    from scipy's compiled LAPACK wrapper module ``scipy/linalg/_flapack``,
+    loaded from its file without running the ``__init__`` of scipy or
+    scipy.linalg, which imports numpy.f2py and numpy.testing.  Either way
+    the results agree with scipy.linalg.lapack bit for bit.
+    ``factor_banded`` and ``dirichlet_lambda1`` call this on first use,
+    so commands that never solve (curvature checks, barrier checks) skip
+    it.  ``run_sweep`` calls it before it forks its workers, so that they
+    inherit the binding.  Without numpy's routines, a missing wrapper
+    module raises ImportError naming the directories searched.
     """
-    global _gttrf, _gttrs, _pttrf, _pttrs, _stebz
+    global _pttrf, _gttrf, _stebz
     if _gttrf is None:
-        scipy_spec = importlib.util.find_spec("scipy")
-        roots = getattr(scipy_spec, "submodule_search_locations", None) or ()
-        dirs = [os.path.join(root, "linalg") for root in roots]
-        paths = [os.path.join(d, "_flapack" + suffix) for d in dirs for suffix in EXTENSION_SUFFIXES]
-        path = next((p for p in paths if os.path.isfile(p)), None)
-        if path is None:
-            raise ImportError(
-                f"scipy's LAPACK wrapper module _flapack is not in {' or '.join(dirs) or 'any scipy package'}"
-            )
-        loader = ExtensionFileLoader(_FLAPACK, path)
-        flapack = importlib.util.module_from_spec(importlib.util.spec_from_loader(_FLAPACK, loader))
-        loader.exec_module(flapack)
-        if "scipy.linalg" not in sys.modules:
-            # CPython files a single-phase extension module in sys.modules
-            # as it initialises it; without its parent packages that entry
-            # is a stray.  A later import of scipy.linalg loads the file
-            # again and reuses this initialisation.
-            sys.modules.pop(_FLAPACK, None)
-        _gttrf, _gttrs, _pttrf, _pttrs, _stebz = (
-            flapack.dgttrf, flapack.dgttrs, flapack.dpttrf, flapack.dpttrs, flapack.dstebz
+        found = _numpy_openblas()
+        _pttrf, _gttrf, _stebz = _openblas_routines(*found) if found else _flapack_routines()
+
+
+def _numpy_openblas():
+    """numpy's bundled ILP64 OpenBLAS as a ctypes library and its symbol prefix, or None without one.
+
+    Only a library that numpy's import has mapped opens (RTLD_NOLOAD), so
+    none is loaded here; it must export the routines of ``_ROUTINES``
+    with the 64_ suffix of its 64-bit integer interface.
+    """
+    package = os.path.dirname(np.__file__)
+    for folder in (package + ".libs", os.path.join(package, ".dylibs")):
+        names = sorted(os.listdir(folder)) if os.path.isdir(folder) else ()
+        for name in (name for name in names if "openblas" in name):
+            try:
+                lib = ctypes.CDLL(os.path.join(folder, name), mode=getattr(os, "RTLD_NOLOAD", 0))
+            except OSError:
+                continue
+            for prefix in ("scipy_", ""):
+                if all(hasattr(lib, f"{prefix}{routine}_64_") for routine in _ROUTINES):
+                    return lib, prefix
+    return None
+
+
+_BYTES = ctypes.c_char * 0
+
+
+def _buffer(a):
+    """A writable array as a ctypes argument: it passes the address of a's data and keeps a alive."""
+    return _BYTES.from_buffer(a)
+
+
+def _openblas_routines(lib, prefix):
+    """_pttrf, _gttrf and _stebz over lib's ILP64 routines, called as gfortran compiles them.
+
+    Every argument goes by reference, integers as int64, and a CHARACTER
+    argument adds its length, a size_t, after all the others.  Each
+    argument is a ctypes object of its C type (a pointer, an array, which
+    passes its address, a char* or a size_t), which ctypes passes as it
+    is; the routines declare no argtypes, whose checks cost 0.2 us an
+    argument (1.6 us of the 3.6 us of a ?pttrs call at n = 400 on a
+    2-vCPU Xeon).  A solve takes the pointers of its factorization once
+    and solves in place on a fresh copy of its right-hand side (S b for
+    LDL^T factors), as scipy's wrappers do; it sets the order N of its
+    factorization's call, so one factorization serves one thread at a time.
+    """
+    pttrf, pttrs, gttrf, gttrs, stebz = (getattr(lib, f"{prefix}{routine}_64_") for routine in _ROUTINES)
+    for routine in (pttrf, pttrs, gttrf, gttrs, stebz):
+        routine.restype = None
+    one, byref = ctypes.c_size_t(1), ctypes.byref
+
+    def ldlt(d, e, s):
+        n, nrhs, info = ctypes.c_int64(d.size), ctypes.c_int64(1), ctypes.c_int64()
+        pn, pnrhs, pinfo, pd, pe = byref(n), byref(nrhs), byref(info), _buffer(d), _buffer(e)
+        pttrf(pn, pd, pe, pinfo)
+
+        def solve(b):
+            k = b.size
+            if k > d.size:  # LAPACK would read past the factors
+                raise ValueError(f"{k} right-hand side rows for {d.size} unknowns")
+            sk = s[:k]
+            x = sk * b
+            n.value = k
+            pttrs(pn, pnrhs, pd, pe, _buffer(x), pn, pinfo)  # LDB is N
+            x /= sk
+            return x
+
+        return solve, info.value
+
+    def lu(dl, d, du):
+        n, nrhs, info = ctypes.c_int64(d.size), ctypes.c_int64(1), ctypes.c_int64()
+        pn, pnrhs, pinfo = byref(n), byref(nrhs), byref(info)
+        factors = [_buffer(a) for a in (dl, d, du, np.empty(max(d.size - 2, 0)), np.empty(d.size, dtype=np.int64))]
+        gttrf(pn, *factors, pinfo)
+        trans = ctypes.c_char_p(b"N")
+
+        def solve(b):
+            if b.size > d.size:  # LAPACK would read past the factors
+                raise ValueError(f"{b.size} right-hand side rows for {d.size} unknowns")
+            x = b.copy()
+            n.value = x.size
+            gttrs(trans, pn, pnrhs, *factors, _buffer(x), pn, pinfo, one)
+            return x
+
+        return solve, info.value
+
+    def eigenvalues(d, e, range_, vl, vu, il, iu, tol, order):
+        # scipy's dstebz: range 0, 1, 2 is RANGE 'A', 'V', 'I', and w, iblock and isplit have n entries
+        d, e = np.array(d, dtype=float), np.array(e, dtype=float)
+        n, il, iu, m, nsplit, info = (ctypes.c_int64(v) for v in (d.size, il, iu, 0, 0, 0))
+        vl, vu, tol = (ctypes.c_double(v) for v in (vl, vu, tol))
+        w, iblock, isplit = np.zeros(d.size), np.zeros(d.size, dtype=np.int64), np.zeros(d.size, dtype=np.int64)
+        work, iwork = np.empty(4 * d.size), np.empty(3 * d.size, dtype=np.int64)
+        stebz(
+            ctypes.c_char_p(b"AVI"[range_ : range_ + 1]), ctypes.c_char_p(order.encode()),
+            *map(byref, (n, vl, vu, il, iu, tol)), *map(_buffer, (d, e)), byref(m), byref(nsplit),
+            *map(_buffer, (w, iblock, isplit, work, iwork)), byref(info), one, one,
         )
+        return m.value, w, iblock, isplit, info.value
+
+    return ldlt, lu, eigenvalues
+
+
+def _flapack_routines():
+    """_pttrf, _gttrf and _stebz over scipy's f2py wrappers, loaded from the module's file."""
+    scipy_spec = importlib.util.find_spec("scipy")
+    roots = getattr(scipy_spec, "submodule_search_locations", None) or ()
+    dirs = [os.path.join(root, "linalg") for root in roots]
+    paths = [os.path.join(d, "_flapack" + suffix) for d in dirs for suffix in EXTENSION_SUFFIXES]
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        raise ImportError(
+            f"scipy's LAPACK wrapper module _flapack is not in {' or '.join(dirs) or 'any scipy package'}"
+        )
+    loader = ExtensionFileLoader(_FLAPACK, path)
+    flapack = importlib.util.module_from_spec(importlib.util.spec_from_loader(_FLAPACK, loader))
+    loader.exec_module(flapack)
+    if "scipy.linalg" not in sys.modules:
+        # CPython files a single-phase extension module in sys.modules
+        # as it initialises it; without its parent packages that entry
+        # is a stray.  A later import of scipy.linalg loads the file
+        # again and reuses this initialisation.
+        sys.modules.pop(_FLAPACK, None)
+
+    def ldlt(d, e, s):
+        d, e, info = flapack.dpttrf(d, e, overwrite_d=1, overwrite_e=1)
+
+        def solve(b):
+            k = b.size
+            x = flapack.dpttrs(d[:k], e[: k - 1], s[:k] * b, overwrite_b=1)[0]
+            x /= s[:k]
+            return x
+
+        return solve, info
+
+    def lu(dl, d, du):
+        if d.size == 2:
+            # the f2py wrappers refuse n = 2, which LAPACK allows: border
+            # the system with a decoupled identity row, which leaves the
+            # elimination of the leading 2x2 block unchanged
+            dl, d, du = np.append(dl, 0.0), np.append(d, 1.0), np.append(du, 0.0)
+        dl, d, du, du2, ipiv, info = flapack.dgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+
+        def solve(b):
+            k = b.size
+            if k == 2:
+                # solve the leading three rows with a zero appended to b; the
+                # third row, the identity border or the next block's first row,
+                # is decoupled
+                return solve(np.append(b, 0.0))[:2]
+            return flapack.dgttrs(dl[: k - 1], d[:k], du[: k - 1], du2[: k - 2], ipiv[:k], b)[0]
+
+        return solve, info
+
+    return ldlt, lu, flapack.dstebz
 
 
 def factor_banded(sub, diag, sup, s=None):
@@ -238,20 +384,14 @@ def factor_banded(sub, diag, sup, s=None):
         e = sub[1:] * sup[:-1]
         np.sqrt(e, out=e)
         np.copysign(e, sup[:-1], out=e)
-        d, e, info = _pttrf(diag, e, overwrite_e=1)
+        solve, info = _pttrf(diag.copy(), e, s)
         if info > 0:
             raise LinAlgError(f"tridiagonal matrix is not positive definite: pivot {info} is not positive")
-        return d, e, s
-    dl, d, du = sub[1:], diag, sup[:-1]
-    if d.size == 2:
-        # scipy's ?gttrf and ?gttrs wrappers refuse n = 2: border the
-        # system with a decoupled identity row, which leaves the
-        # elimination of the leading 2x2 block unchanged
-        dl, d, du = np.append(dl, 0.0), np.append(d, 1.0), np.append(du, 0.0)
-    *lu, info = _gttrf(dl, d, du)
+        return solve
+    solve, info = _gttrf(sub[1:].copy(), diag.copy(), sup[:-1].copy())
     if info > 0:
         raise LinAlgError(f"singular tridiagonal matrix: zero pivot in row {info}")
-    return tuple(lu)
+    return solve
 
 
 def solve_banded(factors, b) -> np.ndarray:
@@ -269,23 +409,7 @@ def solve_banded(factors, b) -> np.ndarray:
     nonnegative, so x >= 0 exactly.  Non-finite entries in b give a
     non-finite x rather than an error.
     """
-    k = b.size
-    if len(factors) == 3:  # LDL^T factors and the symmetrizer; LU factors come as five arrays
-        d, e, s = factors
-        if k < d.size:
-            d, e, s = d[:k], e[: k - 1], s[:k]
-        x = _pttrs(d, e, s * b, overwrite_b=1)[0]
-        x /= s
-        return x
-    if k == 2:
-        # scipy's ?gttrs wrapper refuses n = 2: solve the leading three
-        # rows with a zero appended to b; the third row, factor_banded's
-        # identity border or the next block's first row, is decoupled
-        return solve_banded(factors, np.append(b, 0.0))[:2]
-    dl, d, du, du2, ipiv = factors
-    if k < d.size:
-        dl, d, du, du2, ipiv = dl[: k - 1], d[:k], du[: k - 1], du2[: k - 2], ipiv[:k]
-    return _gttrs(dl, d, du, du2, ipiv, b)[0]
+    return factors(b)
 
 
 def apply_laplacian_analytic(M: ModelManifold, fn: SmoothRadialFn, r):

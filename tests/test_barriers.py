@@ -278,6 +278,26 @@ def test_power_law_budget_past_the_exponent_range():
     assert amplitude_limit(Forcing.power_law(200.0), 1.0, 2.0, 1.0) is None
 
 
+def test_power_law_damped_integral_against_mpmath():
+    # D = e^m m^{-q-1} (Gamma(q+1, m) - Gamma(q+1, m (1+t))) to 40 digits, on both sides of
+    # m (1+t) = q + 2, where the closed form changes; at q = 200, U(m) ~ 200! lies beyond the float range
+    mpmath = pytest.importorskip("mpmath")
+    cases = [(200.0, 1.0, 0.5), (200.0, 5.0, 2.0), (50.0, 0.8, 3.0), (50.0, 5.0, 40.0), (10.0, 0.05, 2.0),
+             (10.0, 0.05, 300.0), (3.0, 1.0, 0.5), (3.0, 1.0, 10.0), (1.5, 0.8, 2.0), (1.5, 0.8, 40.0),
+             (0.5, 5.0, 10.0), (-0.5, 1.0, 0.5), (-0.5, 1.0, 40.0)]
+    with mpmath.workdps(40):
+        for q, m, t in cases:
+            a = mpmath.mpf(q) + 1
+            oracle = float(mpmath.exp(m) * m**-a * mpmath.gammainc(a, m, m * (1 + t)))
+            got = Forcing.power_law(q).damped_integral(m, np.array([t, 0.0, t]))
+            assert got[0] == pytest.approx(oracle, rel=1e-12), (q, m, t)
+            assert got[0] == got[2] == Forcing.power_law(q).damped_integral(m, t) and got[1] == 0.0
+        oracle = mpmath.quad(lambda s: (1 + s) ** 200 * mpmath.exp(-s), [0, 0.5])
+    assert float(Forcing.power_law(200.0).damped_integral(1.0, 0.5)) == pytest.approx(float(oracle), rel=1e-12)
+    # about 200!/e^300, past the float range: inf, not inf - inf
+    assert math.isinf(Forcing.power_law(200.0).damped_integral(1.0, 300.0))
+
+
 def test_damped_integral_monotone():
     t = np.linspace(0.0, 30.0, 301)
     for forcing in (Forcing.one(), Forcing.power_law(2.0), Forcing.exponential(0.5)):

@@ -1262,15 +1262,26 @@ def test_fresh_import_loads_no_optional_scipy_module():
 
 
 FRESH_COMMANDS = """\
-import json, sys
+import json, os, sys
 from curvedheat import operators
 from curvedheat.cli import main
 
-LAPACK = ("_gttrf", "_gttrs", "_pttrf", "_pttrs", "_stebz")
+LAPACK = ("_gttrf", "_pttrf", "_stebz")
+
+def scipy_lapack_files():
+    # mapped files of scipy's own LAPACK: its wrapper module or a library
+    # under scipy.libs; None where the process has no /proc/self/maps
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(maxsplit=5)[5].strip() for line in fh if len(line.split(maxsplit=5)) == 6}
+    except OSError:
+        return None
+    return sorted(p for p in paths if "/scipy.libs/" in p or os.path.basename(p).startswith("_flapack"))
 
 def state():
     return {"scipy": sorted(m for m in sys.modules if m.startswith("scipy")),
             "lapack": [name for name in LAPACK if getattr(operators, name) is not None],
+            "scipy_lapack": scipy_lapack_files(),
             "pool": sorted(m for m in sys.modules if m.split(".")[0] in ("concurrent", "multiprocessing"))}
 
 states = [state()]
@@ -1298,14 +1309,21 @@ def fresh_commands(tmp_path, *commands):
 
 
 def test_lapack_and_pool_load_only_when_a_command_uses_them(tmp_path):
-    # solving binds LAPACK from scipy's compiled wrapper module, which
-    # leaves no scipy module imported; a pooled sweep forks its workers
-    # itself, so no command loads concurrent.futures or multiprocessing
+    # solving binds LAPACK from numpy's own OpenBLAS where numpy bundles
+    # it, or else from scipy's wrapper module by file: no scipy module is
+    # imported either way, and with numpy's library no file of scipy's
+    # LAPACK is mapped (checked on Linux); a pooled sweep forks its
+    # workers itself, so no command loads concurrent.futures or
+    # multiprocessing
     gamma3 = ("--preset", "power-tail-gamma3")
-    bound = ["_gttrf", "_gttrs", "_pttrf", "_pttrs", "_stebz"]
+    bound = ["_gttrf", "_pttrf", "_stebz"]
     checks = fresh_commands(tmp_path, ("geometry", *gamma3), ("barrier", *gamma3), ("eigen", *gamma3))
+    maps = checks.pop("scipy_lapack")
     assert checks == {"scipy": [[]] * 4, "lapack": [[], [], [], bound], "pool": [[]] * 4}
     sim = ("--config", str(write_cfg(tmp_path, HYPERBOLIC_SIM, "sim.cfg")))
     sweep = ("--config", str(write_cfg(tmp_path, TINY_SWEEP, "sweep.cfg")), "--threads", "2")
     runs = fresh_commands(tmp_path, ("simulate", *sim), ("sweep", *sweep))
+    maps += runs.pop("scipy_lapack")
     assert runs == {"scipy": [[]] * 3, "lapack": [[], bound, bound], "pool": [[]] * 3}
+    if sys.platform.startswith("linux") and operators._numpy_openblas() is not None:
+        assert maps == [[]] * 7

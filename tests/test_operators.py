@@ -306,7 +306,7 @@ def test_ldlt_branch_matches_scipy_to_rounding(gamma2, gamma3, model, R, N, dt, 
     stacked[2][N :: N + 1] = 0.0
     kept = [a.copy() for a in stacked]
     factors = factor_banded(*stacked, np.tile(s, blocks))
-    assert len(factors) == 3 and all(np.array_equal(a, k) for a, k in zip(stacked, kept))
+    assert all(np.array_equal(a, k) for a, k in zip(stacked, kept))
     b = np.random.default_rng(seed).standard_normal(blocks * (N + 1))
     for m in range(1, blocks + 1):
         k = m * (N + 1)
@@ -334,6 +334,13 @@ def test_solve_banded_singular_raises():
         solve_banded(factor_banded(np.ones(5), np.zeros(5), np.zeros(5)), np.ones(5))  # zero first row
 
 
+def test_solve_banded_refuses_a_longer_rhs():
+    ones = np.ones(4)
+    for s in (None, ones):
+        with pytest.raises(ValueError):
+            solve_banded(factor_banded(-ones, 4.0 * ones, -ones, s), np.ones(5))
+
+
 def test_solve_banded_nonfinite_rhs_gives_nonfinite_x(hyp3):
     sub, diag, sup = laplacian_tridiag(hyp3, RadialGrid(10.0, 100))
     b = np.ones(101)
@@ -342,10 +349,79 @@ def test_solve_banded_nonfinite_rhs_gives_nonfinite_x(hyp3):
     assert not np.all(np.isfinite(x))
 
 
-def test_bound_routines_are_scipys_lapack_wrappers():
+@pytest.fixture(params=["openblas", "flapack"])
+def binding(request, monkeypatch):
+    """LAPACK bound afresh from numpy's OpenBLAS, or from scipy's wrapper module with numpy's library hidden."""
+    if request.param == "flapack":
+        monkeypatch.setattr(operators, "_numpy_openblas", lambda: None)
+    elif operators._numpy_openblas() is None:
+        pytest.skip("numpy bundles no ILP64 OpenBLAS with these LAPACK routines")
+    for name in ("_pttrf", "_gttrf", "_stebz"):
+        monkeypatch.setattr(operators, name, None)
     load_lapack()
-    for name in ("dgttrf", "dgttrs", "dpttrf", "dpttrs", "dstebz"):
-        assert getattr(operators, "_" + name[1:]).__doc__ == getattr(scipy.linalg.lapack, name).__doc__
+    return request.param
+
+
+def scipy_gttrs(factors, b):
+    """scipy's ?gttrs on the leading b.size rows of scipy's ?gttrf factors, bordered where its wrapper refuses 2 rows."""
+    k = b.size
+    if k == 2:
+        return scipy_gttrs(factors, np.append(b, 0.0))[:2]
+    dl, d, du, du2, ipiv = factors
+    return scipy.linalg.lapack.dgttrs(dl[: k - 1], d[:k], du[: k - 1], du2[: k - 2], ipiv[:k], b)[0]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    sizes=st.lists(st.integers(2, 9), min_size=1, max_size=5),
+    eigen=st.tuples(st.sampled_from([0, 1, 2]), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.sampled_from("EB")),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bound_routines_equal_scipys_lapack(binding, sizes, eigen, seed):
+    # a stack of decoupled M-matrix blocks A, 2 unknowns the smallest, and
+    # the SPD blocks T = S A S^-1 of their symmetrizer; every prefix that
+    # ends at a block boundary is a system of its own
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    ends = np.cumsum(sizes)
+    sub, sup = -rng.uniform(0.1, 2.0, n), -rng.uniform(0.1, 2.0, n)
+    sub[ends - sizes] = 0.0
+    sup[ends - 1] = 0.0
+    diag = rng.uniform(0.01, 1.0, n) - sub - sup
+    e = -np.sqrt(sub[1:] * sup[:-1])
+    ratio = np.ones(n - 1)  # s_{i+1}/s_i, free across a block boundary
+    inside = sup[:-1] < 0.0
+    ratio[inside] = np.sqrt(sup[:-1][inside] / sub[1:][inside])
+    s = np.concatenate(([1.0], np.cumprod(ratio)))
+    b = rng.standard_normal(n)
+
+    ldlt, info = operators._pttrf(diag.copy(), e.copy(), s)
+    d_ref, e_ref, info_ref = scipy.linalg.lapack.dpttrf(diag, e)
+    assert info == info_ref == 0
+    if n == 2:  # scipy's ?gttrf wrapper refuses 2 rows: border them with a decoupled identity row
+        lu_ref = scipy.linalg.lapack.dgttrf(np.append(sub[1:], 0.0), np.append(diag, 1.0), np.append(sup[:-1], 0.0))
+    else:
+        lu_ref = scipy.linalg.lapack.dgttrf(sub[1:], diag, sup[:-1])
+    lu, info = operators._gttrf(sub[1:].copy(), diag.copy(), sup[:-1].copy())
+    assert info == lu_ref[-1] == 0
+
+    kind, low, high, order = eigen
+    for k, blocks in zip(ends, range(1, len(sizes) + 1)):
+        kept = b.copy()
+        x = ldlt(b[:k])
+        x_ref = scipy.linalg.lapack.dpttrs(d_ref[:k], e_ref[: k - 1], s[:k] * b[:k])[0] / s[:k]
+        assert np.array_equal(x, x_ref)
+        assert np.array_equal(lu(b[:k]), scipy_gttrs(lu_ref[:-1], b[:k]))
+        assert np.array_equal(b, kept)
+
+        il = 1 + int(low * (k - 1))
+        iu = il + int(high * (k - il))
+        args = (diag[:k], e[: k - 1], kind, 0.5 * low * diag.max(), high * diag.max(), il, iu, 0.0, order)
+        m, w, iblock, isplit, info = operators._stebz(*args)
+        m_ref, w_ref, iblock_ref, isplit_ref, info_ref = scipy.linalg.lapack.dstebz(*args)
+        assert (m, info) == (m_ref, info_ref)
+        assert np.array_equal(w[:m], w_ref[:m]) and np.array_equal(iblock[:m], iblock_ref[:m])
+        assert np.array_equal(isplit[:blocks], isplit_ref[:blocks])
 
 
 def test_missing_wrapper_module_is_an_import_error(tmp_path, monkeypatch):
@@ -353,6 +429,7 @@ def test_missing_wrapper_module_is_an_import_error(tmp_path, monkeypatch):
     scipy_spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
     scipy_spec.submodule_search_locations.append(str(tmp_path))
     monkeypatch.setattr(importlib.util, "find_spec", lambda name: scipy_spec)
+    monkeypatch.setattr(operators, "_numpy_openblas", lambda: None)
     monkeypatch.setattr(operators, "_gttrf", None)
     with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
         load_lapack()

@@ -165,8 +165,8 @@ def laplacian_tridiag(M: ModelManifold, grid: RadialGrid) -> Band:
 # LAPACK as ``load_lapack`` binds it.  _pttrf(d, e, s) and _gttrf(dl, d, du)
 # factor float64 vectors, which they may overwrite: ?pttrf's LDL^T of the
 # symmetric band T = (d, e) and ?gttrf's LU of T = (dl, d, du).  Each
-# returns (solve, info); solve(b) solves the leading b.size rows by ?pttrs
-# or ?gttrs, b left intact: T^-1 b, or S^-1 T^-1 S b with S = diag(s) for
+# returns (solve, info); solve(b) solves the leading b.size <= n rows by
+# ?pttrs or ?gttrs (``solve_banded`` checks the length), b left intact: T^-1 b, or S^-1 T^-1 S b with S = diag(s) for
 # LDL^T factors.  _stebz takes and returns what scipy.linalg.lapack.dstebz does.
 _pttrf = _gttrf = _stebz = None
 
@@ -255,8 +255,6 @@ def _openblas_routines(lib, prefix):
 
         def solve(b):
             k = b.size
-            if k > d.size:  # LAPACK would read past the factors
-                raise ValueError(f"{k} right-hand side rows for {d.size} unknowns")
             sk = s[:k]
             x = sk * b
             n.value = k
@@ -274,8 +272,6 @@ def _openblas_routines(lib, prefix):
         trans = ctypes.c_char_p(b"N")
 
         def solve(b):
-            if b.size > d.size:  # LAPACK would read past the factors
-                raise ValueError(f"{b.size} right-hand side rows for {d.size} unknowns")
             x = b.copy()
             n.value = x.size
             gttrs(trans, pn, pnrhs, *factors, _buffer(x), pn, pinfo, one)
@@ -358,8 +354,8 @@ def factor_banded(sub, diag, sup, s=None):
     """Factors of the tridiagonal A = (sub, diag, sup); sub[0], sup[-1] unread; inputs are left intact.
 
     The arguments must be float64 vectors of one length n >= 2; there is
-    no input validation.  The factors serve any number of
-    ``solve_banded`` calls.
+    no input validation.  The factors, the bound solve over them and n,
+    serve any number of ``solve_banded`` calls.
 
     Without s: one LAPACK ``?gttrf`` call (Gaussian elimination with
     partial pivoting).  A zero pivot raises LinAlgError.  Factoring
@@ -387,11 +383,11 @@ def factor_banded(sub, diag, sup, s=None):
         solve, info = _pttrf(diag.copy(), e, s)
         if info > 0:
             raise LinAlgError(f"tridiagonal matrix is not positive definite: pivot {info} is not positive")
-        return solve
+        return solve, diag.size
     solve, info = _gttrf(sub[1:].copy(), diag.copy(), sup[:-1].copy())
     if info > 0:
         raise LinAlgError(f"singular tridiagonal matrix: zero pivot in row {info}")
-    return solve
+    return solve, diag.size
 
 
 def solve_banded(factors, b) -> np.ndarray:
@@ -399,7 +395,8 @@ def solve_banded(factors, b) -> np.ndarray:
 
     One LAPACK ``?gttrs`` call on LU factors, or x = S^-1 ?pttrs(S b) on
     LDL^T factors; the routines are bound when ``factor_banded`` made
-    the factors.  b must be a float64 vector no longer than A.  A
+    the factors.  b must be a float64 vector no longer than A, or
+    ValueError is raised before LAPACK would read past the factors.  A
     shorter b of length k solves the leading k x k block of A, which
     must be decoupled from the rest (A[k-1, k] = A[k, k-1] = 0, as at a
     block boundary of a block-diagonal A): elimination never crosses
@@ -409,7 +406,10 @@ def solve_banded(factors, b) -> np.ndarray:
     nonnegative, so x >= 0 exactly.  Non-finite entries in b give a
     non-finite x rather than an error.
     """
-    return factors(b)
+    solve, n = factors
+    if b.size > n:
+        raise ValueError(f"{b.size} right-hand side rows for {n} unknowns")
+    return solve(b)
 
 
 def apply_laplacian_analytic(M: ModelManifold, fn: SmoothRadialFn, r):

@@ -287,9 +287,12 @@ def test_prefix_solve_of_stacked_blocks_equals_each_blocks_own_solve(n, blocks, 
     blocks=st.integers(1, 6),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_ldlt_branch_matches_scipy_to_rounding(gamma2, gamma3, model, R, N, dt, blocks, seed):
+def test_ldlt_branch_matches_scipy_to_rounding(gamma2, gamma3, monkeypatch, model, R, N, dt, blocks, seed):
     # the IMEX band of an adaptive step: I - (dt/j) Delta_h for j = blocks, ..., 1,
-    # stacked, symmetrized by s with s = 1 at the pole of each block
+    # stacked, symmetrized by s with s = 1 at the pole of each block; the LU
+    # solve agrees to rounding too, so the LU branch must not be taken
+    load_lapack()
+    monkeypatch.setattr(operators, "_gttrf", lambda *band: pytest.fail("a symmetrized band took the LU branch"))
     kind, n = model
     M = {
         "euclidean": lambda: make_euclidean(n),
@@ -334,21 +337,6 @@ def test_solve_banded_singular_raises():
         solve_banded(factor_banded(np.ones(5), np.zeros(5), np.zeros(5)), np.ones(5))  # zero first row
 
 
-def test_solve_banded_refuses_a_longer_rhs():
-    ones = np.ones(4)
-    for s in (None, ones):
-        with pytest.raises(ValueError):
-            solve_banded(factor_banded(-ones, 4.0 * ones, -ones, s), np.ones(5))
-
-
-def test_solve_banded_nonfinite_rhs_gives_nonfinite_x(hyp3):
-    sub, diag, sup = laplacian_tridiag(hyp3, RadialGrid(10.0, 100))
-    b = np.ones(101)
-    b[50] = np.inf
-    x = solve_banded(factor_banded(-0.1 * sub, 1.0 - 0.1 * diag, -0.1 * sup), b)
-    assert not np.all(np.isfinite(x))
-
-
 @pytest.fixture(params=["openblas", "flapack"])
 def binding(request, monkeypatch):
     """LAPACK bound afresh from numpy's OpenBLAS, or from scipy's wrapper module with numpy's library hidden."""
@@ -360,6 +348,21 @@ def binding(request, monkeypatch):
         monkeypatch.setattr(operators, name, None)
     load_lapack()
     return request.param
+
+
+def test_solve_banded_refuses_a_longer_rhs(binding):
+    ones = np.ones(4)
+    for s in (None, ones):
+        with pytest.raises(ValueError, match="5 right-hand side rows for 4 unknowns"):
+            solve_banded(factor_banded(-ones, 4.0 * ones, -ones, s), np.ones(5))
+
+
+def test_solve_banded_nonfinite_rhs_gives_nonfinite_x(hyp3):
+    sub, diag, sup = laplacian_tridiag(hyp3, RadialGrid(10.0, 100))
+    b = np.ones(101)
+    b[50] = np.inf
+    x = solve_banded(factor_banded(-0.1 * sub, 1.0 - 0.1 * diag, -0.1 * sup), b)
+    assert not np.all(np.isfinite(x))
 
 
 def scipy_gttrs(factors, b):

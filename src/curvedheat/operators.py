@@ -166,8 +166,9 @@ def laplacian_tridiag(M: ModelManifold, grid: RadialGrid) -> Band:
 # factor float64 vectors, which they may overwrite: ?pttrf's LDL^T of the
 # symmetric band T = (d, e) and ?gttrf's LU of T = (dl, d, du).  Each
 # returns (solve, info); solve(b) solves the leading b.size <= n rows by
-# ?pttrs or ?gttrs (``solve_banded`` checks the length), b left intact: T^-1 b, or S^-1 T^-1 S b with S = diag(s) for
-# LDL^T factors.  _stebz takes and returns what scipy.linalg.lapack.dstebz does.
+# ?pttrs or ?gttrs (``solve_banded`` checks the length), b left intact:
+# T^-1 b, or S^-1 T^-1 S b with S = diag(s) for LDL^T factors.  _stebz
+# takes and returns what scipy.linalg.lapack.dstebz does.
 _pttrf = _gttrf = _stebz = None
 
 _ROUTINES = ("dpttrf", "dpttrs", "dgttrf", "dgttrs", "dstebz")

@@ -401,7 +401,14 @@ def _build(sections) -> ExperimentConfig:
                     f"[grid] radius {R:g} exceeds the tabulated warping range r_max = {manifold.r_max:g}"
                 )
 
-    controls = _admissible("controls", EvolutionControls, **{"t_end": 50.0, **sec["controls"]})
+    ctl = {"t_end": 50.0, **sec["controls"]}
+    if grid.R_list:
+        ctl.setdefault("snapshots", 33)  # the times at which the ladder's nesting check compares its balls
+    elif "snapshots" in ctl:
+        raise ConfigError(
+            "[controls] no command reads 'snapshots' without [grid] R_list: only an exhaustion run samples its field"
+        )
+    controls = _admissible("controls", EvolutionControls, **ctl)
 
     # the targets the model meets: flat space and H^n are checked at c0 = 1, gamma = 0
     k = pinch_constant(manifold)
@@ -472,7 +479,7 @@ def _sweep_reads(cfg) -> dict:
 
     ``_build`` has refused every key that its kind does not read, so the rules left are of whole sections.
     """
-    reads = {"check": (), "grid": ("n", "r")}
+    reads = {"check": (), "grid": ("n", "r"), "controls": tuple(key for key in KEYS["controls"] if key != "snapshots")}
     if cfg.u0.kind != "scaled-barrier":  # the only data built from the barrier and its lambda
         return {**reads, "barrier": (), "problem": ("p",)}
     if cfg.u0.amplitude is not None:

@@ -75,17 +75,25 @@ crossing (halved) and at the clamp of the last step to the horizon; a
 fixed-step run factors once, once more if its last step is clamped,
 and again after each sample step (below).
 
-A sample time t_s strictly inside an accepted step [t, t + dt] takes the
-value of a partial step of length t_s - t from (t, u) by the run's own
-method (the six-row attempt, its estimate unread, or one IMEX Euler
-step), so no sample needs dt held small.  The run goes on from its
-accepted state: sampling never moves the accepted steps.  A partial
-step is factored at its own length and counted in sample_steps, not in
-factor_sets.  In a stack, round i stacks the i-th partial step of every
-run that has one into one factorization and one column, retaking a
-non-finite one alone, so a batch stays bit for bit its runs alone.  The
-rounds drop the stack's factors, which the next attempt factors again,
-so no more than one factor set is held at a time.
+A run given an envelope, the bound e^{-lam t} growth(t) ctilde w of
+data ctilde w under a barrier w, checks its upper side as it goes: the
+largest u_i - e^{-lam t} growth(t) ctilde w_i over the run's nodes, on u0
+and on every accepted state, with the running maximum kept; no state is
+stored for it.
+
+Sampling is opt-in (controls.snapshots), and only an exhaustion ladder
+asks for it, for its nesting check.  A sample time t_s strictly inside
+an accepted step [t, t + dt] takes the value of a partial step of length
+t_s - t from (t, u) by the run's own method (the six-row attempt, its
+estimate unread, or one IMEX Euler step), so no sample needs dt held
+small.  The run goes on from its accepted state: sampling never moves
+the accepted steps.  A partial step is factored at its own length and
+counted in sample_steps, not in factor_sets.  In a stack, round i stacks
+the i-th partial step of every run that has one into one factorization
+and one column, retaking a non-finite one alone, so a batch stays bit
+for bit its runs alone.  The rounds drop the stack's factors, which the
+next attempt factors again, so no more than one factor set is held at a
+time.
 
 Near blow-up the explicit reaction drives the estimator up, dt
 collapses, and that collapse doubles as the detector: a blow-up verdict
@@ -167,10 +175,13 @@ class EvolutionControls:
     rel_tol = 0 disables adaptivity and runs IMEX Euler at the fixed
     step dt_init.  An adaptive run attempts dt_init first, then the largest
     level dt_max 2^(-j/8), j >= 0, at or below the controller's proposal.
-    A run samples its field at ``snapshots`` equispaced times of [0, t_end],
-    so runs with different step sequences stay comparable; a sample time
-    inside an accepted step is reached by a partial step of the run's own
-    method from the step's start, so no sample needs dt_max small.
+    A run given ``snapshots`` >= 2 samples its field at that many
+    equispaced times of [0, t_end], so runs with different step sequences
+    stay comparable; a sample time inside an accepted step is reached by
+    a partial step of the run's own method from the step's start, so no
+    sample needs dt_max small.  None, the default, takes no samples: an
+    exhaustion ladder needs them for its nesting check, and no other
+    check reads them.
     """
 
     t_end: float
@@ -178,7 +189,7 @@ class EvolutionControls:
     dt_min: float = 1e-12
     dt_max: float = 2.0
     rel_tol: float = 1e-5
-    snapshots: int = 33
+    snapshots: int | None = None
     blowup_threshold: float | None = None  # default: 1e8 * ||u0||_inf
 
     def __post_init__(self):
@@ -190,9 +201,8 @@ class EvolutionControls:
             )
         if not self.rel_tol >= 0:
             raise ValueError(f"rel_tol must be >= 0, got {self.rel_tol}")
-        # the envelope's upper bound and the exhaustion nesting check read
-        # the snapshots; fewer than 2 keep t = 0 alone
-        if self.snapshots < 2:
+        # fewer than 2 keep t = 0 alone, which an exhaustion ladder cannot compare
+        if self.snapshots is not None and self.snapshots < 2:
             raise ValueError(f"snapshots must be >= 2, got {self.snapshots}")
         if self.blowup_threshold is not None and not math.isfinite(self.blowup_threshold):
             raise ValueError("blowup_threshold must be finite when given")
@@ -203,10 +213,11 @@ class RunOutcome:
     verdict: str
     t_star: float | None
     history: np.ndarray  # rows (t, sup_norm, dt)
-    snapshots: list  # (t, full node values) at fixed sample times
+    snapshots: list  # (t, full node values) at the sample times; empty without controls.snapshots
     final: RadialField
     threshold: float
     min_value: float  # min of u over u0 and every accepted step
+    envelope_excess: float | None  # max of u - envelope over u0 and every accepted step; None without an envelope
     rejected_error: int  # attempts rejected by the error test
     rejected_nonfinite: int  # attempts rejected for non-finite values
     factor_sets: int  # the run's new step sizes, each factored with the stack it runs in; sample steps not counted
@@ -326,7 +337,7 @@ def _step_factor(est: float, tol: float) -> float:
 class _Run:
     """One run's state in the lockstep engine, and its step controller."""
 
-    def __init__(self, u0: RadialField, p: float, controls: EvolutionControls, n: int):
+    def __init__(self, u0: RadialField, p: float, controls: EvolutionControls, n: int, envelope=None):
         vals = u0.values
         self.grid = u0.grid
         self.p = p
@@ -343,9 +354,17 @@ class _Run:
         self.factors_dt = None
         self.dt_acc = self.err_acc = None  # dt and error of the previous accepted step
         self.history = [(0.0, self.s, 0.0)]
-        self.sample_times = np.linspace(0.0, controls.t_end, controls.snapshots)
-        self.snapshots = [(0.0, vals.copy())] + [None] * (controls.snapshots - 1)
-        self.next_sample = 1
+        samples = controls.snapshots or 0
+        self.sample_times = np.linspace(0.0, controls.t_end, samples)
+        self.snapshots = [(0.0, vals.copy())] + [None] * (samples - 1) if samples else []
+        self.next_sample = 1 if samples else 0
+        self.bound = self.excess = None
+        if envelope is not None:
+            w, env = envelope
+            self.bound = env, env.ctilde * np.asarray(w(self.grid.nodes), dtype=float)
+            self.field = np.zeros(vals.size)  # the run's nodes and its zero boundary node
+            self.excess = -math.inf
+            self.check_envelope(0.0, vals[:-1])
         self.t_cross = None
         self.verdict = None
         self.note = ""
@@ -391,6 +410,8 @@ class _Run:
             self.t = self.t + dt
             self.u, self.s = u_new, s_new
             self.low = min(self.low, low)
+            if self.bound is not None:
+                self.check_envelope(self.t, u_new)
             self.history.append((self.t, self.s, dt))
             if self.s >= self.threshold and self.t_cross is None:
                 self.t_cross = self.t
@@ -428,6 +449,12 @@ class _Run:
                 self.note = f"non-finite values at t = {self.t:.6g} in fixed-step mode"
         return accept
 
+    def check_envelope(self, t: float, u) -> None:
+        """Raise the running maximum of u - e^{-lam t} growth(t) ctilde w by the state (t, u), u from the pole on."""
+        env, wt = self.bound
+        self.field[:-1] = u[: self.grid.N + 1]
+        self.excess = max(self.excess, float(np.max(self.field - math.exp(-env.lam * t) * float(env.growth(t)) * wt)))
+
     def due_samples(self) -> list:
         """Indices of the sample times strictly inside the step just accepted; one at its end is sampled here."""
         res = _TIME_RESOLUTION * self.controls.t_end
@@ -451,6 +478,7 @@ class _Run:
             final=RadialField(self.grid, np.concatenate((self.u[: self.grid.N + 1], [0.0]))),
             threshold=self.threshold,
             min_value=self.low,
+            envelope_excess=self.excess,
             rejected_error=self.rejected_error,
             rejected_nonfinite=self.rejected_nonfinite,
             factor_sets=self.factor_sets,
@@ -471,8 +499,9 @@ def _lockstep(band, runs, forcing: Forcing, controls: EvolutionControls, reactio
     stack.  The whole stack is factored in one call when it is new or
     has just lost a run, and whenever any run's dt differs from the dt
     its blocks were last factored at; a run's factor_sets counts its own
-    new step sizes.  After each attempt the runs sample the times their
-    accepted steps reached, in rounds of stacked partial steps.
+    new step sizes.  Where the controls ask for samples, the runs sample
+    after each attempt the times their accepted steps reached, in rounds
+    of stacked partial steps.
     """
     adaptive = controls.rel_tol > 0.0
     rows = _ROWS if adaptive else 1
@@ -565,7 +594,8 @@ def _lockstep(band, runs, forcing: Forcing, controls: EvolutionControls, reactio
                 run.advance(u_new[k], float(est[k]), float(tol[k]), float(s_new[k]), float(low[k]), rows)
                 for k, run in enumerate(going)
             ]
-            take_samples(live, U, t0)
+            if controls.snapshots:
+                take_samples(live, U, t0)
             U = np.where(np.array(accepted)[:, None], u_new, U)
         else:
             for k in live:
@@ -597,14 +627,18 @@ def _symmetrizer(log_s, cut: int, threshold: float):
     return None
 
 
-def _solve(M, u0s, forcing, ps, controls, reaction, ladder=False) -> list:
-    """The outcomes of the runs (u0, p), in lockstep per solver branch on the largest ball's band, each cut at its ball."""
+def _solve(M, u0s, forcing, ps, controls, reaction, envelopes, ladder=False) -> list:
+    """The outcomes of the runs (u0, p, envelope), in lockstep per solver branch on the largest ball's band, each cut at its ball."""
     if not u0s or len(u0s) != len(ps):
         raise ValueError(f"need one exponent per run and at least one run, got {len(u0s)} runs and {len(ps)} exponents")
+    if envelopes is None:
+        envelopes = [None] * len(u0s)
+    elif len(envelopes) != len(u0s):
+        raise ValueError(f"need one envelope (or None) per run, got {len(envelopes)} for {len(u0s)} runs")
     grid = max((u0.grid for u0 in u0s), key=lambda g: g.N)
     for u0, p in zip(u0s, ps):
         _check_run(grid, u0, p)
-    runs = [_Run(u0, p, controls, grid.N + 1) for u0, p in zip(u0s, ps)]
+    runs = [_Run(u0, p, controls, grid.N + 1, envelope) for u0, p, envelope in zip(u0s, ps, envelopes)]
     band = laplacian_tridiag(M, grid)
     log_s = band.log_s()
     sub, _, sup = band = [np.tile(x, (len(runs), 1)) for x in band]
@@ -628,6 +662,7 @@ def solve_batch(
     forcing: Forcing,
     ps,
     controls: EvolutionControls,
+    envelopes=None,
 ) -> list:
     """Evolve each u0 of ``u0s`` with its reaction exponent in ``ps``, all in lockstep.
 
@@ -640,9 +675,10 @@ def solve_batch(
     while dt, controller, history, counters and verdict stay per run;
     the whole stack is factored afresh whenever any run's dt moves.
     Runs on different solver branches (LDL^T or LU, by their blow-up
-    thresholds) go in separate stacks.
+    thresholds) go in separate stacks.  ``envelopes``, if given, holds
+    each run's envelope as ``solve_on_ball`` takes it, or None.
     """
-    return _solve(M, list(u0s), forcing, list(ps), controls, None)
+    return _solve(M, list(u0s), forcing, list(ps), controls, None, envelopes)
 
 
 def solve_on_ball(
@@ -654,6 +690,7 @@ def solve_on_ball(
     controls: EvolutionControls,
     *,
     reaction=None,
+    envelope=None,
 ) -> RunOutcome:
     """Evolve u0 on the ball of radius R with zero Dirichlet data.
 
@@ -682,6 +719,11 @@ def solve_on_ball(
         calls it once.  It runs under ``np.errstate(over="ignore",
         invalid="ignore")``: overflow to inf, and the nan that inf - inf
         makes in the table, is a rejected trial, never a warning.
+    envelope : (w, TimeEnvelope), optional
+        A barrier w, a function of r, and the envelope of data ctilde w
+        (``barriers.time_envelope``): the run checks u against
+        e^{-lam t} growth(t) ctilde w on u0 and every accepted state, for
+        ``compare_with_envelope``.
 
     Returns
     -------
@@ -692,7 +734,7 @@ def solve_on_ball(
     """
     if abs(u0.grid.R - R) > 1e-9 * max(1.0, R):
         raise ValueError(f"u0 lives on a grid with R = {u0.grid.R}, not {R}")
-    return _solve(M, [u0], forcing, [p], controls, reaction)[0]
+    return _solve(M, [u0], forcing, [p], controls, reaction, [envelope])[0]
 
 
 def nested_grids(R_list, dr: float) -> list:
@@ -733,6 +775,8 @@ def exhaustion_solve(
     forcing: Forcing,
     p: float,
     controls: EvolutionControls,
+    *,
+    envelope=None,
 ) -> ExhaustionReport:
     """Solve on nested balls sharing one node spacing and compare them.
 
@@ -744,13 +788,17 @@ def exhaustion_solve(
     blow-up threshold.  Solutions on larger balls should dominate
     smaller ones at shared nodes and sampled times, up to 1e-3 of the
     largest data sup; the report carries the worst violation and the
-    shrinking truncation gaps.
+    shrinking truncation gaps.  The balls are compared at the
+    ``controls.snapshots`` sample times, which must be set; an envelope,
+    as ``solve_on_ball`` takes it, is checked on every ball.
     """
+    if controls.snapshots is None:
+        raise ValueError("an exhaustion ladder compares its balls at sample times: set controls.snapshots")
     grids = nested_grids(R_list, u0.grid.dr)
     if grids[-1] != u0.grid:
         raise ValueError(f"u0 lives on the ball of radius {u0.grid.R:g}, not on the largest of R_list")
     u0s = [RadialField(grid, np.append(u0.values[: grid.N + 1], 0.0)) for grid in grids]
-    outcomes = _solve(M, u0s, forcing, [p] * len(grids), controls, None, ladder=True)
+    outcomes = _solve(M, u0s, forcing, [p] * len(grids), controls, None, [envelope] * len(grids), ladder=True)
     radii = [grid.R for grid in grids]
 
     tol = _nesting_tol(sup_norm(u0s[-1]))
@@ -782,34 +830,20 @@ def exhaustion_solve(
     )
 
 
-def compare_with_envelope(outcome: RunOutcome, w_values, envelope) -> EnvelopeComparison:
-    """Check u <= e^{-lam t} growth(t) * ctilde * w, and u >= 0.
+def compare_with_envelope(outcome: RunOutcome) -> EnvelopeComparison:
+    """Check u <= e^{-lam t} growth(t) * ctilde * w, and u >= 0, for a run given an envelope.
 
-    ``w_values`` are the unscaled barrier values on the run's grid; the
-    envelope's own amplitude scales them.  The upper side is checked
-    pointwise at the snapshots and, in the sup-norm form
-    ||u||_inf <= e^{-lam t} growth(t) * ctilde * max w that both sides
-    together imply, at every accepted step of the history;
-    ``max_violation`` is the worst of the two.  The lower side reads the
-    run's minimum over every accepted step.  So a run that leaves the
-    envelope between snapshots fails on either side.  The tolerance
+    The upper side reads the run's largest u_i - e^{-lam t} growth(t)
+    ctilde w_i over its nodes, on u0 and on every accepted state, and
+    the lower side its minimum over the same states; so a run that
+    leaves the envelope at any accepted step fails.  The tolerance
     budgets the spatial and temporal discretization error as
     1e-3 * ||u0||_inf.
     """
-    w = np.asarray(w_values, dtype=float)
-    u0 = outcome.snapshots[0][1]
-    if w.shape != u0.shape:
-        raise ValueError("barrier values and run fields live on different grids")
-    tol = 1e-3 * float(np.max(np.abs(u0)))
-    wt = envelope.ctilde * w
-    worst = -math.inf
-    for t, u in outcome.snapshots:
-        bound = math.exp(-envelope.lam * t) * float(envelope.growth(t)) * wt
-        worst = max(worst, float(np.max(u - bound)))
-    t, sup = outcome.history[:, 0], outcome.history[:, 1]
-    peak = np.exp(-envelope.lam * t) * envelope.growth(t) * float(np.max(wt))
-    worst = max(worst, float(np.max(sup - peak)))
-    low = outcome.min_value
+    if outcome.envelope_excess is None:
+        raise ValueError("the run was given no envelope to compare with")
+    tol = 1e-3 * float(outcome.history[0, 1])
+    worst, low = outcome.envelope_excess, outcome.min_value
     return EnvelopeComparison(
         max_violation=worst, min_value=low, tol=tol, passed=(worst <= tol and low >= -tol)
     )

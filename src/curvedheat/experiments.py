@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import pickle
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -316,9 +317,13 @@ def run_barrier(cfg: ExperimentConfig, out_dir: Path):
 
 
 def _initial_field(cfg: ExperimentConfig, M: ModelManifold, grid: RadialGrid):
-    """The configured data on ``grid``, zero at its boundary node; returns (u0, barrier, lam, envelope, meta)."""
+    """The configured data on ``grid``, zero at its boundary node; returns (u0, envelope, lam, meta).
+
+    envelope is the run's envelope argument as ``solve_on_ball`` takes it,
+    (the barrier's eval, its TimeEnvelope), where the data has one, else None.
+    """
     u0 = cfg.u0
-    barrier = lam = envelope = None
+    lam = envelope = None
     meta = {}
     if u0.kind == "zero":
         profile = np.zeros_like
@@ -333,12 +338,12 @@ def _initial_field(cfg: ExperimentConfig, M: ModelManifold, grid: RadialGrid):
             ctilde = 1.0 if u0.amplitude is None else u0.amplitude  # an O(1) multiple: blow-up at resolvable times
         else:
             ctilde = u0.factor * limit if u0.amplitude is None else u0.amplitude
-            envelope = time_envelope(cfg.forcing, lam, cfg.p, barrier.sup, ctilde)
+            envelope = barrier.eval, time_envelope(cfg.forcing, lam, cfg.p, barrier.sup, ctilde)
         meta = dict(meta, ctilde=ctilde, amplitude_limit=limit)
         profile = barrier_profile(barrier, ctilde)
     vals = np.asarray(profile(grid.nodes), dtype=float)
     vals[-1] = 0.0
-    return RadialField(grid, vals), barrier, lam, envelope, meta
+    return RadialField(grid, vals), envelope, lam, meta
 
 
 def _envelope_line(label: str, record) -> str:
@@ -356,8 +361,8 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path):
             raise ConfigError("[grid] exhaustion runs need a shared grid spacing: set dr")
         # eigen takes any spacing; nested balls need radii that are multiples of it
         grids = _admissible("grid", nested_grids, cfg.grid.R_list, cfg.grid.dr)
-        u0, *data = _initial_field(cfg, M, grids[-1])
-        report = exhaustion_solve(M, u0, cfg.grid.R_list, cfg.forcing, cfg.p, cfg.controls)
+        u0, envelope, *data = _initial_field(cfg, M, grids[-1])
+        report = exhaustion_solve(M, u0, cfg.grid.R_list, cfg.forcing, cfg.p, cfg.controls, envelope=envelope)
         records = [_sweep_cell(cfg, outcome, *data) for outcome in report.outcomes]
         rows = []
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -390,8 +395,8 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path):
         ok = ok and all(record["envelope_pass"] is not False for record in records)
         return ok, lines
 
-    u0, *data = _initial_field(cfg, M, RadialGrid(cfg.grid.R, cfg.grid.N))
-    outcome = solve_on_ball(M, u0.grid.R, u0, cfg.forcing, cfg.p, cfg.controls)
+    u0, envelope, *data = _initial_field(cfg, M, RadialGrid(cfg.grid.R, cfg.grid.N))
+    outcome = solve_on_ball(M, u0.grid.R, u0, cfg.forcing, cfg.p, cfg.controls, envelope=envelope)
     record = _sweep_cell(cfg, outcome, *data)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_history_csv(outcome, out_dir / "history.csv")
@@ -416,17 +421,17 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path):
     return record["envelope_pass"] is not False, lines
 
 
-def _sweep_cell(cfg: ExperimentConfig, outcome, barrier, lam, envelope, meta):
+def _sweep_cell(cfg: ExperimentConfig, outcome, lam, meta):
     """The record of one run: every quantity that simulate and sweep print or judge.
 
     ``sweep.csv``, ``run_summary.csv``, ``envelope_check.csv``, the
     stdout lines and the --strict status of every command that runs the
     evolution read a run from this record.  The envelope is compared
-    whenever the data has one, whatever the verdict; without one the
-    envelope keys are None.  The name is older than its use outside
-    the sweep; perfbench's tracer wraps the function by it.
+    whenever the run was given one (``_initial_field``), whatever the
+    verdict; without one the envelope keys are None.  The name is older
+    than its use outside the sweep; perfbench's tracer wraps the
+    function by it.
     """
-    grid = outcome.final.grid
     dts = outcome.history[1:, 2]  # the accepted steps
     record = {
         "verdict": outcome.verdict,
@@ -434,7 +439,7 @@ def _sweep_cell(cfg: ExperimentConfig, outcome, barrier, lam, envelope, meta):
         "threshold": outcome.threshold,
         "sup_final": float(np.max(np.abs(outcome.final.values))),
         "note": outcome.note,
-        "dr": grid.dr,
+        "dr": outcome.final.grid.dr,
         "dt_init": cfg.controls.dt_init,
         "rel_tol": cfg.controls.rel_tol,
         "horizon": cfg.controls.t_end,
@@ -456,8 +461,8 @@ def _sweep_cell(cfg: ExperimentConfig, outcome, barrier, lam, envelope, meta):
         "envelope_tol": None,
         "envelope_pass": None,
     }
-    if envelope is not None:
-        cmp = compare_with_envelope(outcome, barrier.eval(grid.nodes), envelope)
+    if outcome.envelope_excess is not None:
+        cmp = compare_with_envelope(outcome)
         record.update(
             envelope_violation=cmp.max_violation, envelope_min=cmp.min_value,
             envelope_tol=cmp.tol, envelope_pass=cmp.passed,
@@ -466,12 +471,15 @@ def _sweep_cell(cfg: ExperimentConfig, outcome, barrier, lam, envelope, meta):
 
 
 def _sweep_batch(cfgs):
-    """The records of sweep cells that differ only in their data and p, their runs in lockstep."""
+    """The records of sweep cells that differ only in their data and p, their runs in lockstep, taking no samples."""
     base = cfgs[0]
     M = build_manifold(base)
     cells = [_initial_field(cfg, M, RadialGrid(cfg.grid.R, cfg.grid.N)) for cfg in cfgs]
-    outcomes = solve_batch(M, [u0 for u0, *_ in cells], base.forcing, [cfg.p for cfg in cfgs], base.controls)
-    return [_sweep_cell(cfg, outcome, *rest) for cfg, outcome, (_, *rest) in zip(cfgs, outcomes, cells)]
+    u0s, envelopes, *_ = zip(*cells)
+    outcomes = solve_batch(
+        M, u0s, base.forcing, [cfg.p for cfg in cfgs], replace(base.controls, snapshots=None), envelopes
+    )
+    return [_sweep_cell(cfg, outcome, *rest) for cfg, outcome, (_, _, *rest) in zip(cfgs, outcomes, cells)]
 
 
 def _sweep_jobs(configs, threads: int) -> list:

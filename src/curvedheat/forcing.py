@@ -15,8 +15,12 @@ form subtracts the integral over (t, inf) from the one over (0, inf) and
 the L form the integral over (-1, 0) from the one over (-1, t); the L
 form serves while m (1+t) <= q + 2, up to just past the peak of h e^{-m s}
 at m (1+s) = q, where the mass past t, and U(m) with it, can exceed the
-float range by far more than D.  D(m, inf) is finite for m > 0, except
-under exponential forcing with sigma >= m.
+float range by far more than D.  Both forms subtract terms of size
+L(m) or U(m), and at short t, where D ~ t, that loses about half the
+digits; so while t (|q| + m + 1) < 256 and h e^{-m s} at s = t is within
+e^-8 of its peak on [0, t], D is summed by a Gauss-Legendre rule on
+panels of [0, t] instead, exact to rounding.  D(m, inf) is finite for
+m > 0, except under exponential forcing with sigma >= m.
 
 The power law is anchored at 1+t rather than t so that h stays positive
 and continuous at t = 0 while keeping the t^q growth rate.
@@ -25,6 +29,7 @@ and continuous at t = 0 while keeping the t^q growth rate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -83,6 +88,46 @@ def _kummer(a: float, x):
     return out
 
 
+# the panels _short_integral may take: t (|q| + m + 1) < _PANELS, every t <= 1 at q <= 200 and m <= 50
+_PANELS = 256
+
+
+@lru_cache(maxsize=1)
+def _legendre_rule():
+    """Nodes in [0, 1] and weights of the 16-point Gauss-Legendre rule, built on first use."""
+    x, w = np.polynomial.legendre.leggauss(16)
+    return 0.5 * (1.0 + x), 0.5 * w
+
+
+def _gauss_legendre(q: float, m: float, a, h):
+    """int_a^{a+h} (1+s)^q e^{-m s} ds by the 16-point rule, entry by entry, its terms summed node by node."""
+    nodes, weights = _legendre_rule()
+    out = np.zeros(np.broadcast(a, h).shape)
+    for x, w in zip(nodes, weights):
+        s = a + x * h
+        out += w * np.exp(q * np.log1p(s) - m * s)
+    return h * out
+
+
+def _short_integral(q: float, m: float, t):
+    """int_0^t (1+s)^q e^{-m s} ds for an array t of entries with t (|q| + m + 1) < _PANELS.
+
+    With h = 1/(|q| + m + 1), [0, t] is K whole panels [k h, (k+1) h] and
+    the rest [K h, t], each integrated by the 16-point Gauss-Legendre
+    rule.  On a panel the integrand's logarithm q log1p(s) - m s moves by
+    at most 1, and its one singularity, s = -1, lies at least 1 + 2/h
+    half-lengths from the panel's centre, so the rule is exact to
+    rounding.  The whole panels are summed in order, so an entry is the
+    same bits in any array.
+    """
+    scale = abs(q) + m + 1.0
+    whole = np.floor(t * scale)
+    panels = _gauss_legendre(q, m, np.arange(whole.max()) / scale, 1.0 / scale)
+    sums = np.concatenate(([0.0], np.cumsum(panels)))  # cumsum adds in order
+    start = whole / scale
+    return sums[whole.astype(int)] + _gauss_legendre(q, m, start, np.maximum(t - start, 0.0))
+
+
 @dataclass(frozen=True)
 class Forcing:
     """h(t) of one family of the module docstring; sigma is 0 but for exponential forcing."""
@@ -129,9 +174,18 @@ class Forcing:
             finite = np.isfinite(t)
             s = np.where(finite, t, 0.0)  # the tail is 0 at t = inf, where its factors are 0 * inf
             x = m * (1.0 + s)
-            low = finite & (x <= a + 1.0)
-            up = ~low
+            # by quadrature while the integrand at t is within e^-8 of its peak on [0, t]: at short t
+            # both closed forms take D ~ t as the difference of terms of size L(m) or U(m), and past
+            # that decay D still grows well above rounding where they take over
+            log_h = self.q * np.log1p(s) - m * s
+            peak = np.clip(self.q / m - 1.0, 0.0, s)
+            short = finite & (s * (abs(self.q) + m + 1.0) < _PANELS)
+            short &= log_h >= self.q * np.log1p(peak) - m * peak - 8.0
+            low = finite & ~short & (x <= a + 1.0)
+            up = ~(short | low)
             out = np.empty(t.shape)
+            if short.any():
+                out[short] = _short_integral(self.q, m, s[short])
             with np.errstate(over="ignore"):
                 # e^{-m t} (1+t)^{q+1}; inf only where D itself lies beyond the float range
                 grow = np.exp(a * np.log1p(s) - m * s)

@@ -169,13 +169,13 @@ def test_criterion_5_comparison_sandwich(hyp3):
     grid = RadialGrid(40.0, 799)
     u0 = barrier_profile(v, env.ctilde)(grid.nodes)
     u0[-1] = 0.0
-    rep = exhaustion_solve(hyp3, RadialField(grid, u0), [10.0, 20.0, 40.0], Forcing.one(), p, ctl)
+    rep = exhaustion_solve(hyp3, RadialField(grid, u0), [10.0, 20.0, 40.0], Forcing.one(), p, ctl, envelope=(v.eval, env))
     u0_sup = env.ctilde * v.sup
     tol = 1e-3 * u0_sup
     for R, outcome in zip(rep.radii, rep.outcomes):
         assert outcome.verdict == VERDICT_GLOBAL
         # pointwise sandwich against the scaled barrier
-        cmp = compare_with_envelope(outcome, v.eval(outcome.final.grid.nodes), env)
+        cmp = compare_with_envelope(outcome)
         assert cmp.passed, f"R={R}: violation {cmp.max_violation:.2e}"
         # sup-norm form of the envelope with the stated tolerance
         for t, snap in outcome.snapshots:

@@ -298,6 +298,24 @@ def test_power_law_damped_integral_against_mpmath():
     assert math.isinf(Forcing.power_law(200.0).damped_integral(1.0, 300.0))
 
 
+def test_power_law_damped_integral_keeps_its_digits_at_short_t():
+    # D ~ t at short t, where both closed forms subtract terms of size L(m) or U(m)
+    # and lost half the digits (1.3e-10 relative at q = 0, m = 1, t = 1e-6); the
+    # grid spans q in [-0.5, 200], m in [1e-3, 50], t in [1e-9, 1], with q ~ m ~ 46
+    # and 82 where the integrand is flat at first and the closed forms take over
+    mpmath = pytest.importorskip("mpmath")
+    ts = np.geomspace(1e-9, 1.0, 12)
+    with mpmath.workdps(40):
+        for q in (-0.5, 0.0, 1.5, 46.26, 82.0, 200.0):
+            a = mpmath.mpf(q) + 1
+            for m in (1e-3, 1.0, 2.0, 46.4, 50.0):
+                got = Forcing.power_law(q).damped_integral(m, ts)
+                for t, value in zip(ts, got):
+                    oracle = mpmath.exp(m) * m**-a * mpmath.gammainc(a, m, m * (1 + mpmath.mpf(t)))
+                    assert value == pytest.approx(float(oracle), rel=1e-13, abs=0.0), (q, m, t)
+                    assert value == Forcing.power_law(q).damped_integral(m, t)
+
+
 def test_damped_integral_monotone():
     t = np.linspace(0.0, 30.0, 301)
     for forcing in (Forcing.one(), Forcing.power_law(2.0), Forcing.exponential(0.5)):

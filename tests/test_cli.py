@@ -66,7 +66,6 @@ t_end = 5
 dt_init = 0.005
 dt_max = 0.005
 rel_tol = 0
-snapshots = 11
 """
 
 TINY_SWEEP = """\
@@ -572,7 +571,7 @@ def test_strict_fails_on_a_ladder_whose_blow_up_times_rise(tmp_path, capsys, mon
     code, lines, _ = run_scaled(tmp_path, capsys, "simulate", SCALED_SIMULATE["r3-ladder"], 0)
     assert code == 0 and lines[1].endswith("blow-up times nonincreasing: True")
     solve = experiments.exhaustion_solve
-    monkeypatch.setattr(experiments, "exhaustion_solve", lambda *a: replace(solve(*a), blowup_nonincreasing=False))
+    monkeypatch.setattr(experiments, "exhaustion_solve", lambda *a, **kw: replace(solve(*a, **kw), blowup_nonincreasing=False))
     code, lines, _ = run_scaled(tmp_path, capsys, "simulate", SCALED_SIMULATE["r3-ladder"], 0)
     assert code == 1 and lines[1].endswith("blow-up times nonincreasing: False")
 
@@ -798,7 +797,7 @@ def test_config_error_exit_code(tmp_path):
 
 def test_exhaustion_through_cli(tmp_path):
     text = HYPERBOLIC_SIM + "\n"
-    text = text.replace("R = 10\nN = 199", "R = 10\nN = 199\nR_list = 5 10\ndr = 0.05")
+    text = with_key(text.replace("R = 10\nN = 199", "R = 10\nN = 199\nR_list = 5 10\ndr = 0.05"), "controls", "snapshots = 11")
     cfg = write_cfg(tmp_path, text)
     out = tmp_path / "exh"
     assert main(["simulate", "--config", str(cfg), "--out", str(out), "--strict"]) == 0
@@ -865,6 +864,10 @@ def test_exhaustion_ladder_shares_one_step_sequence(tmp_path):
 
 
 GEOMETRY_BASE = "[manifold]\nkind = hyperbolic\nn = 3\nk = 1.0\n\n[grid]\nR = 10\nN = 100\n\n"
+LADDER_BASE = GEOMETRY_BASE.replace("N = 100", "N = 100\nR_list = 5 10\ndr = 0.1")
+SNAPSHOTS_UNREAD = (
+    "[controls] no command reads 'snapshots' without [grid] R_list: only an exhaustion run samples its field"
+)
 
 
 def with_key(text, section, line):
@@ -1065,9 +1068,13 @@ def test_benchmark_configs_parse():
             "[grid] radius 20 exceeds the tabulated warping range r_max = 12",
         ),
         (GEOMETRY_BASE.replace("N = 100", "N = 100\ndr = 0"), "[grid] dr = 0 must be positive"),
-        (GEOMETRY_BASE + "[controls]\nsnapshots = -1\n", "[controls] snapshots must be >= 2, got -1"),
-        (GEOMETRY_BASE + "[controls]\nsnapshots = 0\n", "[controls] snapshots must be >= 2, got 0"),
-        (GEOMETRY_BASE + "[controls]\nsnapshots = 1\n", "[controls] snapshots must be >= 2, got 1"),
+        # only an exhaustion ladder reads snapshots: elsewhere any value is a key no command reads
+        (GEOMETRY_BASE + "[controls]\nsnapshots = -1\n", SNAPSHOTS_UNREAD),
+        (GEOMETRY_BASE + "[controls]\nsnapshots = 0\n", SNAPSHOTS_UNREAD),
+        (GEOMETRY_BASE + "[controls]\nsnapshots = 1\n", SNAPSHOTS_UNREAD),
+        (GEOMETRY_BASE + "[controls]\nsnapshots = 33\n", SNAPSHOTS_UNREAD),
+        (LADDER_BASE + "[controls]\nsnapshots = 0\n", "[controls] snapshots must be >= 2, got 0"),
+        (LADDER_BASE + "[controls]\nsnapshots = 1\n", "[controls] snapshots must be >= 2, got 1"),
         (
             GEOMETRY_BASE.replace("kind = hyperbolic\nn = 3\nk = 1.0", "kind = gamma\nn = 3\ngamma = 3.0\nr_max = 12")
             + "[barrier]\nkind = power-tail\nalpha = 1\n\n[sweep]\naxis = manifold.gamma\nvalues = 3 2\n",
@@ -1135,6 +1142,11 @@ def test_benchmark_configs_parse():
         (GEOMETRY_BASE + "[problem]\nlambda_policy = explicit\n", "problem lambda_policy explicit needs explicit lambda"),
         (GEOMETRY_BASE + "[sweep]\naxis = problem.lambda\nvalues = 1 2\n",
          "[sweep] cell problem.lambda = 1: [problem] lambda_policy mckean does not read 'lambda'"),
+        (GEOMETRY_BASE + "[sweep]\naxis = controls.snapshots\nvalues = 5 9\n",
+         "[sweep] cell controls.snapshots = 5: " + SNAPSHOTS_UNREAD),
+        (LADDER_BASE + "[sweep]\naxis = controls.snapshots\nvalues = 5 9\n",
+         "[sweep] axis 'controls.snapshots': a sweep run of this config never reads controls.snapshots "
+         "(of [controls] it reads t_end, dt_init, dt_min, dt_max, rel_tol)"),
     ],
     ids=["sigma", "q", "t_end", "dt-order", "c_lower-text", "c_lower-sign", "sweep-sigma",
          "gamma-dr", "k-zero", "grid-R", "grid-N", "u0-width", "explicit-lambda", "exp-alpha",
@@ -1145,13 +1157,13 @@ def test_benchmark_configs_parse():
          "u0-bump-amplitude", "u0-factor", "u0-scaled-amplitude", "sweep-p", "sweep-amplitude",
          "sweep-amplitude2", "sweep-scaled-amplitude", "sweep-axis2", "R_list-decreasing",
          "R_list-negative", "R_list-beyond-r_max", "grid-dr", "snapshots-negative", "snapshots-zero",
-         "snapshots-one", "sweep-gamma", "sweep-duplicate-cell", "sweep-axis-in-sweep",
+         "snapshots-one", "snapshots-default", "snapshots-zero-ladder", "snapshots-one-ladder", "sweep-gamma", "sweep-duplicate-cell", "sweep-axis-in-sweep",
          "sweep-axis-unknown", "sweep-values-empty", "sweep-values2-empty", "sweep-axis-unread-by-kind",
          "sweep-axis-unread-by-data", "sweep-axis-unread-section", "sweep-repeated-value",
          "unread-barrier-alpha", "unread-barrier-r0", "unread-u0-width", "unread-u0-alpha", "unread-forcing-q",
          "unread-manifold-k", "unread-manifold-c0", "unread-lambda-mckean", "unread-lambda-eigen",
          "unread-lambda-power-tail", "unread-lambda_policy-power-tail", "lambda_policy-unknown",
-         "explicit-no-lambda", "sweep-axis-unread-lambda"],
+         "explicit-no-lambda", "sweep-axis-unread-lambda", "sweep-axis-snapshots", "sweep-axis-snapshots-ladder"],
 )
 def test_inadmissible_config_values_are_config_errors(tmp_path, capsys, text, hypothesis):
     cfg = write_cfg(tmp_path, text)

@@ -767,7 +767,10 @@ def assert_same_outcome(batched, alone):
     for (_, ub), (_, ua) in zip(batched.snapshots, alone.snapshots):
         assert ub.tobytes() == ua.tobytes()
     assert batched.final.values.tobytes() == alone.final.values.tobytes()
-    for name in ("threshold", "min_value", "rejected_error", "rejected_nonfinite", "factor_sets", "solves", "sample_steps"):
+    for name in (
+        "threshold", "min_value", "envelope_excess", "rejected_error", "rejected_nonfinite", "factor_sets", "solves",
+        "sample_steps",
+    ):
         assert getattr(batched, name) == getattr(alone, name), name
 
 
@@ -815,10 +818,16 @@ def test_batched_runs_equal_their_runs_alone(kind, N, forcing, adaptive, thresho
         ctl = EvolutionControls(t_end=3.0, rel_tol=1e-4, snapshots=5, blowup_threshold=threshold)
     else:
         ctl = EvolutionControls(t_end=3.0, dt_init=0.05, dt_max=0.05, rel_tol=0.0, snapshots=5, blowup_threshold=threshold)
-    batch = solve_batch(M, u0s, forcing, ps, ctl)
-    alone = [solve_on_ball(M, 20.0, u0, forcing, p, ctl) for u0, p in zip(u0s, ps)]
-    for batched, single in zip(batch, alone):
+    # every other run checks an envelope as it goes
+    v = ExpBarrier(1.0, 1.0)
+    envelopes = [None if k % 2 else (v.eval, time_envelope(forcing, 1.0, p, v.sup, 1.0)) for k, p in enumerate(ps)]
+    batch = solve_batch(M, u0s, forcing, ps, ctl, envelopes)
+    alone = [
+        solve_on_ball(M, 20.0, u0, forcing, p, ctl, envelope=envelope) for u0, p, envelope in zip(u0s, ps, envelopes)
+    ]
+    for batched, single, envelope in zip(batch, alone, envelopes):
         assert_same_outcome(batched, single)
+        assert (batched.envelope_excess is None) == (envelope is None)
     # the overflowing run ends at once, beside runs that go on
     overflowed = batch[min(at, len(runs))]
     assert overflowed.rejected_nonfinite >= 1 or overflow == "solve"
@@ -914,9 +923,9 @@ def test_comparison_sandwich_small(hyp3):
     env = time_envelope(Forcing.one(), 1.0, 2.0, v.sup, ctilde=0.5)  # half the amplitude limit 1
     g = RadialGrid(10.0, 200)
     u0 = make_u0(g, barrier_profile(v, env.ctilde))
-    ctl = EvolutionControls(t_end=10.0, dt_init=2e-3, dt_max=2e-3, rel_tol=0.0, snapshots=21)
-    out = solve_on_ball(hyp3, 10.0, u0, Forcing.one(), 2.0, ctl)
-    cmp = compare_with_envelope(out, v.eval(g.nodes), env)
+    ctl = EvolutionControls(t_end=10.0, dt_init=2e-3, dt_max=2e-3, rel_tol=0.0)
+    out = solve_on_ball(hyp3, 10.0, u0, Forcing.one(), 2.0, ctl, envelope=(v.eval, env))
+    cmp = compare_with_envelope(out)
     assert cmp.passed
     assert cmp.max_violation <= 0.0  # equality only at t = 0
 
@@ -948,7 +957,7 @@ def test_running_minimum_does_not_depend_on_snapshots(hyp3):
     coarse, fine = (
         solve_on_ball(
             hyp3, 10.0, make_u0(g, barrier_profile(v, env.ctilde)), Forcing.one(), 2.0,
-            replace(ctl, snapshots=n), reaction=flip,
+            replace(ctl, snapshots=n), reaction=flip, envelope=(v.eval, env),
         )
         for n in (5, 200)
     )
@@ -956,7 +965,7 @@ def test_running_minimum_does_not_depend_on_snapshots(hyp3):
     assert min(float(u.min()) for _, u in coarse.snapshots) == 0.0
     assert min(float(u.min()) for _, u in fine.snapshots) < 0.0
     assert coarse.min_value == fine.min_value < 0.0
-    cmps = [compare_with_envelope(out, v.eval(g.nodes), env) for out in (coarse, fine)]
+    cmps = [compare_with_envelope(out) for out in (coarse, fine)]
     assert cmps[0].min_value == cmps[1].min_value == fine.min_value
     assert not cmps[0].passed
 
@@ -976,12 +985,12 @@ def test_envelope_upper_side_does_not_depend_on_snapshots(hyp3):
     g = RadialGrid(10.0, 100)
     wt = env.ctilde * v.eval(g.nodes)
     ctl = EvolutionControls(t_end=1.0, dt_init=0.01, dt_max=0.01, rel_tol=0.0)
-    coarse, fine = (
+    coarse, fine, on_steps = (
         solve_on_ball(
             hyp3, 10.0, make_u0(g, barrier_profile(v, env.ctilde)), Forcing.one(), 2.0,
-            replace(ctl, snapshots=n), reaction=spike,
+            replace(ctl, snapshots=n), reaction=spike, envelope=(v.eval, env),
         )
-        for n in (5, 200)
+        for n in (5, 200, 101)
     )
 
     def snapshot_excess(out):
@@ -991,11 +1000,64 @@ def test_envelope_upper_side_does_not_depend_on_snapshots(hyp3):
     assert snapshot_excess(coarse) <= 0.0 < snapshot_excess(fine)
     t, sup, _ = coarse.history[np.argmax(coarse.history[:, 1])]
     assert t == pytest.approx(0.31)
-    cmps = [compare_with_envelope(out, v.eval(g.nodes), env) for out in (coarse, fine)]
+    cmps = [compare_with_envelope(out) for out in (coarse, fine)]
     assert not cmps[0].passed and not cmps[1].passed
+    assert cmps[0].max_violation == cmps[1].max_violation
+    # the pointwise value over the accepted steps, each sampled at its end
+    # (at k/100 rather than the summed t), which is at least the
+    # sup-norm value sup - e^{-lam t} growth(t) ctilde max w
+    assert on_steps.sample_steps == 0 and len(on_steps.snapshots) == len(on_steps.history)
+    assert cmps[0].max_violation == pytest.approx(snapshot_excess(on_steps), rel=1e-12)
     peak = math.exp(-env.lam * t) * float(env.growth(t)) * float(np.max(wt))
-    assert cmps[0].max_violation == pytest.approx(sup - peak, rel=1e-12)
+    assert cmps[0].max_violation >= sup - peak
     assert cmps[0].max_violation > cmps[0].tol
+
+
+def test_streamed_envelope_value_is_the_snapshot_formula_at_step_ends(hyp3):
+    # steps of 2^-6 to t = 1 at 65 samples: every sample time is a step's
+    # end as the same float, so the snapshots are the accepted states; the
+    # linear reaction lifts u above the envelope, most at the last step
+    v = ExpBarrier(1.0, 1.0)
+    env = time_envelope(Forcing.one(), 1.0, 2.0, v.sup, ctilde=0.5)
+    g = RadialGrid(10.0, 100)
+    ctl = EvolutionControls(t_end=1.0, dt_init=2.0**-6, dt_max=2.0**-6, rel_tol=0.0, snapshots=65)
+    out = solve_on_ball(
+        hyp3, 10.0, make_u0(g, barrier_profile(v, env.ctilde)), Forcing.one(), 2.0, ctl,
+        reaction=lambda u, t: 5.0 * u, envelope=(v.eval, env),
+    )
+    assert out.sample_steps == 0
+    assert [t for t, _ in out.snapshots] == list(out.history[:, 0])
+    wt = env.ctilde * v.eval(g.nodes)
+    excess = [float(np.max(u - math.exp(-env.lam * t) * float(env.growth(t)) * wt)) for t, u in out.snapshots]
+    assert excess[0] == 0.0 < excess[1] and np.argmax(excess) == len(excess) - 1
+    assert out.envelope_excess == max(excess)
+    assert compare_with_envelope(out).max_violation == max(excess)
+
+
+@pytest.mark.parametrize("adaptive", [True, False], ids=["adaptive", "fixed"])
+def test_sampling_never_moves_the_accepted_steps(hyp3, adaptive):
+    v = ExpBarrier(1.0, 1.0)
+    env = time_envelope(Forcing.one(), 1.0, 2.0, v.sup, ctilde=0.5)
+    g = RadialGrid(10.0, 100)
+    if adaptive:
+        ctl = EvolutionControls(t_end=5.0, rel_tol=1e-5)
+    else:
+        ctl = EvolutionControls(t_end=1.0, dt_init=0.03, dt_max=0.03, rel_tol=0.0)
+    plain, sampled = (
+        solve_on_ball(
+            hyp3, 10.0, make_u0(g, barrier_profile(v, env.ctilde)), Forcing.one(), 2.0,
+            replace(ctl, snapshots=n), envelope=(v.eval, env),
+        )
+        for n in (None, 33)
+    )
+    assert plain.snapshots == [] and plain.sample_steps == 0 < sampled.sample_steps
+    assert len(sampled.snapshots) == 33
+    assert sampled.solves - plain.solves == (6 if adaptive else 1) * sampled.sample_steps
+    assert plain.history.tobytes() == sampled.history.tobytes()
+    assert plain.final.values.tobytes() == sampled.final.values.tobytes()
+    for name in ("verdict", "t_star", "note", "threshold", "min_value", "envelope_excess", "rejected_error",
+                 "rejected_nonfinite", "factor_sets"):
+        assert getattr(plain, name) == getattr(sampled, name), name
 
 
 def test_comparison_negative_control(hyp3):
@@ -1004,10 +1066,8 @@ def test_comparison_negative_control(hyp3):
     env = time_envelope(Forcing.one(), 1.0, 2.0, v.sup, ctilde=0.5)
     g = RadialGrid(10.0, 200)
     u0 = make_u0(g, barrier_profile(v, 10.0 * env.ctilde))
-    out = solve_on_ball(
-        hyp3, 10.0, u0, Forcing.one(), 2.0, EvolutionControls(t_end=1.0, snapshots=5)
-    )
-    cmp = compare_with_envelope(out, v.eval(g.nodes), env)
+    out = solve_on_ball(hyp3, 10.0, u0, Forcing.one(), 2.0, EvolutionControls(t_end=1.0), envelope=(v.eval, env))
+    cmp = compare_with_envelope(out)
     assert not cmp.passed
     assert cmp.max_violation > 1.0
 
@@ -1054,7 +1114,7 @@ def test_snapshots_scale_with_the_problem():
     # every sample time as reached within the first steps, and extrapolated
     # the snapshots to -2 mu^2
     def snapshots(e):
-        mu, ctl = 2.0**e, EvolutionControls(t_end=5.0)
+        mu, ctl = 2.0**e, EvolutionControls(t_end=5.0, snapshots=33)
         ctl = replace(ctl, **{f: getattr(ctl, f) / mu**2 for f in ("t_end", "dt_init", "dt_min", "dt_max")})
         g = RadialGrid(10.0 / mu, 99)
         out = solve_on_ball(make_hyperbolic(3, mu), g.R, make_u0(g, bump_profile(0.5 * mu**2, 2.0 / mu)),

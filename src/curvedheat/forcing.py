@@ -177,10 +177,10 @@ class Forcing:
             # by quadrature while the integrand at t is within e^-8 of its peak on [0, t]: at short t
             # both closed forms take D ~ t as the difference of terms of size L(m) or U(m), and past
             # that decay D still grows well above rounding where they take over
-            log_h = self.q * np.log1p(s) - m * s
+            log_integrand = self.q * np.log1p(s) - m * s
             peak = np.clip(self.q / m - 1.0, 0.0, s)
             short = finite & (s * (abs(self.q) + m + 1.0) < _PANELS)
-            short &= log_h >= self.q * np.log1p(peak) - m * peak - 8.0
+            short &= log_integrand >= self.q * np.log1p(peak) - m * peak - 8.0
             low = finite & ~short & (x <= a + 1.0)
             up = ~(short | low)
             out = np.empty(t.shape)
